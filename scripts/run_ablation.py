@@ -5,39 +5,42 @@ Example:
     python scripts/run_ablation.py --space space.csv --landscape land.json \
         --time-limit 40000 --virtual-clock --budgets 500,12000 --depths 1,2,4 \
         --out grid.tsv
+
+Every flag other than ``--budgets`` and ``--depths`` is a ``stratlearn`` run
+flag; ``--out`` names the grid file.
 """
 
+import argparse
 import sys
 
-from stratlearn.cli import _build_parser, ablation_grid, parse_args, write_grid
+from stratlearn.cli import ablation_grid, parse_args
 
 
-def main() -> int:
-    argv = sys.argv[1:]
-    budgets, depths = None, None
-    rest = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--budgets":
-            budgets = [float(x) for x in next(it).split(",")]
-        elif arg == "--depths":
-            depths = [int(x) for x in next(it).split(",")]
-        else:
-            rest.append(arg)
-    if budgets is None or depths is None:
-        print("usage: run_ablation.py --budgets B1,B2,... --depths D1,D2,... <run flags>",
-              file=sys.stderr)
-        print(_build_parser().format_usage(), file=sys.stderr)
-        return 2
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
+
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Sweep learning budget against tree depth; "
+        "remaining flags are passed to the stratlearn run parser.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--budgets", type=_floats, required=True,
+                        help="comma-separated absolute learning budgets")
+    parser.add_argument("--depths", type=_ints, required=True,
+                        help="comma-separated fixed tree depths")
+    ns, rest = parser.parse_known_args(argv)
     config = parse_args(rest)
-    grid = ablation_grid(config, budgets, depths)
-    header = "budget\\depth\t" + "\t".join(str(d) for d in grid.depths)
-    print(header)
+    grid = ablation_grid(config, ns.budgets, ns.depths)
+    print("budget\\depth\t" + "\t".join(str(d) for d in grid.depths))
     for budget, row in zip(grid.budgets, grid.largest_solved):
         print(f"{budget:g}\t" + "\t".join("-" if c is None else str(c) for c in row))
     if config.out:
-        write_grid(grid, config.out)
         print(f"grid written to {config.out}", file=sys.stderr)
     return 0
 

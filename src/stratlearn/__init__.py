@@ -1,61 +1,7 @@
 """Online strategy learning for ordered sets of related solver problems."""
 
-from .backends import (
-    ExternalBackend,
-    ProblemManifest,
-    SolveOutcome,
-    SolverAdapterConfig,
-    SyntheticBackend,
-    SyntheticLandscape,
-    Verdict,
-    evaluate_external,
-    evaluate_synthetic,
-    load_manifest,
-    stub_backend,
-)
-from .cost import CostConfig, CostRecord, collect_cost, normalize
-from .engine import (
-    EngineState,
-    EpochPolicy,
-    ForestConfig,
-    Outcome,
-    RunResult,
-    RunSummary,
-    Trajectory,
-    initial_state,
-    learning_epoch,
-    rule_failure,
-    rule_next,
-    rule_strategize,
-    rule_success,
-    run,
-    should_learn,
-    summarize,
-)
-from .forest import (
-    DataPoint,
-    Dataset,
-    RandomForest,
-    RegressionTree,
-    fit_adaptive,
-    fit_forest,
-    fit_tree,
-    predict,
-    r2_score,
-)
-from .sampler import ChainRecord, SamplerConfig, acceptance_probability, propose, run_chain
-from .space import (
-    ParameterDomain,
-    Strategy,
-    StrategySpace,
-    builtin_space,
-    default_strategy,
-    encode_features,
-    load_space,
-    neighbors,
-    parse_space,
-    serialize_space,
-    space_size,
-)
+from .backends import SyntheticBackend, SyntheticLandscape, Verdict
+from .engine import EpochPolicy, run, summarize
+from .space import builtin_space
 
 __version__ = "0.1.0"

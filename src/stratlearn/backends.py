@@ -14,7 +14,6 @@ import re
 import shlex
 import string
 import subprocess
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -36,7 +35,6 @@ class SolveOutcome:
 
     verdict: Verdict
     metric: float
-    wall_time: float | None = None
 
     def __post_init__(self) -> None:
         if self.metric < 0 or not math.isfinite(self.metric):
@@ -127,12 +125,10 @@ def evaluate_external(
         budget_value = int(budget) if float(budget).is_integer() else budget
         args += shlex.split(config.metric_budget_flag.format(budget=budget_value))
     logger.debug("launching %s", " ".join(args))
-    started = time.perf_counter()
     try:
         proc = subprocess.run(args, capture_output=True, text=True)
     except OSError as exc:
         raise SolverLaunchError(f"failed to launch {args[0]!r}: {exc}") from exc
-    wall = time.perf_counter() - started
 
     code = proc.returncode
     if code == config.exit_code_sat:
@@ -154,7 +150,7 @@ def evaluate_external(
             )
     if budget is not None and metric > budget:
         verdict = Verdict.ABORTED
-    return SolveOutcome(verdict, metric, wall_time=wall)
+    return SolveOutcome(verdict, metric)
 
 
 _ADAPTER_KEYS = {
@@ -380,8 +376,6 @@ def serialize_manifest(manifest: ProblemManifest) -> str:
 class SyntheticBackend:
     """Always safe for concurrent calls: evaluation is a pure function."""
 
-    concurrent_safe = True
-
     def __init__(self, landscape: SyntheticLandscape):
         self.landscape = landscape
 
@@ -395,8 +389,6 @@ class SyntheticBackend:
 
 class ExternalBackend:
     """Subprocess-based backend; concurrent use needs distinct working directories."""
-
-    concurrent_safe = False
 
     def __init__(self, config: SolverAdapterConfig, space: StrategySpace, manifest: ProblemManifest):
         validate_template(config, space)

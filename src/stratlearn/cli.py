@@ -150,45 +150,6 @@ def parse_args(argv) -> RunConfig:
     )
 
 
-def render_args(config: RunConfig) -> list[str]:
-    """Inverse of parse_args: an argv list that parses back to ``config``."""
-    argv = ["--space", config.space_path]
-    if config.manifest_path:
-        argv += ["--manifest", config.manifest_path]
-    if config.landscape_path:
-        argv += ["--landscape", config.landscape_path]
-    if config.adapter_path:
-        argv += ["--adapter", config.adapter_path]
-    if config.no_learn:
-        argv += ["--no-learn"]
-    else:
-        if config.budget_fraction != 0.15:
-            argv += ["--budget-frac", str(config.budget_fraction)]
-        if config.budget_seconds is not None:
-            argv += ["--budget-seconds", str(config.budget_seconds)]
-    if config.samples_per_epoch != 100:
-        argv += ["--samples-per-epoch", str(config.samples_per_epoch)]
-    if config.strategize_samples != 500:
-        argv += ["--strategize-samples", str(config.strategize_samples)]
-    if config.trees != 50:
-        argv += ["--trees", str(config.trees)]
-    if config.init_depth is not None:
-        argv += ["--init-depth", str(config.init_depth)]
-    if config.fixed_depth is not None:
-        argv += ["--fixed-depth", str(config.fixed_depth)]
-    if config.seed != 0:
-        argv += ["--seed", str(config.seed)]
-    if config.time_limit is not None:
-        argv += ["--time-limit", str(config.time_limit)]
-    if config.virtual_clock:
-        argv += ["--virtual-clock"]
-    if config.step_size is not None:
-        argv += ["--step-size", str(config.step_size)]
-    if config.out is not None:
-        argv += ["--out", config.out]
-    return argv
-
-
 def resolve_budget(config: RunConfig) -> float:
     if config.no_learn:
         return 0.0

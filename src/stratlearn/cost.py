@@ -22,12 +22,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CostConfig:
-    metric_kind: str = "conflicts"
     abort_multiplier: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.metric_kind not in ("conflicts", "virtual_time"):
-            raise ValueError(f"unknown metric kind {self.metric_kind!r}")
         if not self.abort_multiplier > 1:
             raise ValueError("abort_multiplier must exceed 1")
 

@@ -89,7 +89,6 @@ class ForestConfig:
     fixed_depth: int | None = None
     score_threshold: float = 0.9
     depth_cap: int | None = None
-    bootstrap: bool = True
 
 
 @dataclass(frozen=True)
@@ -307,14 +306,13 @@ def learning_epoch(
     forest_seed = _substream_seed(seed, _TRAIN_STREAM, state.epochs)
     if forest_config.fixed_depth is not None:
         oracle = fit_forest(
-            state.dataset, forest_config.trees, forest_config.fixed_depth,
-            forest_seed, forest_config.bootstrap,
+            state.dataset, forest_config.trees, forest_config.fixed_depth, forest_seed
         )
     else:
         init, cap = _resolved_depths(forest_config, state.dataset.feature_width)
         oracle = fit_adaptive(
             state.dataset, forest_config.trees, init,
-            forest_config.score_threshold, cap, forest_seed, forest_config.bootstrap,
+            forest_config.score_threshold, cap, forest_seed,
         )
     state.oracle = oracle
     state.epochs += 1
@@ -471,22 +469,23 @@ def run(
             break
 
         if policy.learning_budget > 0 and should_learn(state, policy, duration):
-            if state.baselines[state.index] > 0:
-                collect_index = None
-                if collect_past:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(
-                            [seed, _PAST_INDEX_STREAM, state.epochs]
-                        )
+            collect_index = None
+            if collect_past:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(
+                        [seed, _PAST_INDEX_STREAM, state.epochs]
                     )
-                    collect_index = int(rng.integers(1, state.index + 1))
+                )
+                collect_index = int(rng.integers(1, state.index + 1))
+            target = state.index if collect_index is None else collect_index
+            if state.baselines[target] > 0:
                 learning_epoch(
                     state, backend, policy, sampler_config,
                     cost_config=cost_config, forest_config=forest_config,
                     seed=seed, trajectory=trajectory, collect_index=collect_index,
                 )
             else:
-                logger.info("skipping epoch at problem %d: zero-effort baseline", state.index)
+                logger.info("skipping epoch at problem %d: zero-effort baseline", target)
         elif policy.learning_budget > 0:
             logger.info(
                 "epoch refused at problem %d: spent %.6g + estimate %.6g exceeds budget %.6g",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -199,30 +198,6 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> TreeNode:
     return node
 
 
-def fit_tree(
-    data: Dataset,
-    max_depth: int,
-    rng: np.random.Generator | None = None,
-    bootstrap: bool = False,
-) -> RegressionTree:
-    """Fit one regression tree; with ``bootstrap``, on a with-replacement resample."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    if max_depth < 0:
-        raise ValueError("max_depth must be nonnegative")
-    X, y = data.to_arrays()
-    if bootstrap:
-        if rng is None:
-            raise ValueError("bootstrap resampling needs a generator")
-        pick = rng.integers(0, y.shape[0], size=y.shape[0])
-        X, y = X[pick], y[pick]
-    return RegressionTree(_grow(X, y, 0, max_depth), max_depth)
-
-
-def _fit_grown(X: np.ndarray, y: np.ndarray, max_depth: int) -> RegressionTree:
-    return RegressionTree(_grow(X, y, 0, max_depth), max_depth)
-
-
 def fit_forest(
     data: Dataset,
     n_trees: int,
@@ -239,15 +214,18 @@ def fit_forest(
         raise ValueError("empty dataset")
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
     X, y = data.to_arrays()
     trees: list[RegressionTree] = []
     for t in range(n_trees):
         if bootstrap:
             rng = np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t]))
             pick = rng.integers(0, y.shape[0], size=y.shape[0])
-            trees.append(_fit_grown(X[pick], y[pick], max_depth))
+            Xt, yt = X[pick], y[pick]
         else:
-            trees.append(_fit_grown(X, y, max_depth))
+            Xt, yt = X, y
+        trees.append(RegressionTree(_grow(Xt, yt, 0, max_depth), max_depth))
     forest = RandomForest(tuple(trees), data.feature_width, max_depth, 0.0)
     forest.training_score = r2_score(forest, data)
     return forest
@@ -299,60 +277,3 @@ def fit_adaptive(
         forest = fit_forest(data, n_trees, depth, seed, bootstrap)
     return forest
 
-
-def dump_forest(forest: RandomForest, path: str | Path) -> None:
-    """Write a line-oriented text dump (one node per line, preorder). Debug aid."""
-    lines = [
-        f"forest 1 trees={len(forest.trees)} width={forest.feature_width} "
-        f"depth={forest.trained_depth} score={forest.training_score!r}"
-    ]
-    for tree in forest.trees:
-        lines.append(f"tree {tree.max_depth}")
-        _dump_node(tree.root, lines)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _dump_node(node: TreeNode, lines: list[str]) -> None:
-    if node.is_leaf:
-        lines.append(f"leaf {node.value!r} {node.count}")
-        return
-    lines.append(f"branch {node.feature} {node.threshold!r} {node.value!r} {node.count}")
-    _dump_node(node.left, lines)
-    _dump_node(node.right, lines)
-
-
-def load_forest(path: str | Path) -> RandomForest:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split()
-    if not header or header[0] != "forest":
-        raise ValueError(f"not a forest dump: {lines[0]!r}")
-    meta = dict(item.split("=", 1) for item in header[2:])
-    it = iter(lines[1:])
-    trees: list[RegressionTree] = []
-    for line in it:
-        if not line.startswith("tree "):
-            raise ValueError(f"expected tree header, got {line!r}")
-        trees.append(RegressionTree(_load_node(it), int(line.split()[1])))
-    return RandomForest(
-        tuple(trees),
-        feature_width=int(meta["width"]),
-        trained_depth=int(meta["depth"]),
-        training_score=float(meta["score"]),
-    )
-
-
-def _load_node(it: Iterator[str]) -> TreeNode:
-    parts = next(it).split()
-    if parts[0] == "leaf":
-        return TreeNode(value=float(parts[1]), count=int(parts[2]))
-    if parts[0] != "branch":
-        raise ValueError(f"bad node line: {' '.join(parts)!r}")
-    node = TreeNode(
-        value=float(parts[3]),
-        count=int(parts[4]),
-        feature=int(parts[1]),
-        threshold=float(parts[2]),
-    )
-    node.left = _load_node(it)
-    node.right = _load_node(it)
-    return node

@@ -1,12 +1,12 @@
 """Metropolis-Hastings random walks over strategy spaces.
 
 The proposal kernel moves to a uniformly drawn Hamming-distance neighbor of
-the current strategy.  On spaces whose domains all have the same size the
-neighbor graph is regular and the kernel is exactly symmetric, so the chain's
-stationary distribution is proportional to exp(-beta * cost).  With mixed
-domain sizes the neighbor counts differ between states and the kernel is only
-approximately symmetric; we keep the plain kernel and accept the small bias,
-since it only affects the limit distribution, not the search heuristic.
+the current strategy.  Every state has the same number of Hamming-k
+neighbors, even with mixed domain sizes: the count is the sum over k-subsets
+of positions of the product of (domain size - 1), which does not depend on
+the state.  The neighbor graph is therefore regular and the kernel exactly
+symmetric, so the chain's stationary distribution is proportional to
+exp(-beta * cost).
 """
 
 from __future__ import annotations

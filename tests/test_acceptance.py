@@ -26,6 +26,7 @@ from helpers import (
     binary_space,
     convergence_landscape,
     penalty,
+    space_from,
     verdicts_from_bits,
 )
 from stratlearn.backends import (
@@ -43,7 +44,6 @@ from stratlearn.forest import (
     RandomForest,
     fit_adaptive,
     fit_forest,
-    fit_tree,
     r2_score,
 )
 from stratlearn.sampler import SamplerConfig, acceptance_probability, run_chain
@@ -111,26 +111,35 @@ def test_criterion_02_termination_bound():
 
 
 def test_criterion_03_mcmc_stationarity():
-    with criterion("3 MCMC stationarity on the 4-strategy space", 5.0):
-        space = binary_space(2)
-        cost_table = {
+    with criterion("3 MCMC stationarity on the 4-strategy and mixed 2x3 spaces", 5.0):
+        binary_costs = {
             ("1", "1"): 1.0,
             ("1", "0"): 2.0,
             ("0", "1"): 3.0,
             ("0", "0"): 4.0,
         }
+        mixed = space_from([("a", "1", ("0",)), ("b", "0", ("1", "2"))])
+        mixed_costs = {
+            ("1", "0"): 1.0,
+            ("1", "1"): 1.5,
+            ("1", "2"): 2.5,
+            ("0", "0"): 3.0,
+            ("0", "1"): 2.0,
+            ("0", "2"): 4.0,
+        }
         steps = 100_000
-        records = run_chain(
-            space, lambda v: cost_table[v.assignments], default_strategy(space),
-            steps, SamplerConfig(beta=1.0, seed=0),
-        )
-        z = sum(math.exp(-c) for c in cost_table.values())
-        counts = {key: 0 for key in cost_table}
-        for record in records:
-            counts[record.strategy.assignments] += 1
-        for key, cost in cost_table.items():
-            expected = math.exp(-cost) / z
-            assert counts[key] / steps == pytest.approx(expected, abs=0.02)
+        for space, cost_table in [(binary_space(2), binary_costs), (mixed, mixed_costs)]:
+            records = run_chain(
+                space, lambda v: cost_table[v.assignments], default_strategy(space),
+                steps, SamplerConfig(beta=1.0, seed=0),
+            )
+            z = sum(math.exp(-c) for c in cost_table.values())
+            counts = {key: 0 for key in cost_table}
+            for record in records:
+                counts[record.strategy.assignments] += 1
+            for key, cost in cost_table.items():
+                expected = math.exp(-cost) / z
+                assert counts[key] / steps == pytest.approx(expected, abs=0.02)
 
 
 def test_criterion_04_acceptance_formula():
@@ -173,7 +182,7 @@ def test_criterion_05_tree_oracle_equivalence():
                 continue
             checked += 1
             data = Dataset(DataPoint(tuple(int(v) for v in row), float(c)) for row, c in zip(X, y))
-            tree = fit_tree(data, max_depth=1)
+            tree = fit_forest(data, n_trees=1, max_depth=1, bootstrap=False).trees[0]
             _, feature, threshold = expected
             assert tree.root.feature == feature
             assert tree.root.threshold == threshold
@@ -192,9 +201,7 @@ def test_criterion_06_r2_conventions():
         assert r2_score(memorizer, data) == 1.0
         stump = fit_forest(data, n_trees=1, max_depth=0, seed=0, bootstrap=False)
         assert r2_score(stump, data) == 0.0
-        blend = RandomForest(
-            (fit_tree(data, max_depth=10), fit_tree(data, max_depth=0)), 1, 10, 0.0
-        )
+        blend = RandomForest((memorizer.trees[0], stump.trees[0]), 1, 10, 0.0)
         assert r2_score(blend, data) == pytest.approx(0.75, abs=1e-9)
 
 

@@ -1,6 +1,10 @@
 """Argument parsing, trajectory emission, and ablation grids."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,6 @@ from stratlearn.cli import (
     execute,
     main,
     parse_args,
-    render_args,
     resolve_budget,
 )
 from stratlearn.engine import Outcome, Trajectory
@@ -73,18 +76,26 @@ class TestParseArgs:
             parse_args(["--space", "s.csv", "--manifest", "m.tsv", "--landscape", "l.json"])
 
     def test_round_trip_examples(self):
-        configs = [
-            RunConfig(space_path="s.csv", landscape_path="l.json"),
-            RunConfig(space_path="s.csv", landscape_path="l.json", budget_fraction=0.3,
-                      samples_per_epoch=10, strategize_samples=20, trees=5, seed=3,
-                      time_limit=100.0, virtual_clock=True, out="t.tsv", step_size=10),
-            RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
-                      budget_seconds=500.0, init_depth=2, fixed_depth=4),
-            RunConfig(space_path="s.csv", landscape_path="l.json", no_learn=True,
-                      budget_fraction=0.0),
+        examples = [
+            (["--space", "s.csv", "--landscape", "l.json"],
+             RunConfig(space_path="s.csv", landscape_path="l.json")),
+            (["--space", "s.csv", "--landscape", "l.json", "--budget-frac", "0.3",
+              "--samples-per-epoch", "10", "--strategize-samples", "20", "--trees", "5",
+              "--seed", "3", "--time-limit", "100", "--virtual-clock", "--out", "t.tsv",
+              "--step-size", "10"],
+             RunConfig(space_path="s.csv", landscape_path="l.json", budget_fraction=0.3,
+                       samples_per_epoch=10, strategize_samples=20, trees=5, seed=3,
+                       time_limit=100.0, virtual_clock=True, out="t.tsv", step_size=10)),
+            (["--space", "s.csv", "--manifest", "m.tsv", "--adapter", "a.cfg",
+              "--budget-seconds", "500", "--init-depth", "2", "--fixed-depth", "4"],
+             RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
+                       budget_seconds=500.0, init_depth=2, fixed_depth=4)),
+            (["--space", "s.csv", "--landscape", "l.json", "--no-learn"],
+             RunConfig(space_path="s.csv", landscape_path="l.json", no_learn=True,
+                       budget_fraction=0.0)),
         ]
-        for config in configs:
-            assert parse_args(render_args(config)) == config
+        for argv, config in examples:
+            assert parse_args(argv) == config
 
     def test_budget_resolution_order(self):
         by_seconds = RunConfig(space_path="s", landscape_path="l",
@@ -151,9 +162,6 @@ class TestExecute:
 
 class TestManifestRun:
     def test_external_solver_end_to_end(self, tmp_path):
-        import sys
-        from pathlib import Path
-
         stub = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
         space_path = tmp_path / "space.csv"
         space_path.write_text("name,default,alternatives\nchrono,1,0\nstable,1,0\n",
@@ -248,3 +256,25 @@ class TestAblationGrid:
         assert lines[1].split("\t") == ["budget\\depth", "1", "2"]
         assert len([l for l in lines if not l.startswith("#")]) == 3
         assert isinstance(grid, GridResult)
+
+
+class TestAblationScript:
+    def test_script_prints_matrix_and_writes_grid(self, ablation_files, tmp_path):
+        space_path, land_path = ablation_files
+        repo = Path(__file__).resolve().parents[1]
+        grid_path = tmp_path / "grid.tsv"
+        proc = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_ablation.py"),
+             "--space", space_path, "--landscape", land_path, "--time-limit", "3000",
+             "--virtual-clock", "--samples-per-epoch", "5", "--strategize-samples", "5",
+             "--trees", "2", "--budgets", "0,800", "--depths", "1,2", "--out", str(grid_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        matrix = proc.stdout.splitlines()
+        assert matrix[0].split("\t") == ["budget\\depth", "1", "2"]
+        assert [row.split("\t")[0] for row in matrix[1:]] == ["0", "800"]
+        grid_lines = grid_path.read_text(encoding="utf-8").splitlines()
+        assert grid_lines[0] == "#stratlearn-grid v1"
+        assert grid_lines[1:] == matrix

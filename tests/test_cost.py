@@ -85,10 +85,3 @@ class TestCostConfig:
     def test_abort_multiplier_must_exceed_one(self):
         with pytest.raises(ValueError):
             CostConfig(abort_multiplier=1.0)
-
-    def test_metric_kind_checked(self):
-        with pytest.raises(ValueError, match="metric kind"):
-            CostConfig(metric_kind="wallclock")
-
-    def test_virtual_time_kind_accepted(self):
-        assert CostConfig(metric_kind="virtual_time").metric_kind == "virtual_time"

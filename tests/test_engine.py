@@ -9,7 +9,7 @@ from helpers import (
     convergence_landscape,
     verdicts_from_bits,
 )
-from stratlearn.backends import SyntheticBackend, Verdict
+from stratlearn.backends import SolveOutcome, SyntheticBackend, Verdict
 from stratlearn.engine import (
     EpochPolicy,
     ForestConfig,
@@ -332,6 +332,20 @@ class TestRun:
                      forest_config=ForestConfig(trees=5), collect_past=True)
         for event in result.trajectory.phase_events("collect"):
             assert 1 <= event.index <= 8
+
+    def test_collect_past_skips_a_drawn_zero_baseline(self):
+        class ZeroFirstBackend:
+            num_problems = 6
+
+            def solve(self, index, strategy, budget=None):
+                return SolveOutcome(Verdict.UNSAT, 0.0 if index == 1 else 10.0)
+
+        policy = EpochPolicy(samples_per_epoch=5, learning_budget=1e6, strategize_samples=5)
+        for seed in range(10):
+            result = run(ZeroFirstBackend(), policy, space=SPACE2, seed=seed,
+                         forest_config=ForestConfig(trees=2), collect_past=True)
+            assert result.outcome is Outcome.FAILURE
+            assert all(e.index != 1 for e in result.trajectory.phase_events("collect"))
 
     def test_aborted_main_solve_is_an_error(self):
         class AbortingBackend:

@@ -9,11 +9,8 @@ from stratlearn.forest import (
     DataPoint,
     Dataset,
     RandomForest,
-    dump_forest,
     fit_adaptive,
     fit_forest,
-    fit_tree,
-    load_forest,
     predict,
     r2_score,
 )
@@ -21,6 +18,10 @@ from stratlearn.forest import (
 
 def make_dataset(X, y):
     return Dataset(DataPoint(tuple(int(v) for v in row), float(c)) for row, c in zip(X, y))
+
+
+def fit_one_tree(data, max_depth):
+    return fit_forest(data, n_trees=1, max_depth=max_depth, bootstrap=False).trees[0]
 
 
 def brute_force_root_split(X, y):
@@ -49,12 +50,12 @@ XOR_DATA = make_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 1.0, 1.0, 0.0])
 class TestFitTree:
     def test_depth_zero_predicts_global_mean(self):
         data = make_dataset([(0,), (1,), (2,)], [1.0, 2.0, 6.0])
-        tree = fit_tree(data, max_depth=0)
+        tree = fit_one_tree(data, max_depth=0)
         assert tree.root.is_leaf and tree.root.value == pytest.approx(3.0)
 
     def test_single_point_is_a_leaf(self):
         data = make_dataset([(4, 2)], [3.5])
-        tree = fit_tree(data, max_depth=5)
+        tree = fit_one_tree(data, max_depth=5)
         assert tree.root.is_leaf and tree.root.value == 3.5
 
     def test_root_split_matches_exhaustive_oracle(self):
@@ -65,7 +66,7 @@ class TestFitTree:
             X = rng.integers(0, 5, size=(n, k)).astype(float)
             y = rng.normal(size=n)
             expected = brute_force_root_split(X, y)
-            tree = fit_tree(make_dataset(X, y), max_depth=1)
+            tree = fit_one_tree(make_dataset(X, y), max_depth=1)
             if expected is None:
                 assert tree.root.is_leaf
                 continue
@@ -77,7 +78,7 @@ class TestFitTree:
         rng = np.random.default_rng(5)
         X = rng.integers(0, 4, size=(30, 3)).astype(float)
         y = rng.normal(size=30)
-        tree = fit_tree(make_dataset(X, y), max_depth=3)
+        tree = fit_one_tree(make_dataset(X, y), max_depth=3)
         buckets = {}
         for row, target in zip(X, y):
             buckets.setdefault(id(route(tree.root, row)), []).append(target)
@@ -86,14 +87,14 @@ class TestFitTree:
             assert leaf.value == pytest.approx(np.mean(buckets[id(leaf)]))
             assert leaf.count == len(buckets[id(leaf)])
 
-    def test_bootstrap_requires_generator(self):
-        data = make_dataset([(0,), (1,)], [0.0, 1.0])
-        with pytest.raises(ValueError, match="generator"):
-            fit_tree(data, max_depth=1, bootstrap=True)
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_tree(Dataset(), max_depth=1)
+            fit_forest(Dataset(), n_trees=1, max_depth=1)
+
+    def test_negative_depth_rejected(self):
+        data = make_dataset([(0,), (1,)], [0.0, 1.0])
+        with pytest.raises(ValueError, match="max_depth"):
+            fit_forest(data, n_trees=1, max_depth=-1)
 
 
 class TestForest:
@@ -103,9 +104,8 @@ class TestForest:
         y = rng.normal(size=20)
         data = make_dataset(X, y)
         forest = fit_forest(data, n_trees=1, max_depth=3, seed=1, bootstrap=False)
-        tree = fit_tree(data, max_depth=3)
         probe = rng.integers(0, 4, size=(50, 2)).astype(float)
-        assert np.array_equal(forest.predict(probe), tree.predict(probe))
+        assert np.array_equal(forest.predict(probe), forest.trees[0].predict(probe))
 
     def test_constant_costs_predict_constant_and_score_one(self):
         data = make_dataset([(0, 1), (1, 0), (2, 2), (3, 1)], [0.1, 0.1, 0.1, 0.1])
@@ -129,8 +129,8 @@ class TestForest:
     def test_mean_of_two_trees(self):
         data_low = make_dataset([(0,), (1,)], [1.0, 1.0])
         data_high = make_dataset([(0,), (1,)], [3.0, 3.0])
-        t1 = fit_tree(data_low, max_depth=0)
-        t2 = fit_tree(data_high, max_depth=0)
+        t1 = fit_one_tree(data_low, max_depth=0)
+        t2 = fit_one_tree(data_high, max_depth=0)
         forest = RandomForest((t1, t2), feature_width=1, trained_depth=0, training_score=0.0)
         assert predict(forest, (0,)) == 2.0
 
@@ -198,8 +198,8 @@ class TestR2:
         X = np.array([[0], [1], [2], [3]], dtype=float)
         y = np.array([0.0, 2.0, -1.0, 5.0])
         data = make_dataset(X, y)
-        memorizer = fit_tree(data, max_depth=10)
-        stump = fit_tree(data, max_depth=0)
+        memorizer = fit_one_tree(data, max_depth=10)
+        stump = fit_one_tree(data, max_depth=0)
         blend = RandomForest((memorizer, stump), 1, 10, 0.0)
         assert r2_score(blend, data) == pytest.approx(0.75, abs=1e-9)
 
@@ -253,17 +253,3 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             DataPoint((1,), float("nan"))
 
-
-class TestDumpLoad:
-    def test_round_trip_preserves_predictions(self, tmp_path):
-        rng = np.random.default_rng(2)
-        X = rng.integers(0, 4, size=(30, 3)).astype(float)
-        y = rng.normal(size=30)
-        forest = fit_forest(make_dataset(X, y), n_trees=4, max_depth=3, seed=5)
-        path = tmp_path / "forest.txt"
-        dump_forest(forest, path)
-        loaded = load_forest(path)
-        probe = rng.integers(0, 4, size=(50, 3)).astype(float)
-        assert np.array_equal(forest.predict(probe), loaded.predict(probe))
-        assert loaded.training_score == forest.training_score
-        assert loaded.trained_depth == forest.trained_depth

@@ -16,7 +16,7 @@ from stratlearn.sampler import (
     propose,
     run_chain,
 )
-from stratlearn.space import Strategy, default_strategy, neighbors
+from stratlearn.space import Strategy, builtin_space, default_strategy, neighbors
 
 finite_costs = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 betas = st.floats(min_value=1e-3, max_value=50.0)
@@ -81,12 +81,18 @@ class TestPropose:
             assert counts[n.assignments] / draws == pytest.approx(1 / 9, abs=0.01)
 
     def test_kernel_symmetric_on_binary_domains(self):
-        # every strategy in an all-binary space has exactly k neighbors
-        space = binary_space(3)
+        # Every strategy has the same neighbor count, also on the mixed-size
+        # kissat_small domains: sum over k-subsets of prod(domain size - 1).
         from helpers import all_strategies
 
-        for v in all_strategies(space):
-            assert len(neighbors(space, v)) == 3
+        kissat = builtin_space("kissat_small")
+        for space, k_diff, expected in [
+            (binary_space(3), 1, 3),
+            (kissat, 1, 9),
+            (kissat, 2, 33),
+        ]:
+            for v in all_strategies(space):
+                assert len(neighbors(space, v, k_diff)) == expected
 
 
 class TestRunChain:
