@@ -277,9 +277,9 @@ def learning_epoch(
     evaluated: list[CostRecord] = []
 
     def cost_fn(strategy: Strategy) -> float:
-        # The in-force strategy's run *is* the baseline run when collecting on
-        # the current index; skip the redundant solver call.
-        if collect_index is None and strategy == in_force:
+        # The in-force strategy's run on the current index *is* the baseline
+        # run, whichever way the index was chosen; skip the redundant call.
+        if index == state.index and strategy == in_force:
             return 1.0
         record = collect_cost(backend, index, strategy, baseline, cost_config)
         evaluated.append(record)

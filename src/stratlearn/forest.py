@@ -1,13 +1,15 @@
 """From-scratch random-forest regression on ordinal feature vectors.
 
-Trees grow greedily top-down, choosing the (feature, threshold) pair that
-minimizes the summed squared error of the two children (equivalently,
-maximizes variance reduction).  Thresholds sit at midpoints between
-consecutive distinct sorted feature values.  Ties are broken toward the
-lowest feature id, then the lowest threshold, so training is deterministic.
-A node with a legal split is always split, even when the best split leaves
-the variance unchanged: deeper levels may still untangle interactions that
-no single split can.
+Trees grow greedily top-down a level at a time, splitting every leaf of the
+level at the (feature, threshold) pair that minimizes the summed squared
+error of the two children (equivalently, maximizes variance reduction).
+Thresholds sit at midpoints between consecutive distinct sorted feature
+values.  Ties are broken toward the lowest feature id, then the lowest
+threshold, so training is deterministic; sums run sequentially in stable
+sorted order, so each tree is bit for bit the one a node-at-a-time grower
+builds.  A node with a legal split is always split, even when the best
+split leaves the variance unchanged: deeper levels may still untangle
+interactions that no single split can.  Deepening grows the same trees.
 
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
@@ -149,53 +151,118 @@ def _predict_into(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarra
     _predict_into(node.right, X, idx[~go_left], out)
 
 
-def _leaf(y: np.ndarray) -> TreeNode:
+def _leaves(y: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[list[TreeNode], np.ndarray]:
+    """One leaf per segment of ``y``, and which of them may split further."""
+    low = np.minimum.reduceat(y, starts)
+    high = np.maximum.reduceat(y, starts)
     # Exact value for constant targets, so memorizing forests score exactly 1.0.
-    value = float(y[0]) if y.min() == y.max() else float(y.mean())
-    return TreeNode(value=value, count=int(y.shape[0]))
+    nodes = [
+        TreeNode(value=float(y[a]) if lo == hi else float(y[a : a + n].mean()), count=n)
+        for a, n, lo, hi in zip(starts.tolist(), counts.tolist(), low.tolist(), high.tolist())
+    ]
+    return nodes, (counts >= _MIN_SPLIT) & (low < high)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
-    """Scan all (feature, midpoint threshold) pairs; return (sse, feature, threshold)."""
-    n = y.shape[0]
-    best: tuple[float, int, float] | None = None
-    for feat in range(X.shape[1]):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        ys = y[order]
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
-        if cuts.size == 0:
-            continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        n_left = cuts + 1.0
-        n_right = n - n_left
-        sum_left = csum[cuts]
-        sq_left = csq[cuts]
-        sse = (sq_left - sum_left**2 / n_left) + (
-            csq[-1] - sq_left - (csum[-1] - sum_left) ** 2 / n_right
-        )
-        j = int(np.argmin(sse))
-        if best is None or sse[j] < best[0]:
-            threshold = float((xs[cuts[j]] + xs[cuts[j] + 1]) / 2.0)
-            best = (float(sse[j]), feat, threshold)
-    return best
+class _Grower:
+    """One tree grown level by level from its sample ``rows`` of the shared ``X``, ``y``.
+
+    ``X`` is feature-major.  Row f of ``order`` holds the sample of the
+    ``live`` (splittable) leaves, grouped by leaf and sorted stably by
+    feature f within it; the last row keeps sample order.  Splits partition
+    each row stably, so children inherit sorted orders.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
+        self.X, self.y = X, y
+        self.counts = np.array([rows.shape[0]])
+        roots, live = _leaves(y[rows], np.zeros(1, dtype=np.intp), self.counts)
+        self.tree = RegressionTree(roots[0], 0)
+        self.live = roots if live[0] else []
+        sorted_rows = rows[np.argsort(X[:, rows], axis=1, kind="stable")]
+        # Narrowest type holding every row id and -1: small state, radix-sorted keys.
+        self.order = np.vstack([sorted_rows, rows]).astype(np.min_scalar_type(-y.shape[0]))
+
+    def grow_level(self) -> None:
+        """Split every live leaf at its best (feature, threshold), one level deeper."""
+        self.tree.max_depth += 1
+        X, y, order, counts = self.X, self.y, self.order, self.counts
+        node = np.arange(counts.shape[0])
+        col = np.arange(int(counts.max()))
+        # (leaf, position) table, padded at the end with rows no cut reaches.
+        at = np.minimum((np.cumsum(counts) - counts)[:, None] + col, order.shape[1] - 1)
+        in_leaf = col[1:] < counts[:, None]
+        n_left = col[1:] + 0.0
+        n_right = np.maximum(counts[:, None] - n_left, 1.0)  # clamped only past the leaf
+        best, threshold = np.zeros((2, node.shape[0]))
+        feature, found = np.zeros(node.shape[0], dtype=np.intp), np.zeros(node.shape[0], dtype=bool)
+        for f, column in enumerate(X):
+            rows = order[f][at]
+            xs, ys = column[rows], y[rows]
+            csum, csq = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
+            sum_left, sq_left = csum[:, :-1], csq[:, :-1]
+            total, total_sq = csum[node, counts - 1][:, None], csq[node, counts - 1][:, None]
+            sse = (sq_left - sum_left**2 / n_left) + (
+                total_sq - sq_left - (total - sum_left) ** 2 / n_right
+            )
+            cut = in_leaf & (xs[:, 1:] > xs[:, :-1])
+            sse[~cut] = np.inf
+            j = np.argmin(sse, axis=1)
+            low = sse[node, j]
+            # First minimum over cuts; a later feature must be strictly lower.
+            take = cut.any(axis=1) & (~found | (low < best))
+            best[take], feature[take], found[take] = low[take], f, True
+            threshold[take] = ((xs[node, j] + xs[node, j + 1]) / 2.0)[take]
+
+        rows, leaf = order[-1], np.repeat(node, counts)
+        # The r-th splitting leaf sends its rows to children 2r (left) and 2r + 1.
+        side = 2 * (np.cumsum(found) - 1)[leaf] + (X[feature[leaf], rows] > threshold[leaf])
+        child = np.full(y.shape[0], -1, dtype=order.dtype)
+        child[rows] = np.where(found[leaf], side, -1)
+        keys = child[order]
+        order = np.take_along_axis(order, np.argsort(keys, axis=1, kind="stable"), axis=1)
+        sizes = np.bincount(keys[-1][keys[-1] >= 0], minlength=2 * int(found.sum()))
+        order = order[:, order.shape[1] - int(sizes.sum()):]
+        children, live = _leaves(y[order[-1]], np.cumsum(sizes) - sizes, sizes)
+        parents = (p for p, split in zip(self.live, found) if split)
+        for p, f, t, left, right in zip(parents, feature[found].tolist(),
+                                        threshold[found].tolist(), children[::2], children[1::2]):
+            p.feature, p.threshold, p.left, p.right = f, t, left, right
+        self.live = [c for c, keep in zip(children, live) if keep]
+        self.counts = sizes[live]
+        self.order = order[:, np.repeat(live, sizes)]
 
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> TreeNode:
-    if depth >= max_depth or y.shape[0] < _MIN_SPLIT or y.min() == y.max():
-        return _leaf(y)
-    found = _best_split(X, y)
-    if found is None:  # all feature columns constant
-        return _leaf(y)
-    _, feat, threshold = found
-    mask = X[:, feat] <= threshold
-    node = _leaf(y)
-    node.feature = feat
-    node.threshold = threshold
-    node.left = _grow(X[mask], y[mask], depth + 1, max_depth)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, max_depth)
-    return node
+def _plant(data: Dataset, n_trees: int, seed: int, bootstrap: bool) -> list[_Grower]:
+    """Depth-0 trees, each on a bootstrap resample from its own labeled substream of ``seed``.
+
+    The result does not depend on training order; identical seeds give identical forests.
+    """
+    if len(data) == 0:
+        raise ValueError("empty dataset")
+    if n_trees < 1:
+        raise ValueError("n_trees must be at least 1")
+    X, y = data.to_arrays()
+    X = np.ascontiguousarray(X.T)
+    growers = []
+    for t in range(n_trees):
+        if bootstrap:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t]))
+            rows = rng.integers(0, y.shape[0], size=y.shape[0])
+        else:
+            rows = np.arange(y.shape[0])
+        growers.append(_Grower(X, y, rows))
+    return growers
+
+
+def _grown_forest(growers: list[_Grower], data: Dataset, depth: int) -> RandomForest:
+    """Grow every tree down to ``depth`` and score the forest on ``data``."""
+    for grower in growers:
+        while grower.live and grower.tree.max_depth < depth:
+            grower.grow_level()
+        grower.tree.max_depth = depth
+    forest = RandomForest(tuple(g.tree for g in growers), data.feature_width, depth, 0.0)
+    forest.training_score = r2_score(forest, data)
+    return forest
 
 
 def fit_forest(
@@ -205,30 +272,10 @@ def fit_forest(
     seed: int = 0,
     bootstrap: bool = True,
 ) -> RandomForest:
-    """Fit ``n_trees`` trees on independent bootstrap resamples derived from ``seed``.
-
-    Per-tree generators come from labeled seed substreams, so the result does
-    not depend on training order and identical seeds give identical forests.
-    """
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    if n_trees < 1:
-        raise ValueError("n_trees must be at least 1")
+    """Fit ``n_trees`` trees of depth at most ``max_depth`` on independent bootstrap resamples."""
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    X, y = data.to_arrays()
-    trees: list[RegressionTree] = []
-    for t in range(n_trees):
-        if bootstrap:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t]))
-            pick = rng.integers(0, y.shape[0], size=y.shape[0])
-            Xt, yt = X[pick], y[pick]
-        else:
-            Xt, yt = X, y
-        trees.append(RegressionTree(_grow(Xt, yt, 0, max_depth), max_depth))
-    forest = RandomForest(tuple(trees), data.feature_width, max_depth, 0.0)
-    forest.training_score = r2_score(forest, data)
-    return forest
+    return _grown_forest(_plant(data, n_trees, seed, bootstrap), data, max_depth)
 
 
 def predict(forest: RandomForest, features: Sequence[float]) -> float:
@@ -262,7 +309,8 @@ def fit_adaptive(
     seed: int = 0,
     bootstrap: bool = True,
 ) -> RandomForest:
-    """Start shallow and retrain one level deeper until the training score is high enough.
+    """Start shallow and grow the existing trees one level deeper until the
+    training score is high enough.
 
     Returns the final forest; its ``trained_depth`` records the depth used.
     ``depth_cap`` defaults to the feature width.
@@ -270,10 +318,11 @@ def fit_adaptive(
     if init_depth < 1:
         raise ValueError("init_depth must be at least 1")
     cap = data.feature_width if depth_cap is None else depth_cap
+    growers = _plant(data, n_trees, seed, bootstrap)
     depth = init_depth
-    forest = fit_forest(data, n_trees, depth, seed, bootstrap)
+    forest = _grown_forest(growers, data, depth)
     while forest.training_score < score_threshold and depth < cap:
         depth += 1
-        forest = fit_forest(data, n_trees, depth, seed, bootstrap)
+        forest = _grown_forest(growers, data, depth)
     return forest
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from stratlearn.backends import (
     SyntheticBackend,
     SyntheticLandscape,
     Verdict,
     geometric_schedule,
 )
+from stratlearn.forest import _TREE_STREAM, TreeNode
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
 
@@ -84,3 +87,79 @@ def backend_for(verdicts, metrics=None) -> SyntheticBackend:
     from stratlearn.backends import stub_backend
 
     return stub_backend(verdicts, metrics)
+
+
+# Reference tree grower: one node at a time, recursively, with the split rule
+# the forest module documents.  Tests compare the library's trees against it
+# node for node, so it stays deliberately plain.
+
+
+def _reference_leaf(y: np.ndarray) -> TreeNode:
+    value = float(y[0]) if y.min() == y.max() else float(y.mean())
+    return TreeNode(value=value, count=int(y.shape[0]))
+
+
+def _reference_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
+    """Scan all (feature, midpoint threshold) pairs; return (sse, feature, threshold)."""
+    n = y.shape[0]
+    best = None
+    for feat in range(X.shape[1]):
+        order = np.argsort(X[:, feat], kind="stable")
+        xs = X[order, feat]
+        ys = y[order]
+        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
+        if cuts.size == 0:
+            continue
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        n_left = cuts + 1.0
+        n_right = n - n_left
+        sum_left = csum[cuts]
+        sq_left = csq[cuts]
+        sse = (sq_left - sum_left**2 / n_left) + (
+            csq[-1] - sq_left - (csum[-1] - sum_left) ** 2 / n_right
+        )
+        j = int(np.argmin(sse))
+        if best is None or sse[j] < best[0]:
+            threshold = float((xs[cuts[j]] + xs[cuts[j] + 1]) / 2.0)
+            best = (float(sse[j]), feat, threshold)
+    return best
+
+
+def reference_grow(X: np.ndarray, y: np.ndarray, max_depth: int, depth: int = 0) -> TreeNode:
+    if depth >= max_depth or y.shape[0] < 2 or y.min() == y.max():
+        return _reference_leaf(y)
+    found = _reference_split(X, y)
+    if found is None:  # all feature columns constant
+        return _reference_leaf(y)
+    _, feat, threshold = found
+    mask = X[:, feat] <= threshold
+    node = _reference_leaf(y)
+    node.feature = feat
+    node.threshold = threshold
+    node.left = reference_grow(X[mask], y[mask], max_depth, depth + 1)
+    node.right = reference_grow(X[~mask], y[~mask], max_depth, depth + 1)
+    return node
+
+
+def reference_trees(data, n_trees: int, max_depth: int, seed: int = 0, bootstrap: bool = True):
+    """Root of each tree ``fit_forest`` should grow, from the same bootstrap draws."""
+    X, y = data.to_arrays()
+    roots = []
+    for t in range(n_trees):
+        if bootstrap:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t]))
+            pick = rng.integers(0, y.shape[0], size=y.shape[0])
+            roots.append(reference_grow(X[pick], y[pick], max_depth))
+        else:
+            roots.append(reference_grow(X, y, max_depth))
+    return roots
+
+
+def node_records(node: TreeNode) -> list[tuple]:
+    """Preorder (feature, threshold, value, count) of every node, floats as exact hex."""
+    threshold = None if node.threshold is None else node.threshold.hex()
+    records = [(node.feature, threshold, node.value.hex(), node.count)]
+    if node.feature is not None:
+        records += node_records(node.left) + node_records(node.right)
+    return records

@@ -347,6 +347,31 @@ class TestRun:
             assert result.outcome is Outcome.FAILURE
             assert all(e.index != 1 for e in result.trajectory.phase_events("collect"))
 
+    def test_collect_past_on_the_current_index_skips_the_in_force_strategy(self):
+        class CountingBackend(SyntheticBackend):
+            def __init__(self, landscape):
+                super().__init__(landscape)
+                self.calls = []
+
+            def solve(self, index, strategy, budget=None):
+                self.calls.append((index, strategy, budget is None))
+                return super().solve(index, strategy, budget)
+
+        policy = EpochPolicy(samples_per_epoch=10, learning_budget=60000.0, strategize_samples=20)
+        current_draws = 0
+        for seed in range(5):
+            backend = CountingBackend(convergence_landscape(8))
+            run(backend, policy, space=_small_space(), seed=seed,
+                forest_config=ForestConfig(trees=5), collect_past=True)
+            base = None
+            for index, strategy, is_base_solve in backend.calls:
+                if is_base_solve:
+                    base = (index, strategy)
+                    continue
+                current_draws += index == base[0]
+                assert (index, strategy) != base
+        assert current_draws > 0  # some epochs did draw the current index
+
     def test_aborted_main_solve_is_an_error(self):
         class AbortingBackend:
             num_problems = 1

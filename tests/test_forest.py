@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import node_records, reference_trees
 from stratlearn.forest import (
     DataPoint,
     Dataset,
@@ -42,6 +43,29 @@ def route(node, row):
     while node.feature is not None:
         node = node.left if row[node.feature] <= node.threshold else node.right
     return node
+
+
+def tied_dataset(rng, n=None):
+    """Ordinal data full of ties: binary, constant and repeated rows, runs of equal targets."""
+    n = int(rng.integers(1, 50)) if n is None else n
+    columns = [
+        rng.integers(0, 2, n),
+        np.full(n, int(rng.integers(0, 5))),
+        rng.integers(0, 4, n),
+        rng.integers(1, 30, n),
+    ]
+    picked = rng.permutation(len(columns))[: int(rng.integers(1, len(columns) + 1))]
+    X = np.stack([columns[i] for i in picked], axis=1)
+    if rng.random() < 0.5:
+        X[n // 2 :] = X[: n - n // 2]
+    runs = rng.integers(1, 4, n)
+    levels = rng.integers(0, 3, n) / 3.0 if rng.random() < 0.5 else rng.lognormal(size=n)
+    y = np.repeat(levels, runs)[:n]
+    return make_dataset(X, y)
+
+
+def tree_records(forest):
+    return [node_records(tree.root) for tree in forest.trees]
 
 
 XOR_DATA = make_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 1.0, 1.0, 0.0])
@@ -95,6 +119,40 @@ class TestFitTree:
         data = make_dataset([(0,), (1,)], [0.0, 1.0])
         with pytest.raises(ValueError, match="max_depth"):
             fit_forest(data, n_trees=1, max_depth=-1)
+
+
+class TestLevelWiseGrowth:
+    def test_every_tree_equals_the_recursive_reference(self):
+        rng = np.random.default_rng(2024)
+        # Mostly small data; the two large sets need 16- and 32-bit row ids.
+        for case, (n, depths) in enumerate([(None, 7)] * 40 + [(400, 7), (40000, 3)]):
+            data = tied_dataset(rng, n)
+            for depth in range(depths):
+                for bootstrap in (False, True):
+                    forest = fit_forest(data, n_trees=2, max_depth=depth, seed=case,
+                                        bootstrap=bootstrap)
+                    expected = reference_trees(data, 2, depth, seed=case, bootstrap=bootstrap)
+                    assert tree_records(forest) == [node_records(root) for root in expected]
+
+    def test_incremental_deepening_equals_a_fresh_fit(self):
+        rng = np.random.default_rng(77)
+        for case in range(12):
+            data = tied_dataset(rng)
+            for init_depth, extra in ((1, 0), (1, 3), (2, 2), (4, 1)):
+                cap = init_depth + extra
+                grown = fit_adaptive(data, n_trees=3, init_depth=init_depth,
+                                     score_threshold=1.1, depth_cap=cap, seed=case)
+                fresh = fit_forest(data, n_trees=3, max_depth=cap, seed=case)
+                assert tree_records(grown) == tree_records(fresh)
+                assert grown.trained_depth == cap
+                assert grown.training_score == r2_score(grown, data) == fresh.training_score
+                # A first score that clears the threshold stops growth at init_depth.
+                first = fit_forest(data, n_trees=3, max_depth=init_depth, seed=case)
+                stopped = fit_adaptive(data, n_trees=3, init_depth=init_depth,
+                                       score_threshold=first.training_score, depth_cap=cap,
+                                       seed=case)
+                assert stopped.trained_depth == init_depth
+                assert tree_records(stopped) == tree_records(first)
 
 
 class TestForest:
