@@ -90,6 +90,10 @@ class ForestConfig:
     score_threshold: float = 0.9
     depth_cap: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.init_depth is not None and self.depth_cap is not None and self.init_depth > self.depth_cap:
+            raise ValueError(f"init_depth {self.init_depth} exceeds depth_cap {self.depth_cap}")
+
 
 @dataclass(frozen=True)
 class TrajectoryEvent:
@@ -218,10 +222,11 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float) -> b
     return estimate <= policy.learning_budget
 
 
-def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int]:
-    init = config.init_depth if config.init_depth is not None else math.ceil(feature_width / 3)
-    cap = config.depth_cap if config.depth_cap is not None else feature_width
-    return init, cap
+def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int | None]:
+    """Depths for ``fit_adaptive``; the default initial depth, a third of the width, is capped."""
+    if config.init_depth is not None:
+        return config.init_depth, config.depth_cap
+    return min(math.ceil(feature_width / 3), config.depth_cap or feature_width), config.depth_cap
 
 
 def _absorb_evaluations(

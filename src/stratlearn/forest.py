@@ -11,6 +11,12 @@ builds.  A node with a legal split is always split, even when the best
 split leaves the variance unchanged: deeper levels may still untangle
 interactions that no single split can.  Deepening grows the same trees.
 
+Each tree is a set of parallel node arrays (see ``RegressionTree``).  A
+forest stacks its trees' arrays once; one vectorized walk, one step per
+level of the deepest tree grown, predicts one row or many, and one
+reduction gives the trees' shared value exactly when all agree (constant
+targets score 1.0), else their sum in tree order divided by their number.
+
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
 per-tree feature subsampling; with at most ~14 features it adds variance
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,10 +63,6 @@ class Dataset:
         self._points.append(point)
 
     @property
-    def points(self) -> tuple[DataPoint, ...]:
-        return tuple(self._points)
-
-    @property
     def feature_width(self) -> int:
         if not self._points:
             raise ValueError("empty dataset has no feature width")
@@ -68,9 +70,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def __iter__(self) -> Iterator[DataPoint]:
-        return iter(self._points)
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if not self._points:
@@ -80,37 +79,20 @@ class Dataset:
         return X, y
 
 
-@dataclass
-class TreeNode:
-    """Leaf when ``feature`` is None; otherwise a binary split on x[feature] <= threshold."""
-
-    value: float
-    count: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
+@dataclass(eq=False)
 class RegressionTree:
-    root: TreeNode
-    max_depth: int
+    """Parallel node arrays, node 0 the root: node i sends x to ``left[i]`` if
+    x[feature[i]] <= threshold[i], else to ``right[i]`` = ``left[i] + 1``.  A
+    leaf (feature -1, threshold NaN) is its own left and right child.  ``value``
+    and ``count`` are each node's mean target and size; ``depth`` counts levels."""
 
-    def predict_one(self, features: Sequence[float]) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if features[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        _predict_into(self.root, X, np.arange(X.shape[0]), out)
-        return out
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+    depth: int
 
 
 @dataclass
@@ -122,45 +104,45 @@ class RandomForest:
     trained_depth: int
     training_score: float
 
-    def predict_one(self, features: Sequence[float]) -> float:
-        # The mean of identical tree outputs is that output exactly; summation
-        # noise would otherwise break the constant-data score convention.
-        first = self.trees[0].predict_one(features)
-        total = first
-        all_equal = True
-        for t in self.trees[1:]:
-            p = t.predict_one(features)
-            all_equal = all_equal and p == first
-            total += p
-        return first if all_equal else total / len(self.trees)
+    def __post_init__(self) -> None:
+        # All trees in one set of node arrays, tree t's nodes numbered on from roots[t].
+        self._roots = np.cumsum([0] + [t.value.shape[0] for t in self.trees[:-1]])
+        self._feature = np.concatenate([t.feature for t in self.trees])
+        self._threshold = np.concatenate([t.threshold for t in self.trees])
+        self._left = np.concatenate([t.left + r for t, r in zip(self.trees, self._roots)])
+        self._value = np.concatenate([t.value for t in self.trees])
+        self._levels = max(t.depth for t in self.trees)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        stacked = np.vstack([t.predict(X) for t in self.trees])
-        out = stacked.mean(axis=0)
-        unanimous = np.all(stacked == stacked[0], axis=0)
-        out[unanimous] = stacked[0][unanimous]
-        return out
+    def predict(self, X: np.ndarray | Sequence[float]) -> np.ndarray:
+        """Mean over the trees for each row of ``X``, or for ``X`` itself if it is one row."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1:  # read as X[feature]
+            rows, nodes = (), self._roots
+        else:  # read as X.T[feature, row]; nodes[t, r] is row r's node in tree t
+            X, rows, nodes = X.T, (np.arange(X.shape[0]),), self._roots[:, None]
+        for _ in range(self._levels):
+            go_right = X[(self._feature[nodes], *rows)] > self._threshold[nodes]
+            # Children come in pairs, so right is left + 1; a leaf's NaN threshold
+            # sends every row left, to the leaf itself.
+            nodes = self._left[nodes] + go_right
+        values = self._value[nodes]
+        # Trees that agree give their shared value exactly, so constant targets
+        # score exactly 1.0; otherwise the sum runs over the trees in order.
+        first = values[0]
+        mean = np.add.accumulate(values, axis=0)[-1] / values.shape[0]
+        return np.where((values == first).all(axis=0), first, mean)
 
 
-def _predict_into(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.value
-        return
-    go_left = X[idx, node.feature] <= node.threshold
-    _predict_into(node.left, X, idx[go_left], out)
-    _predict_into(node.right, X, idx[~go_left], out)
-
-
-def _leaves(y: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[list[TreeNode], np.ndarray]:
-    """One leaf per segment of ``y``, and which of them may split further."""
+def _leaves(y: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of one leaf per segment of ``y``, and which of them may split further."""
     low = np.minimum.reduceat(y, starts)
     high = np.maximum.reduceat(y, starts)
     # Exact value for constant targets, so memorizing forests score exactly 1.0.
-    nodes = [
-        TreeNode(value=float(y[a]) if lo == hi else float(y[a : a + n].mean()), count=n)
+    values = [
+        float(y[a]) if lo == hi else float(y[a : a + n].mean())
         for a, n, lo, hi in zip(starts.tolist(), counts.tolist(), low.tolist(), high.tolist())
     ]
-    return nodes, (counts >= _MIN_SPLIT) & (low < high)
+    return np.array(values, dtype=np.float64), (counts >= _MIN_SPLIT) & (low < high)
 
 
 class _Grower:
@@ -175,16 +157,16 @@ class _Grower:
     def __init__(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
         self.X, self.y = X, y
         self.counts = np.array([rows.shape[0]])
-        roots, live = _leaves(y[rows], np.zeros(1, dtype=np.intp), self.counts)
-        self.tree = RegressionTree(roots[0], 0)
-        self.live = roots if live[0] else []
+        value, live = _leaves(y[rows], np.zeros(1, dtype=np.intp), self.counts)
+        self.tree = RegressionTree(np.full(1, -1), np.full(1, np.nan), np.zeros(1, int), np.zeros(1, int),
+                                   value, self.counts, 0)
+        self.live = np.flatnonzero(live)  # node ids of the live leaves, in ``counts`` order
         sorted_rows = rows[np.argsort(X[:, rows], axis=1, kind="stable")]
         # Narrowest type holding every row id and -1: small state, radix-sorted keys.
         self.order = np.vstack([sorted_rows, rows]).astype(np.min_scalar_type(-y.shape[0]))
 
     def grow_level(self) -> None:
         """Split every live leaf at its best (feature, threshold), one level deeper."""
-        self.tree.max_depth += 1
         X, y, order, counts = self.X, self.y, self.order, self.counts
         node = np.arange(counts.shape[0])
         col = np.arange(int(counts.max()))
@@ -213,6 +195,9 @@ class _Grower:
             best[take], feature[take], found[take] = low[take], f, True
             threshold[take] = ((xs[node, j] + xs[node, j + 1]) / 2.0)[take]
 
+        if not found.any():  # no live leaf has a legal cut: the tree is fully grown
+            self.live = self.live[:0]
+            return
         rows, leaf = order[-1], np.repeat(node, counts)
         # The r-th splitting leaf sends its rows to children 2r (left) and 2r + 1.
         side = 2 * (np.cumsum(found) - 1)[leaf] + (X[feature[leaf], rows] > threshold[leaf])
@@ -222,13 +207,19 @@ class _Grower:
         order = np.take_along_axis(order, np.argsort(keys, axis=1, kind="stable"), axis=1)
         sizes = np.bincount(keys[-1][keys[-1] >= 0], minlength=2 * int(found.sum()))
         order = order[:, order.shape[1] - int(sizes.sum()):]
-        children, live = _leaves(y[order[-1]], np.cumsum(sizes) - sizes, sizes)
-        parents = (p for p, split in zip(self.live, found) if split)
-        for p, f, t, left, right in zip(parents, feature[found].tolist(),
-                                        threshold[found].tolist(), children[::2], children[1::2]):
-            p.feature, p.threshold, p.left, p.right = f, t, left, right
-        self.live = [c for c, keep in zip(children, live) if keep]
-        self.counts = sizes[live]
+        values, live = _leaves(y[order[-1]], np.cumsum(sizes) - sizes, sizes)
+        # A new tree (np.append copies), so forests holding the shallower one keep it.
+        t, parents = self.tree, self.live[found]
+        kids = np.arange(t.value.shape[0], t.value.shape[0] + sizes.shape[0])
+        self.tree = t = RegressionTree(
+            np.append(t.feature, np.full(kids.shape, -1)),
+            np.append(t.threshold, np.full(kids.shape, np.nan)),
+            np.append(t.left, kids), np.append(t.right, kids),
+            np.append(t.value, values), np.append(t.count, sizes), t.depth + 1,
+        )
+        t.feature[parents], t.threshold[parents] = feature[found], threshold[found]
+        t.left[parents], t.right[parents] = kids[::2], kids[1::2]
+        self.live, self.counts = kids[live], sizes[live]
         self.order = order[:, np.repeat(live, sizes)]
 
 
@@ -257,9 +248,9 @@ def _plant(data: Dataset, n_trees: int, seed: int, bootstrap: bool) -> list[_Gro
 def _grown_forest(growers: list[_Grower], data: Dataset, depth: int) -> RandomForest:
     """Grow every tree down to ``depth`` and score the forest on ``data``."""
     for grower in growers:
-        while grower.live and grower.tree.max_depth < depth:
+        # A tree with live leaves has grown one level per call so far.
+        while grower.live.size and grower.tree.depth < depth:
             grower.grow_level()
-        grower.tree.max_depth = depth
     forest = RandomForest(tuple(g.tree for g in growers), data.feature_width, depth, 0.0)
     forest.training_score = r2_score(forest, data)
     return forest
@@ -284,7 +275,7 @@ def predict(forest: RandomForest, features: Sequence[float]) -> float:
         raise ValueError(
             f"feature width {len(features)} does not match forest width {forest.feature_width}"
         )
-    return forest.predict_one(features)
+    return float(forest.predict(features))
 
 
 def r2_score(forest: RandomForest, data: Dataset) -> float:
@@ -313,11 +304,14 @@ def fit_adaptive(
     training score is high enough.
 
     Returns the final forest; its ``trained_depth`` records the depth used.
-    ``depth_cap`` defaults to the feature width.
+    ``depth_cap`` defaults to the feature width, or to ``init_depth`` if that
+    is deeper; a cap below ``init_depth`` is rejected.
     """
     if init_depth < 1:
         raise ValueError("init_depth must be at least 1")
-    cap = data.feature_width if depth_cap is None else depth_cap
+    if depth_cap is not None and depth_cap < init_depth:
+        raise ValueError(f"depth_cap {depth_cap} is below init_depth {init_depth}")
+    cap = max(init_depth, data.feature_width) if depth_cap is None else depth_cap
     growers = _plant(data, n_trees, seed, bootstrap)
     depth = init_depth
     forest = _grown_forest(growers, data, depth)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from stratlearn.backends import (
     Verdict,
     geometric_schedule,
 )
-from stratlearn.forest import _TREE_STREAM, TreeNode
+from stratlearn.forest import _TREE_STREAM
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
 
@@ -94,9 +95,21 @@ def backend_for(verdicts, metrics=None) -> SyntheticBackend:
 # node for node, so it stays deliberately plain.
 
 
-def _reference_leaf(y: np.ndarray) -> TreeNode:
+@dataclass
+class RefNode:
+    """Leaf when ``feature`` is None; otherwise a binary split on x[feature] <= threshold."""
+
+    value: float
+    count: int
+    feature: int | None = None
+    threshold: float | None = None
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+
+
+def _reference_leaf(y: np.ndarray) -> RefNode:
     value = float(y[0]) if y.min() == y.max() else float(y.mean())
-    return TreeNode(value=value, count=int(y.shape[0]))
+    return RefNode(value=value, count=int(y.shape[0]))
 
 
 def _reference_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
@@ -126,7 +139,7 @@ def _reference_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] |
     return best
 
 
-def reference_grow(X: np.ndarray, y: np.ndarray, max_depth: int, depth: int = 0) -> TreeNode:
+def reference_grow(X: np.ndarray, y: np.ndarray, max_depth: int, depth: int = 0) -> RefNode:
     if depth >= max_depth or y.shape[0] < 2 or y.min() == y.max():
         return _reference_leaf(y)
     found = _reference_split(X, y)
@@ -156,10 +169,27 @@ def reference_trees(data, n_trees: int, max_depth: int, seed: int = 0, bootstrap
     return roots
 
 
-def node_records(node: TreeNode) -> list[tuple]:
+def reference_records(node: RefNode) -> list[tuple]:
     """Preorder (feature, threshold, value, count) of every node, floats as exact hex."""
     threshold = None if node.threshold is None else node.threshold.hex()
     records = [(node.feature, threshold, node.value.hex(), node.count)]
     if node.feature is not None:
-        records += node_records(node.left) + node_records(node.right)
+        records += reference_records(node.left) + reference_records(node.right)
     return records
+
+
+def node_records(tree, node: int = 0) -> list[tuple]:
+    """``reference_records`` of a flat-array tree, read from ``node`` down.
+
+    A leaf must link to itself on both sides and carry feature -1 and a NaN
+    threshold; it reads as a reference leaf (feature and threshold None).  A
+    split's right child must follow its left child.
+    """
+    value, count = float(tree.value[node]).hex(), int(tree.count[node])
+    if tree.left[node] == node:
+        assert tree.right[node] == node and tree.feature[node] == -1
+        assert np.isnan(tree.threshold[node])
+        return [(None, None, value, count)]
+    assert tree.left[node] > node and tree.right[node] == tree.left[node] + 1
+    records = [(int(tree.feature[node]), float(tree.threshold[node]).hex(), value, count)]
+    return records + node_records(tree, int(tree.left[node])) + node_records(tree, int(tree.right[node]))

@@ -184,12 +184,12 @@ def test_criterion_05_tree_oracle_equivalence():
             data = Dataset(DataPoint(tuple(int(v) for v in row), float(c)) for row, c in zip(X, y))
             tree = fit_forest(data, n_trees=1, max_depth=1, bootstrap=False).trees[0]
             _, feature, threshold = expected
-            assert tree.root.feature == feature
-            assert tree.root.threshold == threshold
+            assert tree.feature[0] == feature
+            assert tree.threshold[0] == threshold
             # leaf means by re-routing the training data
             left_mask = X[:, feature] <= threshold
-            assert tree.root.left.value == pytest.approx(float(y[left_mask].mean()))
-            assert tree.root.right.value == pytest.approx(float(y[~left_mask].mean()))
+            assert tree.value[tree.left[0]] == pytest.approx(float(y[left_mask].mean()))
+            assert tree.value[tree.right[0]] == pytest.approx(float(y[~left_mask].mean()))
 
 
 def test_criterion_06_r2_conventions():

@@ -372,6 +372,24 @@ class TestRun:
                 assert (index, strategy) != base
         assert current_draws > 0  # some epochs did draw the current index
 
+    def test_depth_cap_below_the_default_initial_depth_is_kept(self):
+        from stratlearn.backends import SyntheticLandscape, geometric_schedule
+        from stratlearn.space import builtin_space
+
+        space = builtin_space("kissat_large")  # default initial depth ceil(14 / 3) = 5
+        landscape = SyntheticLandscape(
+            optimum=tuple(d.values[-1] for d in space.domains),
+            weights=(0.5,) * space.k,
+            base_metrics=geometric_schedule(50.0, 1.6, 4),
+            verdicts=(Verdict.UNSAT,) * 4,
+        )
+        policy = EpochPolicy(samples_per_epoch=20, learning_budget=1e9, strategize_samples=10)
+        result = run(SyntheticBackend(landscape), policy, space=space, seed=0,
+                     forest_config=ForestConfig(trees=3, depth_cap=2))
+        assert summarize(result.trajectory, result.outcome).epochs >= 1
+        assert result.state.oracle.trained_depth <= 2
+        assert all(tree.depth <= 2 for tree in result.state.oracle.trees)
+
     def test_aborted_main_solve_is_an_error(self):
         class AbortingBackend:
             num_problems = 1
@@ -392,6 +410,11 @@ def _small_space():
 
 
 class TestPolicyValidation:
+    def test_forest_initial_depth_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="depth_cap"):
+            ForestConfig(init_depth=3, depth_cap=2)
+        assert ForestConfig(init_depth=2, depth_cap=2).depth_cap == 2
+
     def test_sample_count_positive(self):
         with pytest.raises(ValueError):
             EpochPolicy(samples_per_epoch=0)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import node_records, reference_trees
+from helpers import node_records, reference_records, reference_trees
 from stratlearn.forest import (
     DataPoint,
     Dataset,
@@ -39,10 +39,16 @@ def brute_force_root_split(X, y):
     return best
 
 
-def route(node, row):
-    while node.feature is not None:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+def route(tree, row):
+    """Id of the leaf of a flat-array tree that ``row`` reaches, walked one node at a time."""
+    node = 0
+    while tree.left[node] != node:
+        node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return int(node)
+
+
+def is_leaf(tree, node):
+    return tree.left[node] == tree.right[node] == node
 
 
 def tied_dataset(rng, n=None):
@@ -65,7 +71,16 @@ def tied_dataset(rng, n=None):
 
 
 def tree_records(forest):
-    return [node_records(tree.root) for tree in forest.trees]
+    return [node_records(tree) for tree in forest.trees]
+
+
+def sequential_mean(values):
+    """Mean over trees, one tree at a time: the shared value when all agree, else
+    the left-to-right sum over the trees divided by their number."""
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return values[0] if all(v == values[0] for v in values) else total / len(values)
 
 
 XOR_DATA = make_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 1.0, 1.0, 0.0])
@@ -75,12 +90,12 @@ class TestFitTree:
     def test_depth_zero_predicts_global_mean(self):
         data = make_dataset([(0,), (1,), (2,)], [1.0, 2.0, 6.0])
         tree = fit_one_tree(data, max_depth=0)
-        assert tree.root.is_leaf and tree.root.value == pytest.approx(3.0)
+        assert is_leaf(tree, 0) and tree.value[0] == pytest.approx(3.0)
 
     def test_single_point_is_a_leaf(self):
         data = make_dataset([(4, 2)], [3.5])
         tree = fit_one_tree(data, max_depth=5)
-        assert tree.root.is_leaf and tree.root.value == 3.5
+        assert is_leaf(tree, 0) and tree.value[0] == 3.5
 
     def test_root_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(123)
@@ -92,11 +107,11 @@ class TestFitTree:
             expected = brute_force_root_split(X, y)
             tree = fit_one_tree(make_dataset(X, y), max_depth=1)
             if expected is None:
-                assert tree.root.is_leaf
+                assert is_leaf(tree, 0)
                 continue
             _, feature, threshold = expected
-            assert tree.root.feature == feature
-            assert tree.root.threshold == pytest.approx(threshold)
+            assert tree.feature[0] == feature
+            assert tree.threshold[0] == pytest.approx(threshold)
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(5)
@@ -105,11 +120,11 @@ class TestFitTree:
         tree = fit_one_tree(make_dataset(X, y), max_depth=3)
         buckets = {}
         for row, target in zip(X, y):
-            buckets.setdefault(id(route(tree.root, row)), []).append(target)
+            buckets.setdefault(route(tree, row), []).append(target)
         for row in X:
-            leaf = route(tree.root, row)
-            assert leaf.value == pytest.approx(np.mean(buckets[id(leaf)]))
-            assert leaf.count == len(buckets[id(leaf)])
+            leaf = route(tree, row)
+            assert tree.value[leaf] == pytest.approx(np.mean(buckets[leaf]))
+            assert tree.count[leaf] == len(buckets[leaf])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -132,7 +147,7 @@ class TestLevelWiseGrowth:
                     forest = fit_forest(data, n_trees=2, max_depth=depth, seed=case,
                                         bootstrap=bootstrap)
                     expected = reference_trees(data, 2, depth, seed=case, bootstrap=bootstrap)
-                    assert tree_records(forest) == [node_records(root) for root in expected]
+                    assert tree_records(forest) == [reference_records(root) for root in expected]
 
     def test_incremental_deepening_equals_a_fresh_fit(self):
         rng = np.random.default_rng(77)
@@ -155,6 +170,48 @@ class TestLevelWiseGrowth:
                 assert tree_records(stopped) == tree_records(first)
 
 
+class TestOnePredictor:
+    def test_single_row_and_batch_equal_the_sequential_mean(self):
+        rng = np.random.default_rng(31)
+        for case in range(25):
+            data = tied_dataset(rng)
+            X, _ = data.to_arrays()
+            probe = np.vstack([X, rng.integers(-1, 31, size=(20, X.shape[1]))])
+            constant = make_dataset(X, np.full(len(data), 0.1))
+            for depth in range(7):
+                for bootstrap in (False, True):
+                    # Nine trees: a pairwise sum over them would round differently.
+                    forest = fit_forest(data, n_trees=9, max_depth=depth, seed=case,
+                                        bootstrap=bootstrap)
+                    for row, together in zip(probe, forest.predict(probe)):
+                        leaves = [float(t.value[route(t, row)]) for t in forest.trees]
+                        single = predict(forest, tuple(row))
+                        assert single.hex() == float(together).hex() == sequential_mean(leaves).hex()
+                        if all(v == leaves[0] for v in leaves):
+                            assert single == leaves[0]
+                    flat = fit_forest(constant, n_trees=9, max_depth=depth, seed=case,
+                                      bootstrap=bootstrap)
+                    assert np.all(flat.predict(probe) == 0.1)
+                    assert all(predict(flat, tuple(row)) == 0.1 for row in probe)
+                    assert flat.training_score == 1.0
+
+    def test_walk_length_is_the_depth_grown(self):
+        rng = np.random.default_rng(8)
+        for case in range(10):
+            data = tied_dataset(rng)
+            X, _ = data.to_arrays()
+            start = time.perf_counter()
+            deep = fit_forest(data, n_trees=5, max_depth=10**6, seed=case)
+            deep_predictions = deep.predict(X)
+            deep_first = predict(deep, tuple(X[0]))
+            assert time.perf_counter() - start < 1.0
+            grown = fit_forest(data, n_trees=5, max_depth=max(t.depth for t in deep.trees),
+                               seed=case)
+            assert tree_records(deep) == tree_records(grown)
+            assert np.array_equal(deep_predictions, grown.predict(X))
+            assert deep_first == predict(grown, tuple(X[0]))
+
+
 class TestForest:
     def test_single_tree_no_bootstrap_equals_tree(self):
         rng = np.random.default_rng(0)
@@ -163,7 +220,9 @@ class TestForest:
         data = make_dataset(X, y)
         forest = fit_forest(data, n_trees=1, max_depth=3, seed=1, bootstrap=False)
         probe = rng.integers(0, 4, size=(50, 2)).astype(float)
-        assert np.array_equal(forest.predict(probe), forest.trees[0].predict(probe))
+        tree = forest.trees[0]
+        by_hand = [tree.value[route(tree, row)] for row in probe]
+        assert np.array_equal(forest.predict(probe), by_hand)
 
     def test_constant_costs_predict_constant_and_score_one(self):
         data = make_dataset([(0, 1), (1, 0), (2, 2), (3, 1)], [0.1, 0.1, 0.1, 0.1])
@@ -294,6 +353,13 @@ class TestAdaptiveDepth:
             for d in range(0, 7)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
+
+    def test_cap_below_initial_depth_rejected(self):
+        rng = np.random.default_rng(4)
+        data = make_dataset(rng.integers(0, 4, size=(30, 3)), rng.normal(size=30))
+        with pytest.raises(ValueError, match="depth_cap"):
+            fit_adaptive(data, 2, init_depth=4, depth_cap=2)
+        assert fit_adaptive(data, 2, init_depth=2, depth_cap=2).trained_depth == 2
 
     def test_depth_cap_defaults_to_feature_width(self):
         forest = fit_adaptive(XOR_DATA, n_trees=1, init_depth=1,
