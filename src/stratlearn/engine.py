@@ -266,8 +266,10 @@ def learning_epoch(
 
     The chain starts at the engine's current strategy, whose cost on the
     current problem is 1 by construction, so it costs no extra backend call.
-    A backend failure mid-chain aborts the epoch but keeps the samples
-    already measured.
+    A backend failure mid-chain (``CostFunctionError``) is re-raised, with no
+    refit, after the calls already measured are charged, logged and added to
+    the dataset; ``run()`` does not catch it, so the whole run ends (ROADMAP.md
+    item 2 is to make it end only the epoch).
     """
     _require_live(state)
     index = state.index if collect_index is None else collect_index

@@ -89,19 +89,18 @@ def run_chain(
 ) -> list[ChainRecord]:
     """Draw ``n_samples`` chain states starting from ``start``.
 
-    Each step proposes a neighbor, evaluates its cost, and accepts or rejects;
-    the recorded sample is the post-step state, so consecutive records are
-    either equal or ``k_diff`` apart.  Cost evaluations are memoized per
-    strategy within the chain, so revisits are free; all drawn samples
-    (including repeats) are still emitted.  The chain is fully deterministic
-    given the config seed.
+    Each step draws a neighbor index, builds that one neighbor, evaluates its
+    cost, and accepts or rejects; the recorded sample is the post-step state,
+    so consecutive records are either equal or ``k_diff`` apart.  Cost
+    evaluations are memoized per strategy within the chain, so revisits are
+    free; all drawn samples (including repeats) are still emitted.  The chain
+    is fully deterministic given the config seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     space.validate(start)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     cost_memo: dict[tuple[str, ...], float] = {}
-    neighbor_memo: dict[tuple[str, ...], list[Strategy]] = {}
 
     def cost_of(strategy: Strategy) -> float:
         key = strategy.assignments
@@ -115,17 +114,11 @@ def run_chain(
             cost_memo[key] = value
         return cost_memo[key]
 
-    def neighborhood(strategy: Strategy) -> list[Strategy]:
-        key = strategy.assignments
-        if key not in neighbor_memo:
-            neighbor_memo[key] = neighbors(space, strategy, config.k_diff)
-        return neighbor_memo[key]
-
     current = start
     cost_current = cost_of(start)
     records: list[ChainRecord] = []
     for _ in range(n_samples):
-        options = neighborhood(current)
+        options = neighbors(space, current, config.k_diff)
         proposal = options[int(rng.integers(len(options)))]
         cost_proposal = cost_of(proposal)
         alpha = acceptance_probability(cost_current, cost_proposal, config.beta)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -49,10 +52,15 @@ class ParameterDomain:
         if len(set(values)) != len(values):
             raise ValueError(f"parameter {self.name!r} lists a value twice")
 
-    @property
+    @cached_property
     def values(self) -> tuple[str, ...]:
         """All values, default first; the position here is the ordinal feature code."""
         return (self.default_value, *self.alternatives)
+
+    @cached_property
+    def codes(self) -> dict[str, int]:
+        """Value -> ordinal code, the inverse of ``values``."""
+        return {value: code for code, value in enumerate(self.values)}
 
     @property
     def size(self) -> int:
@@ -71,6 +79,7 @@ class StrategySpace:
     """Ordered collection of parameter domains."""
 
     domains: tuple[ParameterDomain, ...]
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.domains:
@@ -87,15 +96,30 @@ class StrategySpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.domains)
 
-    def validate(self, strategy: Strategy) -> None:
-        """Raise ValueError unless ``strategy`` assigns a legal value to every domain."""
+    def codes(self, strategy: Strategy) -> tuple[int, ...]:
+        """Ordinal code of each assignment; ValueError unless every value is legal for its domain."""
         if len(strategy.assignments) != self.k:
             raise ValueError(
                 f"strategy has {len(strategy.assignments)} assignments, space has {self.k} parameters"
             )
-        for domain, value in zip(self.domains, strategy.assignments):
-            if value not in domain.values:
-                raise ValueError(f"value {value!r} is not legal for parameter {domain.name!r}")
+        try:
+            return tuple([d.codes[a] for d, a in zip(self.domains, strategy.assignments)])
+        except (KeyError, TypeError):
+            domain, value = next((d, a) for d, a in zip(self.domains, strategy.assignments) if a not in d.values)
+            raise ValueError(f"value {value!r} is not legal for parameter {domain.name!r}") from None
+
+    def validate(self, strategy: Strategy) -> None:
+        """Raise ValueError unless ``strategy`` assigns a legal value to every domain."""
+        self.codes(strategy)
+
+    def hamming_blocks(self, k_diff: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """The ``k_diff``-subsets of positions in ``combinations`` order, and the
+        neighbour count before each subset, then the total."""
+        if k_diff not in self._blocks:
+            blocks = tuple(itertools.combinations(range(self.k), k_diff))
+            sizes = (math.prod(self.domains[p].size - 1 for p in block) for block in blocks)
+            self._blocks[k_diff] = blocks, [0, *itertools.accumulate(sizes)]
+        return self._blocks[k_diff]
 
 
 def parse_space(table_text: str) -> StrategySpace:
@@ -170,29 +194,52 @@ def default_strategy(space: StrategySpace) -> Strategy:
     return Strategy(tuple(d.default_value for d in space.domains))
 
 
-def neighbors(space: StrategySpace, strategy: Strategy, k_diff: int = 1) -> list[Strategy]:
+class Neighborhood(Sequence):
+    """The Hamming neighbours of one strategy, each built only when indexed.
+
+    Element ``j``: bisect for its block of changed positions, unrank the offset
+    in mixed radix over the block (last position fastest), and map digit ``r``
+    to the ``r``-th value other than the current one.
+    """
+
+    def __init__(self, space: StrategySpace, strategy: Strategy, codes: tuple[int, ...], k_diff: int):
+        self._domains, self._strategy, self._codes = space.domains, strategy, codes
+        self._blocks, self._starts = space.hamming_blocks(k_diff)
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, j: int) -> Strategy:
+        n = len(self)
+        if not -n <= j < n:
+            raise IndexError("neighbor index out of range")
+        j %= n
+        b = bisect_right(self._starts, j) - 1
+        j -= self._starts[b]
+        assigned = list(self._strategy.assignments)
+        for p in reversed(self._blocks[b]):
+            domain = self._domains[p]
+            j, r = divmod(j, domain.size - 1)
+            assigned[p] = domain.values[r + (r >= self._codes[p])]
+        return Strategy(tuple(assigned))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def neighbors(space: StrategySpace, strategy: Strategy, k_diff: int = 1) -> Neighborhood:
     """All strategies at Hamming distance exactly ``k_diff`` from ``strategy``.
 
-    The output order is deterministic: positions in domain order, then values
-    in (default, alternatives...) order.
+    Returns an indexable sequence that builds only the neighbours indexed.
+    The order is deterministic: position subsets in ``combinations`` order,
+    then values in (default, alternatives...) order, last position fastest.
     """
-    space.validate(strategy)
+    codes = space.codes(strategy)
     if k_diff < 1:
         raise ValueError("k_diff must be at least 1")
     if k_diff > space.k:
         raise ValueError(f"k_diff {k_diff} exceeds the parameter count {space.k}")
-    out: list[Strategy] = []
-    for positions in itertools.combinations(range(space.k), k_diff):
-        pools = [
-            [v for v in space.domains[p].values if v != strategy.assignments[p]]
-            for p in positions
-        ]
-        for combo in itertools.product(*pools):
-            assigned = list(strategy.assignments)
-            for p, value in zip(positions, combo):
-                assigned[p] = value
-            out.append(Strategy(tuple(assigned)))
-    return out
+    return Neighborhood(space, strategy, codes, k_diff)
 
 
 def encode_features(space: StrategySpace, strategy: Strategy, index: int) -> tuple[int, ...]:
@@ -201,6 +248,4 @@ def encode_features(space: StrategySpace, strategy: Strategy, index: int) -> tup
     The default value of each parameter encodes to 0, its first alternative
     to 1, and so on.  The encoding is injective over (strategy, index).
     """
-    space.validate(strategy)
-    codes = tuple(d.values.index(a) for d, a in zip(space.domains, strategy.assignments))
-    return codes + (int(index),)
+    return space.codes(strategy) + (int(index),)

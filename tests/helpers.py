@@ -14,6 +14,7 @@ from stratlearn.backends import (
     geometric_schedule,
 )
 from stratlearn.forest import _TREE_STREAM
+from stratlearn.sampler import ChainRecord, acceptance_probability
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
 
@@ -32,6 +33,50 @@ def all_strategies(space: StrategySpace) -> list[Strategy]:
         Strategy(combo)
         for combo in itertools.product(*(d.values for d in space.domains))
     ]
+
+
+def reference_neighbors(space: StrategySpace, strategy: Strategy, k_diff: int = 1) -> list[Strategy]:
+    """The eager Hamming-``k_diff`` enumeration that ``space.neighbors`` must match element for element.
+
+    Positions in ``combinations`` order, then each position's other values in
+    (default, alternatives...) order, the last position varying fastest.
+    """
+    out: list[Strategy] = []
+    for positions in itertools.combinations(range(space.k), k_diff):
+        pools = [
+            [v for v in space.domains[p].values if v != strategy.assignments[p]]
+            for p in positions
+        ]
+        for combo in itertools.product(*pools):
+            assigned = list(strategy.assignments)
+            for p, value in zip(positions, combo):
+                assigned[p] = value
+            out.append(Strategy(tuple(assigned)))
+    return out
+
+
+def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[ChainRecord]:
+    """``sampler.run_chain`` drawing from ``reference_neighbors``: same stream, same memo, same records."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+    memo: dict[tuple[str, ...], float] = {}
+
+    def cost_of(strategy: Strategy) -> float:
+        if strategy.assignments not in memo:
+            memo[strategy.assignments] = float(cost_fn(strategy))
+        return memo[strategy.assignments]
+
+    current, cost_current = start, cost_of(start)
+    records = []
+    for _ in range(n_samples):
+        options = reference_neighbors(space, current, config.k_diff)
+        proposal = options[int(rng.integers(len(options)))]
+        cost_proposal = cost_of(proposal)
+        alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
+        accepted = alpha >= 1.0 or rng.random() < alpha
+        if accepted:
+            current, cost_current = proposal, cost_proposal
+        records.append(ChainRecord(current, cost_current, accepted))
+    return records
 
 
 def penalty(assignments, optimum, weights) -> float:

@@ -1,13 +1,14 @@
 """Acceptance formula, proposal kernel, and chain behavior."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_space, space_from
+from helpers import binary_space, reference_run_chain, space_from
 from stratlearn.sampler import (
     ChainRecord,
     CostFunctionError,
@@ -175,6 +176,28 @@ class TestRunChain:
         )
         best_share = sum(r.strategy.assignments == ("2", "0") for r in records) / len(records)
         assert best_share > 0.5
+
+
+class TestChainPinned:
+    """The lazy neighbourhood must leave the random stream, and so every chain, as it was."""
+
+    @staticmethod
+    def rugged_cost(strategy: Strategy) -> float:
+        # A fixed pseudo-random landscape: both accepted and rejected moves occur.
+        return zlib.crc32(";".join(strategy.assignments).encode()) % 1000 / 250.0
+
+    @pytest.mark.parametrize(
+        "space_name,k_diff", [("kissat_small", 1), ("kissat_small", 2), ("kissat_large", 1)]
+    )
+    def test_records_equal_the_eager_reference(self, space_name, k_diff):
+        space = builtin_space(space_name)
+        start = default_strategy(space)
+        for seed in range(5):
+            config = SamplerConfig(beta=1.0, seed=seed, k_diff=k_diff)
+            records = run_chain(space, self.rugged_cost, start, 300, config)
+            assert records == reference_run_chain(space, self.rugged_cost, start, 300, config)
+            accepted = sum(r.accepted for r in records)
+            assert 0 < accepted < len(records)
 
 
 def _universe(space):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_strategies, binary_space, space_from
+from helpers import all_strategies, binary_space, reference_neighbors, space_from
 from stratlearn.space import (
     ParameterDomain,
     SpaceFormatError,
     Strategy,
     StrategySpace,
+    builtin_space,
     default_strategy,
     encode_features,
     neighbors,
@@ -122,6 +123,79 @@ class TestNeighbors:
         assert neighbors(small_space, v) == neighbors(small_space, v)
         first = neighbors(small_space, v)[0]
         assert first.assignments == ("0", "1", "1", "1", "2", "6")
+
+
+class TestLazyNeighborhood:
+    """``neighbors`` builds each neighbour on indexing; it must equal the eager enumeration."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            builtin_space("kissat_small"),
+            space_from([("a", "1", ("0",)), ("b", "x", ("y", "z")), ("c", "0", ("1", "2", "3"))]),
+            binary_space(4),
+        ],
+        ids=["kissat_small", "mixed_2x3x4", "binary_4"],
+    )
+    def test_every_strategy_and_radius_equals_the_reference(self, space):
+        for v in all_strategies(space):
+            for k_diff in range(1, space.k + 1):
+                expected = reference_neighbors(space, v, k_diff)
+                lazy = neighbors(space, v, k_diff)
+                n = len(expected)
+                assert len(lazy) == n
+                assert [lazy[j] for j in range(n)] == expected
+                assert [lazy[-j] for j in range(1, n + 1)] == expected[::-1]
+                assert list(lazy) == expected
+                first, *rest = lazy
+                assert [first, *rest] == expected
+                assert lazy == expected and expected == lazy
+                for j in (n, -n - 1):
+                    with pytest.raises(IndexError):
+                        lazy[j]
+
+    def test_unequal_neighbourhoods_differ(self, small_space):
+        v = default_strategy(small_space)
+        assert neighbors(small_space, v, 1) != neighbors(small_space, v, 2)
+        assert neighbors(small_space, v, 1) != reference_neighbors(small_space, v, 1)[:-1]
+
+
+class TestCodeTable:
+    """One value -> code lookup validates, encodes, and seeds the neighbourhood."""
+
+    CASES = [
+        (("1", "1", "1", "1", "2"), "strategy has 5 assignments, space has 6 parameters"),
+        (("1", "1", "1", "1", "2", "7"), "value '7' is not legal for parameter 'tier2'"),
+        (("9", "1", "1", "1", "2", "6"), "value '9' is not legal for parameter 'chrono'"),
+    ]
+
+    @pytest.mark.parametrize("assignments,message", CASES, ids=["length", "unknown", "other_domain"])
+    def test_every_entry_point_raises_the_same_message(self, small_space, assignments, message):
+        strategy = Strategy(assignments)
+        for call in (
+            lambda: small_space.validate(strategy),
+            lambda: encode_features(small_space, strategy, 1),
+            lambda: neighbors(small_space, strategy, 1),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+    def test_cached_tables_change_neither_equality_nor_hash(self):
+        def fresh():
+            return parse_space(serialize_space(builtin_space("kissat_small")))
+
+        used, untouched = fresh(), fresh()
+        v = default_strategy(used)
+        encode_features(used, v, 1)
+        for k_diff in (1, 2):
+            neighbors(used, v, k_diff)[0]
+        assert used.domains[0].codes == {"1": 0, "0": 1}
+        assert used == untouched and hash(used) == hash(untouched)
+        for a, b in zip(used.domains, untouched.domains):
+            assert a == b and hash(a) == hash(b)
+        assert parse_space(serialize_space(used)) == used
+        assert serialize_space(used) == serialize_space(untouched)
 
 
 class TestEncodeFeatures:
