@@ -176,7 +176,12 @@ def load_adapter_config(path: str | Path) -> SolverAdapterConfig:
         if key not in _ADAPTER_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown adapter key {key!r}")
         attr = _ADAPTER_KEYS[key]
-        kwargs[attr] = int(value) if attr.startswith("exit_code") else value
+        if attr.startswith("exit_code"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+        kwargs[attr] = value
     if "command_template" not in kwargs:
         raise ValueError(f"{path}: adapter file must set 'command'")
     return SolverAdapterConfig(**kwargs)  # type: ignore[arg-type]
@@ -361,14 +366,6 @@ def load_manifest(path: str | Path) -> ProblemManifest:
     return parse_manifest(Path(path).read_text(encoding="utf-8"))
 
 
-def serialize_manifest(manifest: ProblemManifest) -> str:
-    lines = []
-    for entry in manifest.entries:
-        meta = ",".join(f"{k}={v}" for k, v in entry.metadata.items())
-        lines.append(f"{entry.index}\t{entry.locator}" + (f"\t{meta}" if meta else ""))
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # Backend objects consumed by the engine
 
@@ -404,21 +401,3 @@ class ExternalBackend:
         return evaluate_external(
             self.config, self.space, self.manifest.locator(index), strategy, budget
         )
-
-
-def stub_backend(verdicts, metrics=None) -> SyntheticBackend:
-    """Strategy-independent backend with a fixed verdict schedule, for tests.
-
-    ``verdicts`` may hold Verdict members or the strings "SAT"/"UNSAT".
-    ``metrics`` defaults to 10.0 per problem.
-    """
-    schedule = tuple(v if isinstance(v, Verdict) else Verdict(str(v)) for v in verdicts)
-    if metrics is None:
-        metrics = [10.0] * len(schedule)
-    landscape = SyntheticLandscape(
-        optimum=(),
-        weights=(),
-        base_metrics=tuple(float(m) for m in metrics),
-        verdicts=schedule,
-    )
-    return SyntheticBackend(landscape)

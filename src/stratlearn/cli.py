@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,46 +64,47 @@ class RunConfig:
     out: str | None = None
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction in [0, 1]")
-    return value
+def _checked(convert, accept, what: str):
+    """An argparse type: ``convert`` the text, then refuse values that ``accept`` rejects."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda v: v > 0, "a positive number")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return value
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
+    """Run flags, each stored under its ``RunConfig`` field; ``ablate`` adds the grid axes."""
     parser = argparse.ArgumentParser(
-        prog="stratlearn",
-        description="Solve an ordered problem set while learning which solver "
-        "configuration to use for each successive problem.",
+        prog="stratlearn ablate" if ablate else "stratlearn",
+        description="Solve an ordered problem set while learning which solver configuration to "
+        "use for each successive problem; 'stratlearn ablate' sweeps learning budget x tree depth.",
     )
-    parser.add_argument("--space", required=True, help="strategy space CSV (name,default,alternatives)")
+    parser.add_argument("--space", dest="space_path", required=True,
+                        help="strategy space CSV (name,default,alternatives)")
     problems = parser.add_mutually_exclusive_group(required=True)
-    problems.add_argument("--manifest", help="problem manifest (index<TAB>locator<TAB>key=value,...)")
-    problems.add_argument("--landscape", help="synthetic landscape JSON")
-    parser.add_argument("--adapter", help="solver adapter config (key=value lines); required with --manifest")
-    parser.add_argument("--budget-frac", type=_fraction, default=0.15,
+    problems.add_argument("--manifest", dest="manifest_path",
+                          help="problem manifest (index<TAB>locator<TAB>key=value,...)")
+    problems.add_argument("--landscape", dest="landscape_path", help="synthetic landscape JSON")
+    parser.add_argument("--adapter", dest="adapter_path",
+                        help="solver adapter config (key=value lines); required with --manifest")
+    parser.add_argument("--budget-frac", dest="budget_fraction", type=_fraction, default=0.15,
                         help="learning budget as a fraction of the time limit (default 0.15)")
     parser.add_argument("--budget-seconds", type=_positive_float, default=None,
                         help="absolute learning budget; overrides --budget-frac")
@@ -120,34 +122,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="account time in backend effort units (deterministic replay)")
     parser.add_argument("--step-size", type=_positive_int, default=None,
                         help="recorded in outputs only; the unrolling step that produced the problems")
-    parser.add_argument("--out", default=None, help="trajectory output path")
+    parser.add_argument("--out", default=None, help="grid file path" if ablate else "trajectory output path")
+    if ablate:
+        parser.add_argument("--budgets", type=_floats, required=True,
+                            help="comma-separated absolute learning budgets")
+        parser.add_argument("--depths", type=_ints, required=True,
+                            help="comma-separated fixed tree depths")
     return parser
+
+
+def _run_config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfig:
+    if ns.manifest_path and not ns.adapter_path:
+        parser.error("--manifest requires --adapter")
+    return RunConfig(**vars(ns))
 
 
 def parse_args(argv) -> RunConfig:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.manifest and not ns.adapter:
-        parser.error("--manifest requires --adapter")
-    return RunConfig(
-        space_path=ns.space,
-        manifest_path=ns.manifest,
-        landscape_path=ns.landscape,
-        adapter_path=ns.adapter,
-        budget_fraction=0.0 if ns.no_learn else ns.budget_frac,
-        budget_seconds=None if ns.no_learn else ns.budget_seconds,
-        samples_per_epoch=ns.samples_per_epoch,
-        strategize_samples=ns.strategize_samples,
-        trees=ns.trees,
-        init_depth=ns.init_depth,
-        fixed_depth=ns.fixed_depth,
-        seed=ns.seed,
-        time_limit=ns.time_limit,
-        no_learn=ns.no_learn,
-        virtual_clock=ns.virtual_clock,
-        step_size=ns.step_size,
-        out=ns.out,
-    )
+    return _run_config(parser, parser.parse_args(argv))
 
 
 def resolve_budget(config: RunConfig) -> float:
@@ -175,24 +167,12 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
             space,
             load_manifest(config.manifest_path),
         )
-    policy = EpochPolicy(
-        samples_per_epoch=config.samples_per_epoch,
-        learning_budget=resolve_budget(config),
-        strategize_samples=config.strategize_samples,
-    )
-    forest_config = ForestConfig(
-        trees=config.trees,
-        init_depth=config.init_depth,
-        fixed_depth=config.fixed_depth,
-    )
+    policy = EpochPolicy(samples_per_epoch=config.samples_per_epoch, learning_budget=resolve_budget(config),
+                         strategize_samples=config.strategize_samples)
+    forest_config = ForestConfig(trees=config.trees, init_depth=config.init_depth, fixed_depth=config.fixed_depth)
     result = run(
-        backend,
-        policy,
-        space=space,
-        sampler_config=SamplerConfig(seed=config.seed),
-        forest_config=forest_config,
-        seed=config.seed,
-        time_limit=config.time_limit,
+        backend, policy, space=space, sampler_config=SamplerConfig(seed=config.seed),
+        forest_config=forest_config, seed=config.seed, time_limit=config.time_limit,
         clock="virtual" if config.virtual_clock else "wall",
     )
     summary = summarize(result.trajectory, result.outcome)
@@ -272,13 +252,20 @@ class GridResult:
     def cell(self, budget_pos: int, depth_pos: int) -> int | None:
         return self.largest_solved[budget_pos][depth_pos]
 
+    def matrix(self) -> list[str]:
+        """Heat-map-ready rows: a depth header, then one row per budget."""
+        lines = ["budget\\depth\t" + "\t".join(str(d) for d in self.depths)]
+        for budget, row in zip(self.budgets, self.largest_solved):
+            lines.append(f"{budget:g}\t" + "\t".join(_cell(v) for v in row))
+        return lines
+
 
 def ablation_grid(config: RunConfig, budgets, depths) -> GridResult:
     """Run the (budget x depth) cartesian grid, one fresh seeded run per cell.
 
-    Budgets are absolute learning budgets; each cell trains at its fixed tree
-    depth.  Per-cell failures are recorded, not raised, so one bad cell does
-    not abort the sweep.
+    Budgets are absolute learning budgets, and one that is not positive (NaN
+    too) runs without learning; each cell trains at its fixed tree depth.
+    Per-cell failures are recorded, not raised, so one bad cell does not abort the sweep.
     """
     budgets = tuple(float(b) for b in budgets)
     depths = tuple(int(d) for d in depths)
@@ -290,7 +277,7 @@ def ablation_grid(config: RunConfig, budgets, depths) -> GridResult:
             cell_config = dataclasses.replace(
                 config,
                 budget_seconds=budget if budget > 0 else None,
-                no_learn=budget <= 0,
+                no_learn=not budget > 0,
                 fixed_depth=depth,
                 out=None,
             )
@@ -309,17 +296,32 @@ def ablation_grid(config: RunConfig, budgets, depths) -> GridResult:
 
 
 def write_grid(grid: GridResult, path: str | Path) -> None:
-    """Heat-map-ready matrix: rows are budgets, columns are depths."""
-    lines = ["#stratlearn-grid v1", "budget\\depth\t" + "\t".join(str(d) for d in grid.depths)]
-    for budget, row in zip(grid.budgets, grid.largest_solved):
-        lines.append(f"{budget:g}\t" + "\t".join(_cell(v) for v in row))
+    """The matrix under a versioned header, then one ``#error`` line per failed cell."""
+    lines = ["#stratlearn-grid v1", *grid.matrix()]
     for (bi, di), message in sorted(grid.errors.items()):
         lines.append(f"#error\tbudget={grid.budgets[bi]:g}\tdepth={grid.depths[di]}\t{message}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _ablate(argv) -> int:
+    parser = _build_parser(ablate=True)
+    ns = parser.parse_args(argv)
+    budgets, depths = ns.budgets, ns.depths
+    del ns.budgets, ns.depths
+    config = _run_config(parser, ns)
+    grid = ablation_grid(config, budgets, depths)
+    print("\n".join(grid.matrix()))
+    if config.out:
+        print(f"grid written to {config.out}", file=sys.stderr)
+    return 0
+
+
 def main(argv=None) -> int:
+    """``stratlearn <run flags>`` runs once; ``stratlearn ablate <run flags> --budgets .. --depths ..`` sweeps."""
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["ablate"]:
+        return _ablate(argv[1:])
     config = parse_args(argv)
     result, summary = execute(config)
     print(

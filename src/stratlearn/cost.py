@@ -11,7 +11,6 @@ that the region is bad.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 from .backends import Verdict
@@ -39,15 +38,6 @@ class CostRecord:
     aborted: bool
 
 
-def normalize(raw: float, baseline: float) -> float:
-    """raw / baseline; the baseline must be positive."""
-    if not baseline > 0:
-        raise ValueError(f"baseline must be positive, got {baseline!r}")
-    if raw < 0 or not math.isfinite(raw):
-        raise ValueError(f"raw metric must be finite and nonnegative, got {raw!r}")
-    return raw / baseline
-
-
 def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float, config: CostConfig = CostConfig()) -> CostRecord:
     """Run the backend under a metric budget and return the normalized cost.
 
@@ -66,7 +56,7 @@ def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float
         )
         cost = config.abort_multiplier
     else:
-        cost = normalize(outcome.metric, baseline_metric)
+        cost = outcome.metric / baseline_metric
     return CostRecord(
         strategy=strategy,
         index=index,

@@ -91,6 +91,14 @@ class ForestConfig:
     depth_cap: int | None = None
 
     def __post_init__(self) -> None:
+        if self.trees < 1:
+            raise ValueError("trees must be at least 1")
+        if self.init_depth is not None and self.init_depth < 1:
+            raise ValueError("init_depth must be at least 1")
+        if self.depth_cap is not None and self.depth_cap < 1:
+            raise ValueError("depth_cap must be at least 1")
+        if self.fixed_depth is not None and self.fixed_depth < 0:
+            raise ValueError("fixed_depth must be nonnegative")
         if self.init_depth is not None and self.depth_cap is not None and self.init_depth > self.depth_cap:
             raise ValueError(f"init_depth {self.init_depth} exceeds depth_cap {self.depth_cap}")
 
@@ -226,7 +234,8 @@ def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int
     """Depths for ``fit_adaptive``; the default initial depth, a third of the width, is capped."""
     if config.init_depth is not None:
         return config.init_depth, config.depth_cap
-    return min(math.ceil(feature_width / 3), config.depth_cap or feature_width), config.depth_cap
+    cap = feature_width if config.depth_cap is None else config.depth_cap
+    return min(math.ceil(feature_width / 3), cap), config.depth_cap
 
 
 def _absorb_evaluations(

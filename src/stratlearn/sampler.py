@@ -69,17 +69,6 @@ def acceptance_probability(cost_current: float, cost_proposed: float, beta: floa
     return math.exp(beta * (cost_current - cost_proposed))
 
 
-def propose(
-    space: StrategySpace,
-    current: Strategy,
-    rng: np.random.Generator,
-    k_diff: int = 1,
-) -> Strategy:
-    """Uniform draw over the Hamming-``k_diff`` neighbors of ``current``."""
-    options = neighbors(space, current, k_diff)
-    return options[int(rng.integers(len(options)))]
-
-
 def run_chain(
     space: StrategySpace,
     cost_fn: Callable[[Strategy], float],

@@ -186,10 +186,6 @@ def builtin_space(name: str) -> StrategySpace:
     return parse_space(text)
 
 
-def space_size(space: StrategySpace) -> int:
-    return math.prod(d.size for d in space.domains)
-
-
 def default_strategy(space: StrategySpace) -> Strategy:
     return Strategy(tuple(d.default_value for d in space.domains))
 

@@ -130,9 +130,17 @@ def verdicts_from_bits(bits: int, n: int) -> list[Verdict]:
 
 
 def backend_for(verdicts, metrics=None) -> SyntheticBackend:
-    from stratlearn.backends import stub_backend
+    """Strategy-independent backend with a fixed verdict schedule.
 
-    return stub_backend(verdicts, metrics)
+    ``verdicts`` may hold Verdict members or the strings "SAT"/"UNSAT";
+    ``metrics`` defaults to 10.0 per problem.
+    """
+    schedule = tuple(v if isinstance(v, Verdict) else Verdict(str(v)) for v in verdicts)
+    if metrics is None:
+        metrics = [10.0] * len(schedule)
+    return SyntheticBackend(SyntheticLandscape(
+        optimum=(), weights=(), base_metrics=tuple(float(m) for m in metrics), verdicts=schedule,
+    ))
 
 
 # Reference tree grower: one node at a time, recursively, with the split rule

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import backend_for
 from stratlearn.backends import (
     ExternalBackend,
     ManifestError,
@@ -24,8 +25,6 @@ from stratlearn.backends import (
     load_manifest,
     parse_manifest,
     save_landscape,
-    serialize_manifest,
-    stub_backend,
     validate_template,
 )
 from stratlearn.space import Strategy, parse_space
@@ -94,7 +93,7 @@ class TestSynthetic:
         assert geometric_schedule(2.0, 3.0, 3) == (2.0, 6.0, 18.0)
 
     def test_stub_backend_ignores_strategy(self):
-        backend = stub_backend(["UNSAT", "SAT"], metrics=[7.0, 9.0])
+        backend = backend_for(["UNSAT", "SAT"], metrics=[7.0, 9.0])
         assert backend.num_problems == 2
         outcome = backend.solve(2, Strategy(("anything",)))
         assert outcome.verdict is Verdict.SAT and outcome.metric == 9.0
@@ -217,6 +216,13 @@ class TestAdapterConfigFile:
         with pytest.raises(ValueError, match="command"):
             load_adapter_config(path)
 
+    def test_non_integer_exit_code_names_file_and_line(self, tmp_path):
+        path = tmp_path / "adapter.cfg"
+        path.write_text("command = x {problem}\n# codes\nexit_sat = ten\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_adapter_config(path)
+        assert str(excinfo.value) == f"{path}:3: exit_sat must be an integer, got 'ten'"
+
 
 class TestManifest:
     def test_three_entries(self):
@@ -232,14 +238,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="locator"):
             parse_manifest("1\ta.cnf\n2\t \n")
 
-    def test_metadata_round_trip(self, tmp_path):
+    def test_metadata_parsed_from_text_and_file(self, tmp_path):
         text = "1\ta.cnf\tk=10,s=10\n2\tb.cnf\tk=20,s=10\n3\tc.cnf\tk=30,s=10\n"
         manifest = parse_manifest(text)
         assert manifest.metadata(2) == {"k": "20", "s": "10"}
-        assert serialize_manifest(manifest) == text
         path = tmp_path / "manifest.tsv"
         path.write_text(text, encoding="utf-8")
-        assert serialize_manifest(load_manifest(path)) == text
+        assert [load_manifest(path).metadata(i) for i in (1, 2, 3)] == [
+            manifest.metadata(i) for i in (1, 2, 3)
+        ]
 
     def test_comments_ignored(self):
         manifest = parse_manifest("# problems\n1\ta.cnf\n")

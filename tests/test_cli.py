@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from helpers import (
     ablation_landscape,
     convergence_landscape,
 )
+from stratlearn import cli
 from stratlearn.backends import save_landscape
 from stratlearn.cli import (
     GridResult,
@@ -54,8 +56,9 @@ class TestParseArgs:
         ) == (0.15, 100, 500, 50, None, 0)
 
     def test_no_learn_forces_zero_budget(self, tmp_path):
-        config = parse_args(base_argv(tmp_path) + ["--no-learn"])
-        assert config.budget_fraction == 0.0
+        config = parse_args(base_argv(tmp_path) + ["--no-learn", "--time-limit", "1000",
+                                                    "--budget-seconds", "50"])
+        assert config.budget_fraction == 0.15
         assert resolve_budget(config) == 0.0
 
     def test_fraction_out_of_range_rejected(self, tmp_path, capsys):
@@ -91,11 +94,11 @@ class TestParseArgs:
              RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
                        budget_seconds=500.0, init_depth=2, fixed_depth=4)),
             (["--space", "s.csv", "--landscape", "l.json", "--no-learn"],
-             RunConfig(space_path="s.csv", landscape_path="l.json", no_learn=True,
-                       budget_fraction=0.0)),
+             RunConfig(space_path="s.csv", landscape_path="l.json", no_learn=True)),
         ]
         for argv, config in examples:
             assert parse_args(argv) == config
+        assert resolve_budget(examples[-1][1]) == 0.0
 
     def test_budget_resolution_order(self):
         by_seconds = RunConfig(space_path="s", landscape_path="l",
@@ -237,6 +240,21 @@ class TestAblationGrid:
         _, baseline = execute(dataclasses.replace(config, no_learn=True, budget_fraction=0.0))
         assert grid.largest_solved[0] == [baseline.largest_solved_index] * 2
 
+    def test_budgets_that_are_not_positive_disable_learning(self, monkeypatch):
+        cells = []
+
+        def record(config):
+            cells.append(config)
+            return None, SimpleNamespace(largest_solved_index=1)
+
+        monkeypatch.setattr(cli, "execute", record)
+        config = RunConfig(space_path="s.csv", landscape_path="l.json", time_limit=3000.0)
+        ablation_grid(config, budgets=[float("nan"), -5.0, 0.0, 800.0], depths=[1])
+        assert [(c.no_learn, c.budget_seconds) for c in cells] == [
+            (True, None), (True, None), (True, None), (False, 800.0)
+        ]
+        assert [resolve_budget(c) for c in cells] == [0.0, 0.0, 0.0, 800.0]
+
     def test_cell_errors_do_not_abort_grid(self, ablation_files, tmp_path):
         space_path, _ = ablation_files
         config = RunConfig(space_path=space_path, landscape_path=str(tmp_path / "missing.json"),
@@ -258,18 +276,22 @@ class TestAblationGrid:
         assert isinstance(grid, GridResult)
 
 
-class TestAblationScript:
-    def test_script_prints_matrix_and_writes_grid(self, ablation_files, tmp_path):
-        space_path, land_path = ablation_files
+class TestAblateCommand:
+    def run_cli(self, *args):
         repo = Path(__file__).resolve().parents[1]
-        grid_path = tmp_path / "grid.tsv"
-        proc = subprocess.run(
-            [sys.executable, str(repo / "scripts" / "run_ablation.py"),
-             "--space", space_path, "--landscape", land_path, "--time-limit", "3000",
-             "--virtual-clock", "--samples-per-epoch", "5", "--strategize-samples", "5",
-             "--trees", "2", "--budgets", "0,800", "--depths", "1,2", "--out", str(grid_path)],
+        return subprocess.run(
+            [sys.executable, "-m", "stratlearn.cli", *args],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        )
+
+    def test_prints_matrix_and_writes_grid(self, ablation_files, tmp_path):
+        space_path, land_path = ablation_files
+        grid_path = tmp_path / "grid.tsv"
+        proc = self.run_cli(
+            "ablate", "--space", space_path, "--landscape", land_path, "--time-limit", "3000",
+            "--virtual-clock", "--samples-per-epoch", "5", "--strategize-samples", "5",
+            "--trees", "2", "--budgets", "0,800", "--depths", "1,2", "--out", str(grid_path),
         )
         assert proc.returncode == 0, proc.stderr
         matrix = proc.stdout.splitlines()
@@ -278,3 +300,16 @@ class TestAblationScript:
         grid_lines = grid_path.read_text(encoding="utf-8").splitlines()
         assert grid_lines[0] == "#stratlearn-grid v1"
         assert grid_lines[1:] == matrix
+
+    def test_missing_budgets_is_a_usage_error(self, ablation_files):
+        space_path, land_path = ablation_files
+        proc = self.run_cli("ablate", "--space", space_path, "--landscape", land_path, "--depths", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: stratlearn ablate")
+        assert "--budgets" in proc.stderr
+
+    def test_grid_flags_rejected_on_a_plain_run(self, ablation_files):
+        space_path, land_path = ablation_files
+        proc = self.run_cli("--space", space_path, "--landscape", land_path, "--budgets", "0,800")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --budgets" in proc.stderr

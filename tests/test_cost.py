@@ -1,35 +1,46 @@
 """Cost normalization and budget-capped collection runs."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from stratlearn.backends import SyntheticBackend, SyntheticLandscape, Verdict
-from stratlearn.cost import CostConfig, collect_cost, normalize
+from stratlearn.backends import SolveOutcome, SyntheticBackend, SyntheticLandscape, Verdict
+from stratlearn.cost import CostConfig, collect_cost
 from stratlearn.space import Strategy
+
+NO_CAP = CostConfig(abort_multiplier=1e12)
+
+
+def normalized(raw: float, baseline: float) -> float:
+    """``collect_cost``'s cost for a backend that reports ``raw`` on every call."""
+    backend = SimpleNamespace(solve=lambda index, strategy, budget=None: SolveOutcome(Verdict.UNSAT, raw))
+    return collect_cost(backend, 1, Strategy(("1",)), baseline, NO_CAP).cost
 
 
 class TestNormalize:
     def test_baseline_run_costs_one(self):
-        assert normalize(1000.0, 1000.0) == 1.0
+        assert normalized(1000.0, 1000.0) == 1.0
 
     def test_half_effort_costs_half(self):
-        assert normalize(500.0, 1000.0) == 0.5
+        assert normalized(500.0, 1000.0) == 0.5
 
     def test_free_solve(self):
-        assert normalize(0.0, 7.0) == 0.0
+        assert normalized(0.0, 7.0) == 0.0
 
     def test_nonpositive_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
-            normalize(1.0, 0.0)
+            normalized(1.0, 0.0)
 
     def test_negative_raw_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(-1.0, 1.0)
+        with pytest.raises(ValueError, match="metric"):
+            normalized(-1.0, 1.0)
 
     def test_preserves_raw_metric_order(self):
         baseline = 321.0
         metrics = [5.0, 17.0, 17.0, 200.0, 4000.0]
-        costs = [normalize(m, baseline) for m in metrics]
+        costs = [normalized(m, baseline) for m in metrics]
         assert costs == sorted(costs)
+        assert costs == [m / baseline for m in metrics]
 
 
 def penalty_backend(weight: float, base: float = 100.0, n: int = 3) -> SyntheticBackend:

@@ -426,3 +426,19 @@ class TestPolicyValidation:
     def test_strategize_samples_positive(self):
         with pytest.raises(ValueError):
             EpochPolicy(strategize_samples=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trees", 0, "trees must be at least 1"),
+            ("init_depth", 0, "init_depth must be at least 1"),
+            ("depth_cap", 0, "depth_cap must be at least 1"),
+            ("fixed_depth", -1, "fixed_depth must be nonnegative"),
+        ],
+    )
+    def test_forest_fields_checked_before_any_backend_call(self, field, value, message):
+        # Checked at construction, so a bad value fails before the first
+        # epoch's collection runs spend solver calls on it.
+        with pytest.raises(ValueError, match=message):
+            ForestConfig(**{field: value})
+        assert getattr(ForestConfig(**{field: value + 1}), field) == value + 1

@@ -14,7 +14,6 @@ from stratlearn.sampler import (
     CostFunctionError,
     SamplerConfig,
     acceptance_probability,
-    propose,
     run_chain,
 )
 from stratlearn.space import Strategy, builtin_space, default_strategy, neighbors
@@ -65,21 +64,25 @@ class TestAcceptanceProbability:
 
 
 class TestPropose:
+    # A constant cost accepts every proposal, so each chain step is one draw
+    # of the proposal kernel from the previous state.
     def test_single_binary_domain_is_deterministic(self):
         space = binary_space(1)
-        rng = np.random.default_rng(0)
-        assert propose(space, default_strategy(space), rng) == Strategy(("0",))
+        (record,) = run_chain(space, lambda v: 1.0, default_strategy(space), 1, SamplerConfig(seed=0))
+        assert record.strategy == Strategy(("0",))
 
     def test_uniform_over_compact_neighborhood(self, small_space):
-        v = default_strategy(small_space)
-        options = neighbors(small_space, v)
-        rng = np.random.default_rng(42)
-        counts = {n.assignments: 0 for n in options}
         draws = 100_000
-        for _ in range(draws):
-            counts[propose(small_space, v, rng).assignments] += 1
-        for n in options:
-            assert counts[n.assignments] / draws == pytest.approx(1 / 9, abs=0.01)
+        records = run_chain(
+            small_space, lambda v: 1.0, default_strategy(small_space), draws, SamplerConfig(seed=42)
+        )
+        counts = [0] * 9
+        previous = default_strategy(small_space)
+        for record in records:
+            counts[neighbors(small_space, previous).index(record.strategy)] += 1
+            previous = record.strategy
+        for count in counts:
+            assert count / draws == pytest.approx(1 / 9, abs=0.01)
 
     def test_kernel_symmetric_on_binary_domains(self):
         # Every strategy has the same neighbor count, also on the mixed-size
@@ -167,8 +170,8 @@ class TestRunChain:
             run_chain(space, lambda v: 1.0, default_strategy(space), 0, SamplerConfig())
 
     def test_stationary_distribution_on_mixed_space_is_close(self):
-        # non-regular graphs carry a small kernel bias; sanity-check the pull
-        # toward low cost still dominates
+        # the Hamming-1 graph is regular (every state has 3 neighbours here), so
+        # the kernel is symmetric; sanity-check the pull toward low cost dominates
         space = space_from([("a", "1", ("0", "2")), ("b", "1", ("0",))])
         cost = {v.assignments: 0.0 if v.assignments == ("2", "0") else 2.0 for v in _universe(space)}
         records = run_chain(

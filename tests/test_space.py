@@ -16,22 +16,21 @@ from stratlearn.space import (
     neighbors,
     parse_space,
     serialize_space,
-    space_size,
 )
 
 
 class TestParse:
     def test_compact_table_has_216_settings(self, small_space):
-        assert space_size(small_space) == 216
+        assert len(all_strategies(small_space)) == 216
         assert small_space.k == 6
 
     def test_wide_table_has_8192_settings(self, large_space):
-        assert space_size(large_space) == 8192
+        assert len(all_strategies(large_space)) == 8192
         assert large_space.k == 13
 
     def test_minimal_single_row(self):
         space = parse_space("name,default,alternatives\nx,1,0\n")
-        assert space_size(space) == 2
+        assert len(all_strategies(space)) == 2
         assert default_strategy(space) == Strategy(("1",))
 
     def test_comments_and_blank_lines_ignored(self):
@@ -102,7 +101,7 @@ class TestNeighbors:
 
     def test_symmetry_exhaustive(self):
         space = space_from([("a", "1", ("0", "2")), ("b", "x", ("y",)), ("c", "0", ("1", "2", "3"))])
-        assert space_size(space) <= 256
+        assert len(all_strategies(space)) <= 256
         universe = all_strategies(space)
         table = {v: set(n.assignments for n in neighbors(space, v)) for v in universe}
         for v in universe:
