@@ -60,7 +60,6 @@ class RunConfig:
     time_limit: float | None = None
     no_learn: bool = False
     virtual_clock: bool = False
-    step_size: int | None = None
     out: str | None = None
 
 
@@ -90,7 +89,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
-    """Run flags, each stored under its ``RunConfig`` field; ``ablate`` adds the grid axes."""
+    """Run flags, each stored under its ``RunConfig`` field; ``ablate`` swaps budget and depth for the grid axes."""
     parser = argparse.ArgumentParser(
         prog="stratlearn ablate" if ablate else "stratlearn",
         description="Solve an ordered problem set while learning which solver configuration to "
@@ -104,30 +103,30 @@ def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
     problems.add_argument("--landscape", dest="landscape_path", help="synthetic landscape JSON")
     parser.add_argument("--adapter", dest="adapter_path",
                         help="solver adapter config (key=value lines); required with --manifest")
-    parser.add_argument("--budget-frac", dest="budget_fraction", type=_fraction, default=0.15,
-                        help="learning budget as a fraction of the time limit (default 0.15)")
-    parser.add_argument("--budget-seconds", type=_positive_float, default=None,
-                        help="absolute learning budget; overrides --budget-frac")
     parser.add_argument("--samples-per-epoch", type=_positive_int, default=100)
     parser.add_argument("--strategize-samples", type=_positive_int, default=500)
     parser.add_argument("--trees", type=_positive_int, default=50)
-    parser.add_argument("--init-depth", type=_positive_int, default=None,
-                        help="initial tree depth (default: a third of the feature count, rounded up)")
-    parser.add_argument("--fixed-depth", type=_positive_int, default=None,
-                        help="train at this exact depth instead of deepening adaptively")
     parser.add_argument("--seed", type=_nonneg_int, default=0)
     parser.add_argument("--time-limit", type=_positive_float, default=None)
-    parser.add_argument("--no-learn", action="store_true", help="baseline mode: learning budget forced to 0")
     parser.add_argument("--virtual-clock", action="store_true",
                         help="account time in backend effort units (deterministic replay)")
-    parser.add_argument("--step-size", type=_positive_int, default=None,
-                        help="recorded in outputs only; the unrolling step that produced the problems")
     parser.add_argument("--out", default=None, help="grid file path" if ablate else "trajectory output path")
     if ablate:
         parser.add_argument("--budgets", type=_floats, required=True,
                             help="comma-separated absolute learning budgets")
         parser.add_argument("--depths", type=_ints, required=True,
                             help="comma-separated fixed tree depths")
+        return parser
+    parser.add_argument("--budget-frac", dest="budget_fraction", type=_fraction, default=0.15,
+                        help="learning budget as a fraction of the time limit (default 0.15)")
+    parser.add_argument("--budget-seconds", type=_positive_float, default=None,
+                        help="absolute learning budget; overrides --budget-frac")
+    parser.add_argument("--no-learn", action="store_true", help="baseline mode: learning budget forced to 0")
+    depth = parser.add_mutually_exclusive_group()
+    depth.add_argument("--init-depth", type=_positive_int, default=None,
+                       help="initial tree depth (default: a third of the feature count, rounded up)")
+    depth.add_argument("--fixed-depth", type=_positive_int, default=None,
+                       help="train at this exact depth instead of deepening adaptively")
     return parser
 
 
@@ -170,23 +169,16 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
     policy = EpochPolicy(samples_per_epoch=config.samples_per_epoch, learning_budget=resolve_budget(config),
                          strategize_samples=config.strategize_samples)
     forest_config = ForestConfig(trees=config.trees, init_depth=config.init_depth, fixed_depth=config.fixed_depth)
+    clock = "virtual" if config.virtual_clock else "wall"
     result = run(
         backend, policy, space=space, sampler_config=SamplerConfig(seed=config.seed),
-        forest_config=forest_config, seed=config.seed, time_limit=config.time_limit,
-        clock="virtual" if config.virtual_clock else "wall",
+        forest_config=forest_config, seed=config.seed, time_limit=config.time_limit, clock=clock,
     )
     summary = summarize(result.trajectory, result.outcome)
     if config.out:
-        emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=_run_meta(config))
+        meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
+        emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=meta)
     return result, summary
-
-
-def _run_meta(config: RunConfig) -> dict[str, str]:
-    meta = {"seed": str(config.seed), "space": config.space_path}
-    if config.step_size is not None:
-        meta["step_size"] = str(config.step_size)
-    meta["clock"] = "virtual" if config.virtual_clock else "wall"
-    return meta
 
 
 def _cell(value) -> str:

@@ -2,10 +2,9 @@
 
 The scalar cost of a strategy on a problem is the raw backend metric divided
 by a baseline metric recorded for that problem, so the in-force strategy costs
-exactly 1.  Collection runs get a metric budget of ``abort_multiplier`` times
-the baseline; a run that exhausts it enters the dataset at cost
-``abort_multiplier`` with the aborted flag set, so the oracle still learns
-that the region is bad.
+exactly 1.  Collection runs get a metric budget of a fixed ``ABORT_MULTIPLIER``
+(10) times the baseline; a run that exhausts it enters the dataset at cost 10
+with the aborted flag set, so the oracle still learns that the region is bad.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from .space import Strategy
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class CostConfig:
-    abort_multiplier: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.abort_multiplier > 1:
-            raise ValueError("abort_multiplier must exceed 1")
+ABORT_MULTIPLIER = 10.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,7 @@ class CostRecord:
     aborted: bool
 
 
-def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float, config: CostConfig = CostConfig()) -> CostRecord:
+def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float) -> CostRecord:
     """Run the backend under a metric budget and return the normalized cost.
 
     The solver's verdict is discarded: the problem's status is already known
@@ -46,15 +38,15 @@ def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float
     """
     if not baseline_metric > 0:
         raise ValueError(f"baseline must be positive, got {baseline_metric!r}")
-    budget = config.abort_multiplier * baseline_metric
+    budget = ABORT_MULTIPLIER * baseline_metric
     outcome = backend.solve(index, strategy, budget=budget)
     aborted = outcome.verdict is Verdict.ABORTED or outcome.metric > budget
     if aborted:
         logger.info(
             "collect run on problem %d aborted (metric %.6g, budget %.6g); cost capped at %.6g",
-            index, outcome.metric, budget, config.abort_multiplier,
+            index, outcome.metric, budget, ABORT_MULTIPLIER,
         )
-        cost = config.abort_multiplier
+        cost = ABORT_MULTIPLIER
     else:
         cost = outcome.metric / baseline_metric
     return CostRecord(

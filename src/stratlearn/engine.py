@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .backends import Verdict
-from .cost import CostConfig, CostRecord, collect_cost
+from .cost import ABORT_MULTIPLIER, CostRecord, collect_cost
 from .forest import DataPoint, Dataset, RandomForest, fit_adaptive, fit_forest, predict
 from .sampler import CostFunctionError, SamplerConfig, run_chain
 from .space import Strategy, StrategySpace, default_strategy, encode_features
@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 _COLLECT_STREAM = 11
 _TRAIN_STREAM = 12
 _STRATEGIZE_STREAM = 13
-_PAST_INDEX_STREAM = 14
 
 
 def _substream_seed(seed: int, stream: int, step: int) -> int:
@@ -82,7 +81,7 @@ class EpochPolicy:
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Oracle training knobs; ``fixed_depth`` disables the adaptive deepening."""
+    """Oracle training knobs; ``fixed_depth`` replaces the adaptive deepening that ``init_depth`` seeds."""
 
     trees: int = 50
     init_depth: int | None = None
@@ -101,6 +100,8 @@ class ForestConfig:
             raise ValueError("fixed_depth must be nonnegative")
         if self.init_depth is not None and self.depth_cap is not None and self.init_depth > self.depth_cap:
             raise ValueError(f"init_depth {self.init_depth} exceeds depth_cap {self.depth_cap}")
+        if self.init_depth is not None and self.fixed_depth is not None:
+            raise ValueError("init_depth and fixed_depth are exclusive")
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,10 @@ class EngineState:
     terminal: Outcome | None = None
 
 
-def initial_state(space: StrategySpace, num_problems: int, start: Strategy | None = None) -> EngineState:
+def initial_state(space: StrategySpace, num_problems: int) -> EngineState:
     if num_problems < 1:
         raise ValueError("need at least one problem")
-    strategy = default_strategy(space) if start is None else start
-    space.validate(strategy)
-    return EngineState(space=space, num_problems=num_problems, strategy=strategy, dataset=Dataset())
+    return EngineState(space=space, num_problems=num_problems, strategy=default_strategy(space), dataset=Dataset())
 
 
 def _require_live(state: EngineState) -> None:
@@ -186,15 +185,13 @@ def _require_live(state: EngineState) -> None:
         raise InapplicableRuleError(f"terminal state {state.terminal.value} is absorbing")
 
 
-def rule_next(state: EngineState, backend, outcome=None) -> EngineState:
+def rule_next(state: EngineState, outcome) -> EngineState:
     """Advance to the next problem after an UNSAT answer on a non-final one.
 
-    Solves the current problem through ``backend`` unless a precomputed
-    outcome is supplied; records its metric as the baseline for this index.
+    ``outcome`` is the current problem's solve under the in-force strategy;
+    its metric is recorded as the baseline for this index.
     """
     _require_live(state)
-    if outcome is None:
-        outcome = backend.solve(state.index, state.strategy)
     if outcome.verdict is Verdict.SAT:
         raise InapplicableRuleError("verdict is SAT; the success rule applies")
     if outcome.verdict is not Verdict.UNSAT:
@@ -238,16 +235,11 @@ def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int
     return min(math.ceil(feature_width / 3), cap), config.depth_cap
 
 
-def _absorb_evaluations(
-    state: EngineState,
-    evaluated: list[CostRecord],
-    cost_config: CostConfig,
-    trajectory: Trajectory | None,
-) -> None:
+def _absorb_evaluations(state: EngineState, evaluated: list[CostRecord], trajectory: Trajectory | None) -> None:
     """Charge learning time (and log events) for the backend calls of an epoch."""
     for record in evaluated:
         charge = (
-            record.baseline_metric * cost_config.abort_multiplier
+            record.baseline_metric * ABORT_MULTIPLIER
             if record.aborted
             else record.raw_metric
         )
@@ -265,23 +257,21 @@ def learning_epoch(
     policy: EpochPolicy,
     sampler_config: SamplerConfig,
     *,
-    cost_config: CostConfig = CostConfig(),
     forest_config: ForestConfig = ForestConfig(),
     seed: int = 0,
     trajectory: Trajectory | None = None,
-    collect_index: int | None = None,
 ) -> EngineState:
-    """One burst of sample collection on a solved problem, then an oracle refit.
+    """One burst of sample collection on the problem just solved, then an oracle refit.
 
     The chain starts at the engine's current strategy, whose cost on the
     current problem is 1 by construction, so it costs no extra backend call.
     A backend failure mid-chain (``CostFunctionError``) is re-raised, with no
     refit, after the calls already measured are charged, logged and added to
     the dataset; ``run()`` does not catch it, so the whole run ends (ROADMAP.md
-    item 2 is to make it end only the epoch).
+    item 3 is to make it end only the epoch).
     """
     _require_live(state)
-    index = state.index if collect_index is None else collect_index
+    index = state.index
     baseline = state.baselines.get(index)
     if baseline is None or baseline <= 0:
         raise ValueError(f"no positive baseline recorded for problem {index}")
@@ -293,11 +283,10 @@ def learning_epoch(
     evaluated: list[CostRecord] = []
 
     def cost_fn(strategy: Strategy) -> float:
-        # The in-force strategy's run on the current index *is* the baseline
-        # run, whichever way the index was chosen; skip the redundant call.
-        if index == state.index and strategy == in_force:
+        # The in-force strategy's run *is* the baseline run; skip the redundant call.
+        if strategy == in_force:
             return 1.0
-        record = collect_cost(backend, index, strategy, baseline, cost_config)
+        record = collect_cost(backend, index, strategy, baseline)
         evaluated.append(record)
         return record.cost
 
@@ -306,14 +295,14 @@ def learning_epoch(
             state.space, cost_fn, in_force, policy.samples_per_epoch, chain_config
         )
     except CostFunctionError:
-        _absorb_evaluations(state, evaluated, cost_config, trajectory)
+        _absorb_evaluations(state, evaluated, trajectory)
         for record in evaluated:
             state.dataset.append(
                 DataPoint(encode_features(state.space, record.strategy, index), record.cost)
             )
         raise
 
-    _absorb_evaluations(state, evaluated, cost_config, trajectory)
+    _absorb_evaluations(state, evaluated, trajectory)
     for sample in samples:
         state.dataset.append(
             DataPoint(encode_features(state.space, sample.strategy, index), sample.cost)
@@ -424,34 +413,26 @@ def run(
     *,
     space: StrategySpace,
     sampler_config: SamplerConfig | None = None,
-    strategize_config: SamplerConfig | None = None,
-    cost_config: CostConfig = CostConfig(),
     forest_config: ForestConfig = ForestConfig(),
     seed: int = 0,
     time_limit: float | None = None,
-    start: Strategy | None = None,
-    collect_past: bool = False,
     clock: str = "virtual",
 ) -> RunResult:
-    """Drive the rules until Success, Failure, or the external time limit.
+    """Drive the rules from ``default_strategy(space)`` until Success, Failure, or the time limit.
 
     After every index advance the engine may issue one learning epoch on the
     problem it just solved (budget permitting) and, once the oracle exists,
-    switches the strategy via its predictions at the new index.  All random
+    switches the strategy via its predictions at the new index.  Collection
+    and strategize chains both reseed ``sampler_config``.  All random
     streams derive from ``seed`` through fixed labeled splits, so identical
     inputs replay identical trajectories in virtual-clock mode.
-
-    ``collect_past`` redirects each epoch to a uniformly drawn already-solved
-    index instead of the current one (off by default).
     """
     if clock not in ("virtual", "wall"):
         raise ValueError(f"unknown clock mode {clock!r}")
     if sampler_config is None:
         sampler_config = SamplerConfig(seed=seed)
-    if strategize_config is None:
-        strategize_config = sampler_config
     n = backend.num_problems
-    state = initial_state(space, n, start)
+    state = initial_state(space, n)
     trajectory = Trajectory()
     wall_start = time.perf_counter()
 
@@ -485,23 +466,13 @@ def run(
             break
 
         if policy.learning_budget > 0 and should_learn(state, policy, duration):
-            collect_index = None
-            if collect_past:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        [seed, _PAST_INDEX_STREAM, state.epochs]
-                    )
-                )
-                collect_index = int(rng.integers(1, state.index + 1))
-            target = state.index if collect_index is None else collect_index
-            if state.baselines[target] > 0:
+            if outcome.metric > 0:
                 learning_epoch(
                     state, backend, policy, sampler_config,
-                    cost_config=cost_config, forest_config=forest_config,
-                    seed=seed, trajectory=trajectory, collect_index=collect_index,
+                    forest_config=forest_config, seed=seed, trajectory=trajectory,
                 )
             else:
-                logger.info("skipping epoch at problem %d: zero-effort baseline", target)
+                logger.info("skipping epoch at problem %d: zero-effort baseline", state.index)
         elif policy.learning_budget > 0:
             logger.info(
                 "epoch refused at problem %d: spent %.6g + estimate %.6g exceeds budget %.6g",
@@ -509,10 +480,10 @@ def run(
                 policy.samples_per_epoch * duration, policy.learning_budget,
             )
 
-        rule_next(state, backend, outcome=outcome)
+        rule_next(state, outcome)
         if state.oracle is not None:
             rule_strategize(
-                state, strategize_config, policy, seed=seed, trajectory=trajectory
+                state, sampler_config, policy, seed=seed, trajectory=trajectory
             )
 
     return RunResult(state.terminal, state, trajectory)

@@ -219,9 +219,6 @@ class Neighborhood(Sequence):
             assigned[p] = domain.values[r + (r >= self._codes[p])]
         return Strategy(tuple(assigned))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
 
 def neighbors(space: StrategySpace, strategy: Strategy, k_diff: int = 1) -> Neighborhood:
     """All strategies at Hamming distance exactly ``k_diff`` from ``strategy``.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -83,21 +85,19 @@ def penalty(assignments, optimum, weights) -> float:
     return 1.0 + sum(w for w, a, o in zip(weights, assignments, optimum) if a != o)
 
 
-# Convergence calibration: hidden optimum inside the compact kissat space,
-# effort growing geometrically with the problem index.  A learning budget of
-# 52000 affords exactly three epochs for seeds 0..9.
-CONV_OPTIMUM = ("0", "1", "2", "1", "2", "9")
-CONV_WEIGHTS = (0.9, 0.4, 0.7, 0.3, 0.5, 1.1)
+# Convergence calibration: the demo script's landscape, a hidden optimum
+# inside the compact kissat space with effort growing geometrically with the
+# problem index.  A learning budget of 52000 affords exactly three epochs for
+# seeds 0..9.
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_convergence.py"
+_demo_spec = importlib.util.spec_from_file_location("demo_convergence", DEMO)
+_demo = importlib.util.module_from_spec(_demo_spec)
+_demo_spec.loader.exec_module(_demo)
+
+CONV_OPTIMUM = _demo.OPTIMUM
+CONV_WEIGHTS = _demo.WEIGHTS
 CONV_BUDGET = 52000.0
-
-
-def convergence_landscape(n: int = 12) -> SyntheticLandscape:
-    return SyntheticLandscape(
-        optimum=CONV_OPTIMUM,
-        weights=CONV_WEIGHTS,
-        base_metrics=geometric_schedule(50.0, 1.6, n),
-        verdicts=(Verdict.UNSAT,) * n,
-    )
+convergence_landscape = _demo.demo_landscape
 
 
 # Ablation calibration: four binary parameters, a binding time limit, and a

@@ -84,21 +84,30 @@ class TestParseArgs:
              RunConfig(space_path="s.csv", landscape_path="l.json")),
             (["--space", "s.csv", "--landscape", "l.json", "--budget-frac", "0.3",
               "--samples-per-epoch", "10", "--strategize-samples", "20", "--trees", "5",
-              "--seed", "3", "--time-limit", "100", "--virtual-clock", "--out", "t.tsv",
-              "--step-size", "10"],
+              "--seed", "3", "--time-limit", "100", "--virtual-clock", "--out", "t.tsv"],
              RunConfig(space_path="s.csv", landscape_path="l.json", budget_fraction=0.3,
                        samples_per_epoch=10, strategize_samples=20, trees=5, seed=3,
-                       time_limit=100.0, virtual_clock=True, out="t.tsv", step_size=10)),
+                       time_limit=100.0, virtual_clock=True, out="t.tsv")),
             (["--space", "s.csv", "--manifest", "m.tsv", "--adapter", "a.cfg",
-              "--budget-seconds", "500", "--init-depth", "2", "--fixed-depth", "4"],
+              "--budget-seconds", "500", "--init-depth", "2"],
              RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
-                       budget_seconds=500.0, init_depth=2, fixed_depth=4)),
+                       budget_seconds=500.0, init_depth=2)),
+            (["--space", "s.csv", "--manifest", "m.tsv", "--adapter", "a.cfg",
+              "--budget-seconds", "500", "--fixed-depth", "4"],
+             RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
+                       budget_seconds=500.0, fixed_depth=4)),
             (["--space", "s.csv", "--landscape", "l.json", "--no-learn"],
              RunConfig(space_path="s.csv", landscape_path="l.json", no_learn=True)),
         ]
         for argv, config in examples:
             assert parse_args(argv) == config
         assert resolve_budget(examples[-1][1]) == 0.0
+
+    def test_init_depth_and_fixed_depth_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_args(base_argv(tmp_path) + ["--fixed-depth", "1", "--init-depth", "4"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument --fixed-depth" in capsys.readouterr().err
 
     def test_budget_resolution_order(self):
         by_seconds = RunConfig(space_path="s", landscape_path="l",
@@ -186,14 +195,12 @@ class TestManifestRun:
             space_path=str(space_path), manifest_path=str(manifest_path),
             adapter_path=str(adapter_path), budget_seconds=1e6,
             samples_per_epoch=4, strategize_samples=5, trees=3,
-            virtual_clock=True, step_size=10, out=str(tmp_path / "run.tsv"),
+            virtual_clock=True, out=str(tmp_path / "run.tsv"),
         )
         result, summary = execute(config)
         assert summary.outcome == "SUCCESS"
         assert summary.largest_solved_index == 3
         assert summary.epochs == 2  # one after each UNSAT answer
-        text = (tmp_path / "run.tsv").read_text(encoding="utf-8")
-        assert "step_size=10" in text
 
 
 class TestWallClock:
@@ -307,6 +314,19 @@ class TestAblateCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage: stratlearn ablate")
         assert "--budgets" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flag", [["--no-learn"], ["--budget-seconds", "50"], ["--budget-frac", "0.9"],
+                 ["--fixed-depth", "4"], ["--init-depth", "3"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_flags_every_cell_overrides_are_rejected(self, flag, capsys):
+        # The grid sets each cell's budget and fixed depth, so these would be ignored.
+        argv = ["ablate", "--space", "s.csv", "--landscape", "l.json", "--budgets", "0,800", "--depths", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_grid_flags_rejected_on_a_plain_run(self, ablation_files):
         space_path, land_path = ablation_files

@@ -5,16 +5,19 @@ from types import SimpleNamespace
 import pytest
 
 from stratlearn.backends import SolveOutcome, SyntheticBackend, SyntheticLandscape, Verdict
-from stratlearn.cost import CostConfig, collect_cost
+from stratlearn.cost import ABORT_MULTIPLIER, collect_cost
 from stratlearn.space import Strategy
-
-NO_CAP = CostConfig(abort_multiplier=1e12)
 
 
 def normalized(raw: float, baseline: float) -> float:
-    """``collect_cost``'s cost for a backend that reports ``raw`` on every call."""
+    """``collect_cost``'s cost for a backend that reports ``raw`` on every call.
+
+    Callers keep ``raw`` within ``ABORT_MULTIPLIER`` times ``baseline``, so the cap never applies.
+    """
     backend = SimpleNamespace(solve=lambda index, strategy, budget=None: SolveOutcome(Verdict.UNSAT, raw))
-    return collect_cost(backend, 1, Strategy(("1",)), baseline, NO_CAP).cost
+    record = collect_cost(backend, 1, Strategy(("1",)), baseline)
+    assert not record.aborted
+    return record.cost
 
 
 class TestNormalize:
@@ -37,7 +40,7 @@ class TestNormalize:
 
     def test_preserves_raw_metric_order(self):
         baseline = 321.0
-        metrics = [5.0, 17.0, 17.0, 200.0, 4000.0]
+        metrics = [5.0, 17.0, 17.0, 200.0, 3000.0]
         costs = [normalized(m, baseline) for m in metrics]
         assert costs == sorted(costs)
         assert costs == [m / baseline for m in metrics]
@@ -67,18 +70,16 @@ class TestCollectCost:
         assert record.cost == 0.25
 
     def test_budget_exhaustion_caps_cost_at_multiplier(self):
-        config = CostConfig(abort_multiplier=10.0)
         backend = penalty_backend(weight=20.0)  # mismatch metric = 2100 > 10 * 100
-        record = collect_cost(backend, 1, Strategy(("0",)), baseline_metric=100.0, config=config)
+        record = collect_cost(backend, 1, Strategy(("0",)), baseline_metric=100.0)
         assert record.aborted
-        assert record.cost == 10.0
+        assert record.cost == ABORT_MULTIPLIER == 10.0
 
     def test_cost_never_exceeds_multiplier(self):
-        config = CostConfig(abort_multiplier=3.0)
         for weight in (0.0, 1.0, 2.5, 50.0):
             backend = penalty_backend(weight=weight)
-            record = collect_cost(backend, 1, Strategy(("0",)), baseline_metric=100.0, config=config)
-            assert record.cost <= 3.0
+            record = collect_cost(backend, 1, Strategy(("0",)), baseline_metric=100.0)
+            assert record.cost <= ABORT_MULTIPLIER
 
     def test_mismatch_penalty_arithmetic(self):
         backend = penalty_backend(weight=0.5, base=100.0)
@@ -90,9 +91,3 @@ class TestCollectCost:
         backend = penalty_backend(weight=0.5)
         with pytest.raises(ValueError, match="baseline"):
             collect_cost(backend, 1, Strategy(("1",)), baseline_metric=0.0)
-
-
-class TestCostConfig:
-    def test_abort_multiplier_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            CostConfig(abort_multiplier=1.0)

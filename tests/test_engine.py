@@ -1,8 +1,14 @@
 """Transition rules, epoch policy, strategize, and full runs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from helpers import (
+    DEMO,
     all_strategies,
     backend_for,
     binary_space,
@@ -39,11 +45,16 @@ def fresh_state(n, space=SPACE2):
     return initial_state(space, n)
 
 
+def solved(state, backend):
+    """The outcome ``run()`` hands to ``rule_next``: the current problem under the in-force strategy."""
+    return backend.solve(state.index, state.strategy)
+
+
 class TestBaseRules:
     def test_next_advances_on_unsat(self):
         state = fresh_state(3)
         backend = backend_for(["UNSAT", "UNSAT", "UNSAT"])
-        rule_next(state, backend)
+        rule_next(state, solved(state, backend))
         assert state.index == 2
         assert state.baselines[1] == 10.0
 
@@ -52,13 +63,13 @@ class TestBaseRules:
         state.index = 3
         backend = backend_for(["UNSAT", "UNSAT", "UNSAT"])
         with pytest.raises(InapplicableRuleError, match="failure"):
-            rule_next(state, backend)
+            rule_next(state, solved(state, backend))
 
     def test_next_inapplicable_on_sat(self):
         state = fresh_state(3)
         backend = backend_for(["SAT", "UNSAT", "UNSAT"])
         with pytest.raises(InapplicableRuleError, match="success"):
-            rule_next(state, backend)
+            rule_next(state, solved(state, backend))
 
     def test_success_at_any_index(self):
         state = fresh_state(3)
@@ -75,7 +86,7 @@ class TestBaseRules:
     def test_terminal_states_absorb(self):
         state = rule_success(fresh_state(2))
         backend = backend_for(["UNSAT", "UNSAT"])
-        for rule in (lambda: rule_next(state, backend), lambda: rule_success(state),
+        for rule in (lambda: rule_next(state, solved(state, backend)), lambda: rule_success(state),
                      lambda: rule_failure(state)):
             with pytest.raises(InapplicableRuleError, match="absorbing"):
                 rule()
@@ -325,15 +336,7 @@ class TestRun:
             elif event.phase == "solve":
                 assert event.strategy == current
 
-    def test_collect_past_draws_solved_indices(self):
-        backend = SyntheticBackend(convergence_landscape(8))
-        policy = EpochPolicy(samples_per_epoch=10, learning_budget=60000.0, strategize_samples=20)
-        result = run(backend, policy, space=_small_space(), seed=1,
-                     forest_config=ForestConfig(trees=5), collect_past=True)
-        for event in result.trajectory.phase_events("collect"):
-            assert 1 <= event.index <= 8
-
-    def test_collect_past_skips_a_drawn_zero_baseline(self):
+    def test_zero_effort_baseline_skips_its_epoch(self):
         class ZeroFirstBackend:
             num_problems = 6
 
@@ -343,9 +346,10 @@ class TestRun:
         policy = EpochPolicy(samples_per_epoch=5, learning_budget=1e6, strategize_samples=5)
         for seed in range(10):
             result = run(ZeroFirstBackend(), policy, space=SPACE2, seed=seed,
-                         forest_config=ForestConfig(trees=2), collect_past=True)
+                         forest_config=ForestConfig(trees=2))
             assert result.outcome is Outcome.FAILURE
             assert all(e.index != 1 for e in result.trajectory.phase_events("collect"))
+            assert result.state.epochs > 0  # the later, nonzero baselines still learn
 
     def test_collect_past_on_the_current_index_skips_the_in_force_strategy(self):
         class CountingBackend(SyntheticBackend):
@@ -358,19 +362,19 @@ class TestRun:
                 return super().solve(index, strategy, budget)
 
         policy = EpochPolicy(samples_per_epoch=10, learning_budget=60000.0, strategize_samples=20)
-        current_draws = 0
+        collections = 0
         for seed in range(5):
             backend = CountingBackend(convergence_landscape(8))
-            run(backend, policy, space=_small_space(), seed=seed,
-                forest_config=ForestConfig(trees=5), collect_past=True)
+            run(backend, policy, space=_small_space(), seed=seed, forest_config=ForestConfig(trees=5))
             base = None
             for index, strategy, is_base_solve in backend.calls:
                 if is_base_solve:
                     base = (index, strategy)
                     continue
-                current_draws += index == base[0]
+                collections += 1
+                assert index == base[0]  # every epoch collects on the index just solved
                 assert (index, strategy) != base
-        assert current_draws > 0  # some epochs did draw the current index
+        assert collections > 0
 
     def test_depth_cap_below_the_default_initial_depth_is_kept(self):
         from stratlearn.backends import SyntheticLandscape, geometric_schedule
@@ -403,6 +407,16 @@ class TestRun:
             run(AbortingBackend(), NO_LEARNING, space=SPACE2, seed=0)
 
 
+def test_demo_script_runs_and_prints_the_ground_truth():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, str(DEMO), "--seed", "0"], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ground truth: best penalty" in proc.stdout
+
+
 def _small_space():
     from stratlearn.space import builtin_space
 
@@ -414,6 +428,10 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="depth_cap"):
             ForestConfig(init_depth=3, depth_cap=2)
         assert ForestConfig(init_depth=2, depth_cap=2).depth_cap == 2
+
+    def test_forest_initial_and_fixed_depth_exclusive(self):
+        with pytest.raises(ValueError, match="exclusive"):
+            ForestConfig(init_depth=2, fixed_depth=4)
 
     def test_sample_count_positive(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ A module-level name in ``src/stratlearn`` that does not start with an
 underscore must be referenced somewhere other than its own definition: in
 ``src/``, ``scripts/``, ``bench/`` or the acceptance suite.  A name that only
 unit tests read is test scaffolding and belongs in ``tests/helpers.py``.
+Likewise every keyword-only parameter of a public function must be given a
+value by some call in those files; one that only unit tests set is an option
+nothing uses.  Calls are matched by keyword name alone, whatever the callee.
 """
 
 import ast
@@ -41,6 +44,48 @@ def public_definitions(path: Path) -> list[str]:
     ]
 
 
+def public_keyword_parameters(path: Path) -> list[tuple[str, str]]:
+    """(function, parameter) for each keyword-only parameter of a public module-level function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.name, arg.arg)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.kwonlyargs
+    ]
+
+
+def given_keywords(path: Path) -> set[str]:
+    """Keyword names passed at calls in ``path``, except ``f(x=x)`` forwarding a parameter ``x`` of the caller."""
+    given = set()
+
+    def visit(node, params: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = frozenset(a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs))
+        elif isinstance(node, ast.Call):
+            for kw in node.keywords:
+                forwarded = isinstance(kw.value, ast.Name) and kw.value.id == kw.arg and kw.arg in params
+                if kw.arg is not None and not forwarded:
+                    given.add(kw.arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return given
+
+
+def test_every_keyword_only_parameter_is_set_outside_unit_tests():
+    given = set().union(*(given_keywords(path) for path in READERS))
+    unset = [
+        f"{function}({name}=)"
+        for path in LIBRARY
+        for function, name in public_keyword_parameters(path)
+        if name not in given
+    ]
+    assert unset == []
+
+
 def test_every_public_name_has_a_reader_outside_unit_tests():
     used = set().union(*(referenced_names(path) for path in READERS))
     unread = [
@@ -54,3 +99,7 @@ def test_the_scan_sees_definitions_and_references():
     assert "run_chain" in public_definitions(REPO / "src" / "stratlearn" / "sampler.py")
     assert "ablation_grid" in referenced_names(REPO / "tests" / "test_acceptance.py")
     assert len(READERS) > len(LIBRARY) + 2
+    assert ("run", "seed") in public_keyword_parameters(REPO / "src" / "stratlearn" / "engine.py")
+    assert "seed" in given_keywords(REPO / "scripts" / "demo_convergence.py")
+    # run() forwards its own forest_config, which alone would not count as setting it.
+    assert "forest_config" not in given_keywords(REPO / "src" / "stratlearn" / "engine.py")
