@@ -20,7 +20,7 @@ import dataclasses
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -170,7 +170,7 @@ class EngineState:
     oracle: RandomForest | None = None
     learning_time_spent: float = 0.0
     epochs: int = 0
-    baselines: dict[int, float] = field(default_factory=dict)
+    baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
     terminal: Outcome | None = None
 
 
@@ -189,7 +189,7 @@ def rule_next(state: EngineState, outcome) -> EngineState:
     """Advance to the next problem after an UNSAT answer on a non-final one.
 
     ``outcome`` is the current problem's solve under the in-force strategy;
-    its metric is recorded as the baseline for this index.
+    ``run()`` has already recorded its metric as ``state.baseline``.
     """
     _require_live(state)
     if outcome.verdict is Verdict.SAT:
@@ -198,7 +198,6 @@ def rule_next(state: EngineState, outcome) -> EngineState:
         raise InapplicableRuleError(f"verdict {outcome.verdict.value} admits no rule")
     if state.index >= state.num_problems:
         raise InapplicableRuleError("final problem is UNSAT; the failure rule applies")
-    state.baselines[state.index] = outcome.metric
     state.index += 1
     return state
 
@@ -263,8 +262,10 @@ def learning_epoch(
 ) -> EngineState:
     """One burst of sample collection on the problem just solved, then an oracle refit.
 
-    The chain starts at the engine's current strategy, whose cost on the
-    current problem is 1 by construction, so it costs no extra backend call.
+    Costs are normalized by ``state.baseline``, which ``run()`` records from
+    the solve just made.  The chain starts at the engine's current strategy,
+    whose cost on the current problem is 1 by construction, so it costs no
+    extra backend call.
     A backend failure mid-chain (``CostFunctionError``) is re-raised, with no
     refit, after the calls already measured are charged, logged and added to
     the dataset; ``run()`` does not catch it, so the whole run ends (ROADMAP.md
@@ -272,7 +273,7 @@ def learning_epoch(
     """
     _require_live(state)
     index = state.index
-    baseline = state.baselines.get(index)
+    baseline = state.baseline
     if baseline is None or baseline <= 0:
         raise ValueError(f"no positive baseline recorded for problem {index}")
 
@@ -451,7 +452,7 @@ def run(
             "solve", state.index, state.strategy,
             verdict=outcome.verdict.value, raw_metric=outcome.metric, virtual_time=duration,
         )
-        state.baselines[state.index] = outcome.metric
+        state.baseline = outcome.metric
 
         if outcome.verdict is Verdict.SAT:
             rule_success(state)

@@ -1,15 +1,20 @@
 """From-scratch random-forest regression on ordinal feature vectors.
 
-Trees grow greedily top-down a level at a time, splitting every leaf of the
-level at the (feature, threshold) pair that minimizes the summed squared
-error of the two children (equivalently, maximizes variance reduction).
-Thresholds sit at midpoints between consecutive distinct sorted feature
-values.  Ties are broken toward the lowest feature id, then the lowest
-threshold, so training is deterministic; sums run sequentially in stable
-sorted order, so each tree is bit for bit the one a node-at-a-time grower
-builds.  A node with a legal split is always split, even when the best
-split leaves the variance unchanged: deeper levels may still untangle
-interactions that no single split can.  Deepening grows the same trees.
+All trees of a forest grow together, top-down, a level at a time: every
+leaf splits at the (feature, threshold) pair that minimizes the summed
+squared error of its children.  A feature's codes are its distinct values
+in ascending order, so per-(leaf, code) histograms of count, sum and sum of
+squares hold every cut exactly: the "hist" split search of LightGBM and
+XGBoost, one bin per value.  Bins sum in sample order, and a cut's left
+side sums the bins up to it in code order.  Cuts lie between two codes
+present in the leaf, at the midpoint of their values.  Ties go to the first
+minimum over cuts (the lowest threshold), then to the lowest feature id, so
+each tree is bit for bit what a node-at-a-time grower with these sums
+builds, whatever grows beside it.  A node with a legal split always splits,
+even when that leaves the variance unchanged: deeper levels may untangle
+interactions no single split can.  Deepening grows the same trees.  A
+leaf's value is its targets' sum in sample order over their number, or
+their shared value exactly.
 
 Each tree is a set of parallel node arrays (see ``RegressionTree``).  A
 forest stacks its trees' arrays once; one vectorized walk, one step per
@@ -52,6 +57,7 @@ class Dataset:
 
     def __init__(self, points: Iterable[DataPoint] = ()):
         self._points: list[DataPoint] = []
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         for p in points:
             self.append(p)
 
@@ -61,6 +67,7 @@ class Dataset:
                 f"feature width {len(point.features)} does not match dataset width {self.feature_width}"
             )
         self._points.append(point)
+        self._arrays = None
 
     @property
     def feature_width(self) -> int:
@@ -72,11 +79,15 @@ class Dataset:
         return len(self._points)
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Features and costs, built once per size of the dataset and read-only."""
         if not self._points:
             raise ValueError("empty dataset")
-        X = np.array([p.features for p in self._points], dtype=np.float64)
-        y = np.array([p.cost for p in self._points], dtype=np.float64)
-        return X, y
+        if self._arrays is None:
+            X = np.array([p.features for p in self._points], dtype=np.float64)
+            y = np.array([p.cost for p in self._points], dtype=np.float64)
+            X.flags.writeable = y.flags.writeable = False
+            self._arrays = X, y
+        return self._arrays
 
 
 @dataclass(eq=False)
@@ -133,125 +144,113 @@ class RandomForest:
         return np.where((values == first).all(axis=0), first, mean)
 
 
-def _leaves(y: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The value of one leaf per segment of ``y``, and which of them may split further."""
-    low = np.minimum.reduceat(y, starts)
-    high = np.maximum.reduceat(y, starts)
-    # Exact value for constant targets, so memorizing forests score exactly 1.0.
-    values = [
-        float(y[a]) if lo == hi else float(y[a : a + n].mean())
-        for a, n, lo, hi in zip(starts.tolist(), counts.tolist(), low.tolist(), high.tolist())
-    ]
-    return np.array(values, dtype=np.float64), (counts >= _MIN_SPLIT) & (low < high)
+class _ForestGrower:
+    """Every tree of a forest, grown together a level at a time.
 
-
-class _Grower:
-    """One tree grown level by level from its sample ``rows`` of the shared ``X``, ``y``.
-
-    ``X`` is feature-major.  Row f of ``order`` holds the sample of the
-    ``live`` (splittable) leaves, grouped by leaf and sorted stably by
-    feature f within it; the last row keeps sample order.  Splits partition
-    each row stably, so children inherit sorted orders.
+    Data row ``rows[i]`` lies in live leaf ``leaf[i]``, node ``live[leaf[i]]``.
+    The rows are the trees' samples end to end, each in draw order, less those
+    in leaves that split no further.  All trees' nodes share one set of arrays
+    in order of creation, ``owner`` naming each node's tree.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
-        self.X, self.y = X, y
-        self.counts = np.array([rows.shape[0]])
-        value, live = _leaves(y[rows], np.zeros(1, dtype=np.intp), self.counts)
-        self.tree = RegressionTree(np.full(1, -1), np.full(1, np.nan), np.zeros(1, int), np.zeros(1, int),
-                                   value, self.counts, 0)
-        self.live = np.flatnonzero(live)  # node ids of the live leaves, in ``counts`` order
-        sorted_rows = rows[np.argsort(X[:, rows], axis=1, kind="stable")]
-        # Narrowest type holding every row id and -1: small state, radix-sorted keys.
-        self.order = np.vstack([sorted_rows, rows]).astype(np.min_scalar_type(-y.shape[0]))
+    def __init__(self, data: Dataset, n_trees: int, seed: int, bootstrap: bool):
+        """Depth-0 trees, each on a bootstrap resample from its own labeled substream of ``seed``."""
+        if n_trees < 1:
+            raise ValueError("n_trees must be at least 1")
+        X, self.y = data.to_arrays()
+        n = self.y.shape[0]
+        self.rows = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t])).integers(0, n, size=n)
+            if bootstrap else np.arange(n)
+            for t in range(n_trees)
+        ])
+        # Codes index each column's distinct values, ascending; np.unique would import numpy.ma (1 MB).
+        self.values = [np.array(sorted(set(column.tolist()))) for column in X.T]
+        self.codes = np.array([np.searchsorted(v, column) for v, column in zip(self.values, X.T)])
+        self.owner, self.feature, self.left, self.count = np.zeros((4, 0), dtype=np.intp)
+        self.threshold, self.value = np.zeros((2, 0))
+        self.depths = np.zeros(n_trees, dtype=np.intp)
+        self._add_leaves(np.arange(n_trees), self.rows, np.repeat(np.arange(n_trees), n))
+
+    def _add_leaves(self, owner: np.ndarray, rows: np.ndarray, leaf: np.ndarray) -> None:
+        """New leaves of trees ``owner``, data row ``rows[i]`` in leaf ``leaf[i]``, become the live ones."""
+        y, n = self.y[rows], owner.shape[0]
+        count = np.bincount(leaf, minlength=n)
+        low, high = np.full(n, np.inf), np.full(n, -np.inf)
+        np.minimum.at(low, leaf, y)
+        np.maximum.at(high, leaf, y)
+        # Exact value for constant targets, so memorizing forests score exactly 1.0.
+        value = np.where(low == high, low, np.bincount(leaf, y, n) / count)
+        ids = np.arange(self.owner.shape[0], self.owner.shape[0] + n)  # a leaf is its own child
+        self.owner, self.feature, self.threshold, self.left, self.value, self.count = (
+            np.concatenate(pair) for pair in zip(
+                (self.owner, self.feature, self.threshold, self.left, self.value, self.count),
+                (owner, np.full(n, -1), np.full(n, np.nan), ids, value, count),
+            )
+        )
+        live = (count >= _MIN_SPLIT) & (low < high)
+        keep = live[leaf]
+        self.live, self.rows, self.leaf = ids[live], rows[keep], (np.cumsum(live) - 1)[leaf[keep]]
 
     def grow_level(self) -> None:
         """Split every live leaf at its best (feature, threshold), one level deeper."""
-        X, y, order, counts = self.X, self.y, self.order, self.counts
-        node = np.arange(counts.shape[0])
-        col = np.arange(int(counts.max()))
-        # (leaf, position) table, padded at the end with rows no cut reaches.
-        at = np.minimum((np.cumsum(counts) - counts)[:, None] + col, order.shape[1] - 1)
-        in_leaf = col[1:] < counts[:, None]
-        n_left = col[1:] + 0.0
-        n_right = np.maximum(counts[:, None] - n_left, 1.0)  # clamped only past the leaf
-        best, threshold = np.zeros((2, node.shape[0]))
-        feature, found = np.zeros(node.shape[0], dtype=np.intp), np.zeros(node.shape[0], dtype=bool)
-        for f, column in enumerate(X):
-            rows = order[f][at]
-            xs, ys = column[rows], y[rows]
-            csum, csq = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
-            sum_left, sq_left = csum[:, :-1], csq[:, :-1]
-            total, total_sq = csum[node, counts - 1][:, None], csq[node, counts - 1][:, None]
-            sse = (sq_left - sum_left**2 / n_left) + (
-                total_sq - sq_left - (total - sum_left) ** 2 / n_right
+        rows, leaf, n_leaves = self.rows, self.leaf, self.live.shape[0]
+        y, y_sq = self.y[rows], self.y[rows] ** 2
+        best, threshold = np.full(n_leaves, np.inf), np.zeros(n_leaves)
+        feature, cut = np.zeros((2, n_leaves), dtype=np.intp)
+        for f, (codes, values) in enumerate(zip(self.codes, self.values)):
+            width = values.shape[0]
+            # (leaf, code) histograms in sample order, summed over codes; cut j sends codes <= j left.
+            key = leaf * width + codes[rows]
+            n_left, sum_left, sq_left = (
+                np.cumsum(np.bincount(key, w, n_leaves * width).reshape(n_leaves, width), axis=1)
+                for w in (None, y, y_sq)
             )
-            cut = in_leaf & (xs[:, 1:] > xs[:, :-1])
-            sse[~cut] = np.inf
-            j = np.argmin(sse, axis=1)
-            low = sse[node, j]
+            n_right = n_left[:, -1:] - n_left
+            sse = (sq_left - sum_left**2 / np.maximum(n_left, 1.0)) + (
+                sq_left[:, -1:] - sq_left - (sum_left[:, -1:] - sum_left) ** 2 / np.maximum(n_right, 1.0)
+            )
+            # A cut leaves rows on both sides.  One at a code absent from the leaf repeats the
+            # cut at the code below exactly, so the first minimum lies between present codes.
+            sse[(n_left == 0) | (n_right == 0)] = np.inf
+            j = np.argmin(sse, axis=1)[:, None]
+            low = np.take_along_axis(sse, j, axis=1)[:, 0]
             # First minimum over cuts; a later feature must be strictly lower.
-            take = cut.any(axis=1) & (~found | (low < best))
-            best[take], feature[take], found[take] = low[take], f, True
-            threshold[take] = ((xs[node, j] + xs[node, j + 1]) / 2.0)[take]
+            take = low < best
+            # The midpoint to the next code present, the first whose cumulative count is higher.
+            above = np.argmax(n_left > np.take_along_axis(n_left, j, axis=1), axis=1)
+            best[take], feature[take], cut[take] = low[take], f, j[take, 0]
+            threshold[take] = (values[j[take, 0]] + values[above[take]]) / 2.0
 
-        if not found.any():  # no live leaf has a legal cut: the tree is fully grown
-            self.live = self.live[:0]
-            return
-        rows, leaf = order[-1], np.repeat(node, counts)
-        # The r-th splitting leaf sends its rows to children 2r (left) and 2r + 1.
-        side = 2 * (np.cumsum(found) - 1)[leaf] + (X[feature[leaf], rows] > threshold[leaf])
-        child = np.full(y.shape[0], -1, dtype=order.dtype)
-        child[rows] = np.where(found[leaf], side, -1)
-        keys = child[order]
-        order = np.take_along_axis(order, np.argsort(keys, axis=1, kind="stable"), axis=1)
-        sizes = np.bincount(keys[-1][keys[-1] >= 0], minlength=2 * int(found.sum()))
-        order = order[:, order.shape[1] - int(sizes.sum()):]
-        values, live = _leaves(y[order[-1]], np.cumsum(sizes) - sizes, sizes)
-        # A new tree (np.append copies), so forests holding the shallower one keep it.
-        t, parents = self.tree, self.live[found]
-        kids = np.arange(t.value.shape[0], t.value.shape[0] + sizes.shape[0])
-        self.tree = t = RegressionTree(
-            np.append(t.feature, np.full(kids.shape, -1)),
-            np.append(t.threshold, np.full(kids.shape, np.nan)),
-            np.append(t.left, kids), np.append(t.right, kids),
-            np.append(t.value, values), np.append(t.count, sizes), t.depth + 1,
-        )
-        t.feature[parents], t.threshold[parents] = feature[found], threshold[found]
-        t.left[parents], t.right[parents] = kids[::2], kids[1::2]
-        self.live, self.counts = kids[live], sizes[live]
-        self.order = order[:, np.repeat(live, sizes)]
+        # Leaves without a legal cut stop growing; with none left, every tree is fully grown.
+        found = best < np.inf
+        parents, feature, cut = self.live[found], feature[found], cut[found]
+        self.feature[parents], self.threshold[parents] = feature, threshold[found]
+        self.left[parents] = np.arange(self.owner.shape[0], self.owner.shape[0] + 2 * parents.shape[0], 2)
+        self.depths += np.bincount(self.owner[parents], minlength=self.depths.shape[0]) > 0
+        keep = found[leaf]
+        rows, leaf = rows[keep], (np.cumsum(found) - 1)[leaf[keep]]
+        # Splitting leaf r sends its rows to children 2r (left) and 2r + 1.
+        side = self.codes[feature[leaf], rows] > cut[leaf]
+        self._add_leaves(np.repeat(self.owner[parents], 2), rows, 2 * leaf + side)
+
+    def trees(self) -> tuple[RegressionTree, ...]:
+        """Copies of the trees grown so far, each numbering its nodes in order of creation."""
+        order = np.argsort(self.owner, kind="stable")
+        sizes = np.bincount(self.owner)
+        local = np.argsort(order) - (np.cumsum(sizes) - sizes)[self.owner]
+        left = local[self.left]
+        columns = (self.feature, self.threshold, left, left + (self.feature >= 0), self.value, self.count)
+        split = [np.split(column[order], np.cumsum(sizes)[:-1]) for column in columns]
+        return tuple(RegressionTree(*arrays, int(depth)) for *arrays, depth in zip(*split, self.depths))
 
 
-def _plant(data: Dataset, n_trees: int, seed: int, bootstrap: bool) -> list[_Grower]:
-    """Depth-0 trees, each on a bootstrap resample from its own labeled substream of ``seed``.
-
-    The result does not depend on training order; identical seeds give identical forests.
-    """
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    if n_trees < 1:
-        raise ValueError("n_trees must be at least 1")
-    X, y = data.to_arrays()
-    X = np.ascontiguousarray(X.T)
-    growers = []
-    for t in range(n_trees):
-        if bootstrap:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t]))
-            rows = rng.integers(0, y.shape[0], size=y.shape[0])
-        else:
-            rows = np.arange(y.shape[0])
-        growers.append(_Grower(X, y, rows))
-    return growers
-
-
-def _grown_forest(growers: list[_Grower], data: Dataset, depth: int) -> RandomForest:
+def _grown_forest(grower: _ForestGrower, data: Dataset, depth: int) -> RandomForest:
     """Grow every tree down to ``depth`` and score the forest on ``data``."""
-    for grower in growers:
-        # A tree with live leaves has grown one level per call so far.
-        while grower.live.size and grower.tree.depth < depth:
-            grower.grow_level()
-    forest = RandomForest(tuple(g.tree for g in growers), data.feature_width, depth, 0.0)
+    # Trees with live leaves have grown one level per call so far, the most of any tree.
+    while grower.live.size and grower.depths.max() < depth:
+        grower.grow_level()
+    forest = RandomForest(grower.trees(), data.feature_width, depth, 0.0)
     forest.training_score = r2_score(forest, data)
     return forest
 
@@ -266,7 +265,7 @@ def fit_forest(
     """Fit ``n_trees`` trees of depth at most ``max_depth`` on independent bootstrap resamples."""
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    return _grown_forest(_plant(data, n_trees, seed, bootstrap), data, max_depth)
+    return _grown_forest(_ForestGrower(data, n_trees, seed, bootstrap), data, max_depth)
 
 
 def predict(forest: RandomForest, features: Sequence[float]) -> float:
@@ -312,11 +311,11 @@ def fit_adaptive(
     if depth_cap is not None and depth_cap < init_depth:
         raise ValueError(f"depth_cap {depth_cap} is below init_depth {init_depth}")
     cap = max(init_depth, data.feature_width) if depth_cap is None else depth_cap
-    growers = _plant(data, n_trees, seed, bootstrap)
+    grower = _ForestGrower(data, n_trees, seed, bootstrap)
     depth = init_depth
-    forest = _grown_forest(growers, data, depth)
+    forest = _grown_forest(grower, data, depth)
     while forest.training_score < score_threshold and depth < cap:
         depth += 1
-        forest = _grown_forest(growers, data, depth)
+        forest = _grown_forest(grower, data, depth)
     return forest
 

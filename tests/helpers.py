@@ -144,7 +144,9 @@ def backend_for(verdicts, metrics=None) -> SyntheticBackend:
 
 
 # Reference tree grower: one node at a time, recursively, with the split rule
-# the forest module documents.  Tests compare the library's trees against it
+# and the summation order the forest module documents.  Each node sums its
+# targets per distinct feature value in sample order, then cumulatively over
+# the values in ascending order.  Tests compare the library's trees against it
 # node for node, so it stays deliberately plain.
 
 
@@ -161,34 +163,31 @@ class RefNode:
 
 
 def _reference_leaf(y: np.ndarray) -> RefNode:
-    value = float(y[0]) if y.min() == y.max() else float(y.mean())
+    total = 0.0
+    for target in y:  # in sample order
+        total += target
+    value = float(y.min()) if y.min() == y.max() else float(total / y.shape[0])
     return RefNode(value=value, count=int(y.shape[0]))
 
 
 def _reference_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
     """Scan all (feature, midpoint threshold) pairs; return (sse, feature, threshold)."""
-    n = y.shape[0]
     best = None
     for feat in range(X.shape[1]):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        ys = y[order]
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0]
-        if cuts.size == 0:
+        values, codes = np.unique(X[:, feat], return_inverse=True)
+        if values.size < 2:
             continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        n_left = cuts + 1.0
-        n_right = n - n_left
-        sum_left = csum[cuts]
-        sq_left = csq[cuts]
+        # Cut j sends values[: j + 1] left; the last value admits no cut.
+        n_left = np.cumsum(np.bincount(codes))
+        sum_left = np.cumsum(np.bincount(codes, weights=y))
+        sq_left = np.cumsum(np.bincount(codes, weights=y * y))
+        n_right = n_left[-1] - n_left
         sse = (sq_left - sum_left**2 / n_left) + (
-            csq[-1] - sq_left - (csum[-1] - sum_left) ** 2 / n_right
+            sq_left[-1] - sq_left - (sum_left[-1] - sum_left) ** 2 / np.maximum(n_right, 1)
         )
-        j = int(np.argmin(sse))
+        j = int(np.argmin(sse[:-1]))
         if best is None or sse[j] < best[0]:
-            threshold = float((xs[cuts[j]] + xs[cuts[j] + 1]) / 2.0)
-            best = (float(sse[j]), feat, threshold)
+            best = (float(sse[j]), feat, float((values[j] + values[j + 1]) / 2.0))
     return best
 
 
@@ -208,18 +207,18 @@ def reference_grow(X: np.ndarray, y: np.ndarray, max_depth: int, depth: int = 0)
     return node
 
 
+def bootstrap_rows(n: int, tree: int, seed: int = 0, bootstrap: bool = True) -> np.ndarray:
+    """Row ids of tree ``tree``'s sample of ``n`` rows, in the order ``fit_forest`` draws them."""
+    if not bootstrap:
+        return np.arange(n)
+    return np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, tree])).integers(0, n, size=n)
+
+
 def reference_trees(data, n_trees: int, max_depth: int, seed: int = 0, bootstrap: bool = True):
     """Root of each tree ``fit_forest`` should grow, from the same bootstrap draws."""
     X, y = data.to_arrays()
-    roots = []
-    for t in range(n_trees):
-        if bootstrap:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t]))
-            pick = rng.integers(0, y.shape[0], size=y.shape[0])
-            roots.append(reference_grow(X[pick], y[pick], max_depth))
-        else:
-            roots.append(reference_grow(X, y, max_depth))
-    return roots
+    picks = [bootstrap_rows(y.shape[0], t, seed, bootstrap) for t in range(n_trees)]
+    return [reference_grow(X[pick], y[pick], max_depth) for pick in picks]
 
 
 def reference_records(node: RefNode) -> list[tuple]:

@@ -56,7 +56,7 @@ class TestBaseRules:
         backend = backend_for(["UNSAT", "UNSAT", "UNSAT"])
         rule_next(state, solved(state, backend))
         assert state.index == 2
-        assert state.baselines[1] == 10.0
+        assert state.baseline is None  # run() records it, before any epoch
 
     def test_next_inapplicable_on_final_problem(self):
         state = fresh_state(3)
@@ -126,7 +126,7 @@ def landscape_backend():
 class TestLearningEpoch:
     def prepared_state(self):
         state = fresh_state(6)
-        state.baselines[1] = 30.0  # default strategy: penalty 3.0 on base 10
+        state.baseline = 30.0  # default strategy: penalty 3.0 on base 10
         return state
 
     def test_dataset_grows_by_sample_count(self):

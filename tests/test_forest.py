@@ -1,11 +1,12 @@
 """Regression trees, forests, scoring conventions, adaptive depth."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import node_records, reference_records, reference_trees
+from helpers import bootstrap_rows, node_records, reference_records, reference_trees
 from stratlearn.forest import (
     DataPoint,
     Dataset,
@@ -68,6 +69,43 @@ def tied_dataset(rng, n=None):
     levels = rng.integers(0, 3, n) / 3.0 if rng.random() < 0.5 else rng.lognormal(size=n)
     y = np.repeat(levels, runs)[:n]
     return make_dataset(X, y)
+
+
+def nodes_with_rows(tree, X, rows, node=0, level=0):
+    """(node, the sample rows reaching it, its depth) for every node of a flat-array tree, in preorder."""
+    yield node, rows, level
+    if not is_leaf(tree, node):
+        left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        yield from nodes_with_rows(tree, X, rows[left], int(tree.left[node]), level + 1)
+        yield from nodes_with_rows(tree, X, rows[~left], int(tree.right[node]), level + 1)
+
+
+def exact_sse(y):
+    """Summed squared deviation from the mean, in exact rational arithmetic."""
+    values = [Fraction(float(v)) for v in y]
+    return sum(v * v for v in values) - sum(values) ** 2 / len(values)
+
+
+def exact_cuts(X, y):
+    """{(feature, threshold): exact SSE of the two sides} for every legal cut of one node.
+
+    A legal cut lies at the midpoint of two consecutive distinct values of a feature.
+    """
+    cuts = {}
+    for feature in range(X.shape[1]):
+        values = np.unique(X[:, feature])
+        # Count, sum and sum of squares of the targets at or below each value, exactly.
+        moments = [(0, Fraction(0), Fraction(0))]
+        for value in values:
+            group = [Fraction(float(v)) for v in y[X[:, feature] == value]]
+            n, s, sq = moments[-1]
+            moments.append((n + len(group), s + sum(group), sq + sum(v * v for v in group)))
+        n, s, sq = moments[-1]
+        for low, high, (n_left, s_left, sq_left) in zip(values, values[1:], moments[1:]):
+            cuts[feature, float((low + high) / 2.0)] = (sq_left - s_left**2 / n_left) + (
+                sq - sq_left - (s - s_left) ** 2 / (n - n_left)
+            )
+    return cuts
 
 
 def tree_records(forest):
@@ -137,9 +175,9 @@ class TestFitTree:
 
 
 class TestLevelWiseGrowth:
-    def test_every_tree_equals_the_recursive_reference(self):
+    def test_every_tree_equals_the_histogram_order_reference(self):
         rng = np.random.default_rng(2024)
-        # Mostly small data; the two large sets need 16- and 32-bit row ids.
+        # Mostly small data, and two larger sets.
         for case, (n, depths) in enumerate([(None, 7)] * 40 + [(400, 7), (40000, 3)]):
             data = tied_dataset(rng, n)
             for depth in range(depths):
@@ -148,6 +186,44 @@ class TestLevelWiseGrowth:
                                         bootstrap=bootstrap)
                     expected = reference_trees(data, 2, depth, seed=case, bootstrap=bootstrap)
                     assert tree_records(forest) == [reference_records(root) for root in expected]
+
+    def test_every_split_is_a_best_legal_cut_in_exact_arithmetic(self):
+        """Independent of summation order: each split is a legal cut whose exact SSE is
+        within 1e-9 of its node's SSE of the exact best, and a node above the depth
+        limit stays a leaf only when its targets are constant or it has no legal cut."""
+        rng = np.random.default_rng(606)
+        for case in range(30):
+            data = tied_dataset(rng, int(rng.integers(2, 20)))
+            X, y = data.to_arrays()
+            for depth in range(1, 5):
+                for bootstrap in (False, True):
+                    forest = fit_forest(data, n_trees=2, max_depth=depth, seed=case,
+                                        bootstrap=bootstrap)
+                    for t, tree in enumerate(forest.trees):
+                        rows = bootstrap_rows(len(data), t, case, bootstrap)
+                        for node, at, level in nodes_with_rows(tree, X, rows):
+                            cuts = exact_cuts(X[at], y[at])
+                            if is_leaf(tree, node):
+                                assert level == depth or not cuts or np.ptp(y[at]) == 0
+                                continue
+                            chosen = cuts[int(tree.feature[node]), float(tree.threshold[node])]
+                            assert chosen - min(cuts.values()) <= Fraction(1e-9) * exact_sse(y[at])
+
+    def test_trees_grown_together_stay_independent(self):
+        """Tree t is the same tree whatever number of trees grows beside it."""
+        rng = np.random.default_rng(314)
+        for case in range(10):
+            data = tied_dataset(rng)
+            for bootstrap in (False, True):
+                fits = (
+                    lambda k: fit_forest(data, n_trees=k, max_depth=5, seed=case, bootstrap=bootstrap),
+                    lambda k: fit_adaptive(data, n_trees=k, init_depth=2, score_threshold=1.1,
+                                           depth_cap=5, seed=case, bootstrap=bootstrap),
+                )
+                for fit in fits:
+                    records = [tree_records(fit(k)) for k in (1, 3, 6)]
+                    for fewer, more in zip(records, records[1:]):
+                        assert more[: len(fewer)] == fewer
 
     def test_incremental_deepening_equals_a_fresh_fit(self):
         rng = np.random.default_rng(77)
@@ -368,6 +444,17 @@ class TestAdaptiveDepth:
 
 
 class TestDataset:
+    def test_arrays_are_built_once_until_an_append(self):
+        data = Dataset([DataPoint((1, 2), 0.5), DataPoint((0, 1), 1.5)])
+        X, y = data.to_arrays()
+        again = data.to_arrays()
+        assert again[0] is X and again[1] is y
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 9.0
+        data.append(DataPoint((3, 4), 2.5))
+        X, y = data.to_arrays()
+        assert X.tolist() == [[1, 2], [0, 1], [3, 4]] and y.tolist() == [0.5, 1.5, 2.5]
+
     def test_width_is_enforced(self):
         data = Dataset([DataPoint((1, 2), 0.5)])
         with pytest.raises(ValueError, match="width"):
