@@ -166,7 +166,7 @@ class _ForestGrower:
         ])
         # Codes index each column's distinct values, ascending; np.unique would import numpy.ma (1 MB).
         self.values = [np.array(sorted(set(column.tolist()))) for column in X.T]
-        self.codes = np.array([np.searchsorted(v, column) for v, column in zip(self.values, X.T)])
+        self.codes = np.reshape([np.searchsorted(v, column) for v, column in zip(self.values, X.T)], X.T.shape)
         self.owner, self.feature, self.left, self.count = np.zeros((4, 0), dtype=np.intp)
         self.threshold, self.value = np.zeros((2, 0))
         self.depths = np.zeros(n_trees, dtype=np.intp)

@@ -151,6 +151,12 @@ class TestFitTree:
             assert tree.feature[0] == feature
             assert tree.threshold[0] == pytest.approx(threshold)
 
+    def test_featureless_data_is_one_leaf(self):
+        data = Dataset([DataPoint((), 1.0), DataPoint((), 2.0)])
+        forest = fit_forest(data, n_trees=2, max_depth=3, seed=0)
+        assert all(is_leaf(tree, 0) and tree.value.shape == (1,) for tree in forest.trees)
+        assert predict(forest, ()) == float(np.mean([t.value[0] for t in forest.trees]))
+
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(5)
         X = rng.integers(0, 4, size=(30, 3)).astype(float)
