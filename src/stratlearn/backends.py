@@ -115,15 +115,16 @@ def evaluate_external(
     reported as ABORTED, so budgeted calls never report metric > budget with a
     decisive verdict.
     """
-    space.validate(strategy)
+    space.codes(strategy)  # ValueError unless every value of strategy is legal
     mapping = {"problem": str(problem), **dict(zip(space.names, strategy.assignments))}
+    # Split before substituting, so that each substituted value is exactly one argument.
     try:
-        args = shlex.split(config.command_template.format(**mapping))
+        args = [word.format(**mapping) for word in shlex.split(config.command_template)]
     except KeyError as exc:
         raise SolverLaunchError(f"command template references unknown field {exc}") from exc
     if budget is not None and config.metric_budget_flag:
         budget_value = int(budget) if float(budget).is_integer() else budget
-        args += shlex.split(config.metric_budget_flag.format(budget=budget_value))
+        args += [word.format(budget=budget_value) for word in shlex.split(config.metric_budget_flag)]
     logger.debug("launching %s", " ".join(args))
     try:
         proc = subprocess.run(args, capture_output=True, text=True)
@@ -371,7 +372,7 @@ def load_manifest(path: str | Path) -> ProblemManifest:
 
 
 class SyntheticBackend:
-    """Always safe for concurrent calls: evaluation is a pure function."""
+    """Backend over a synthetic landscape; every solve is a pure function of its arguments."""
 
     def __init__(self, landscape: SyntheticLandscape):
         self.landscape = landscape
@@ -385,7 +386,7 @@ class SyntheticBackend:
 
 
 class ExternalBackend:
-    """Subprocess-based backend; concurrent use needs distinct working directories."""
+    """Backend that launches an external solver process per solve, on the manifest's locators."""
 
     def __init__(self, config: SolverAdapterConfig, space: StrategySpace, manifest: ProblemManifest):
         validate_template(config, space)

@@ -189,7 +189,7 @@ def emit_trajectory(
     trajectory: Trajectory,
     path: str | Path,
     *,
-    outcome: Outcome | None = None,
+    outcome: Outcome,
     meta: dict[str, str] | None = None,
 ) -> RunSummary:
     """Write the event log plus a summary; returns the summary.

@@ -392,13 +392,13 @@ class RunSummary:
     solved_times: tuple[tuple[int, float], ...]
 
 
-def summarize(trajectory: Trajectory, outcome: Outcome | None = None) -> RunSummary:
+def summarize(trajectory: Trajectory, outcome: Outcome) -> RunSummary:
     solves = trajectory.phase_events("solve")
     learning = sum(
         e.virtual_time for e in trajectory if e.phase in ("collect", "train", "strategize")
     )
     return RunSummary(
-        outcome=outcome.value if outcome is not None else "UNKNOWN",
+        outcome=outcome.value,
         largest_solved_index=max((e.index for e in solves), default=None),
         epochs=len(trajectory.phase_events("train")),
         learning_time=learning,

@@ -1,12 +1,10 @@
 """Metropolis-Hastings random walks over strategy spaces.
 
-The proposal kernel moves to a uniformly drawn Hamming-distance neighbor of
-the current strategy.  Every state has the same number of Hamming-k
-neighbors, even with mixed domain sizes: the count is the sum over k-subsets
-of positions of the product of (domain size - 1), which does not depend on
-the state.  The neighbor graph is therefore regular and the kernel exactly
-symmetric, so the chain's stationary distribution is proportional to
-exp(-beta * cost).
+The proposal kernel moves to a uniformly drawn neighbor of the current
+strategy, one that differs from it in exactly one parameter.  Every state
+has sum(domain size - 1) neighbors, even with mixed domain sizes, so the
+neighbor graph is regular and the kernel exactly symmetric: the chain's
+stationary distribution is proportional to exp(-beta * cost).
 """
 
 from __future__ import annotations
@@ -22,19 +20,16 @@ from .space import Strategy, StrategySpace, neighbors
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Temperature, seed and neighborhood radius of one chain."""
+    """Temperature and seed of one chain."""
 
     beta: float = 1.0
     seed: int = 0
-    k_diff: int = 1
 
     def __post_init__(self) -> None:
         if not (self.beta > 0):
             raise ValueError("beta must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.k_diff < 1:
-            raise ValueError("k_diff must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -80,14 +75,14 @@ def run_chain(
 
     Each step draws a neighbor index, builds that one neighbor, evaluates its
     cost, and accepts or rejects; the recorded sample is the post-step state,
-    so consecutive records are either equal or ``k_diff`` apart.  Cost
+    so consecutive records are either equal or one parameter apart.  Cost
     evaluations are memoized per strategy within the chain, so revisits are
     free; all drawn samples (including repeats) are still emitted.  The chain
     is fully deterministic given the config seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    space.validate(start)
+    space.codes(start)  # ValueError unless every value of start is legal
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     cost_memo: dict[tuple[str, ...], float] = {}
 
@@ -107,7 +102,7 @@ def run_chain(
     cost_current = cost_of(start)
     records: list[ChainRecord] = []
     for _ in range(n_samples):
-        options = neighbors(space, current, config.k_diff)
+        options = neighbors(space, current)
         proposal = options[int(rng.integers(len(options)))]
         cost_proposal = cost_of(proposal)
         alpha = acceptance_probability(cost_current, cost_proposal, config.beta)

@@ -8,13 +8,12 @@ adapter gives them meaning.
 
 from __future__ import annotations
 
-import itertools
-import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 _HEADER = ("name", "default", "alternatives")
@@ -79,7 +78,6 @@ class StrategySpace:
     """Ordered collection of parameter domains."""
 
     domains: tuple[ParameterDomain, ...]
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.domains:
@@ -108,18 +106,10 @@ class StrategySpace:
             domain, value = next((d, a) for d, a in zip(self.domains, strategy.assignments) if a not in d.values)
             raise ValueError(f"value {value!r} is not legal for parameter {domain.name!r}") from None
 
-    def validate(self, strategy: Strategy) -> None:
-        """Raise ValueError unless ``strategy`` assigns a legal value to every domain."""
-        self.codes(strategy)
-
-    def hamming_blocks(self, k_diff: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        """The ``k_diff``-subsets of positions in ``combinations`` order, and the
-        neighbour count before each subset, then the total."""
-        if k_diff not in self._blocks:
-            blocks = tuple(itertools.combinations(range(self.k), k_diff))
-            sizes = (math.prod(self.domains[p].size - 1 for p in block) for block in blocks)
-            self._blocks[k_diff] = blocks, [0, *itertools.accumulate(sizes)]
-        return self._blocks[k_diff]
+    @cached_property
+    def neighbor_starts(self) -> tuple[int, ...]:
+        """Index of each position's first Hamming-1 neighbour, then the neighbour count."""
+        return tuple(accumulate((d.size - 1 for d in self.domains), initial=0))
 
 
 def parse_space(table_text: str) -> StrategySpace:
@@ -191,16 +181,15 @@ def default_strategy(space: StrategySpace) -> Strategy:
 
 
 class Neighborhood(Sequence):
-    """The Hamming neighbours of one strategy, each built only when indexed.
+    """The Hamming-1 neighbours of one strategy, each built only when indexed.
 
-    Element ``j``: bisect for its block of changed positions, unrank the offset
-    in mixed radix over the block (last position fastest), and map digit ``r``
-    to the ``r``-th value other than the current one.
+    Element ``j``: bisect ``neighbor_starts`` for the changed position ``p``,
+    then give ``p`` its ``r``-th other value, ``r = j - neighbor_starts[p]``.
     """
 
-    def __init__(self, space: StrategySpace, strategy: Strategy, codes: tuple[int, ...], k_diff: int):
+    def __init__(self, space: StrategySpace, strategy: Strategy, codes: tuple[int, ...]):
         self._domains, self._strategy, self._codes = space.domains, strategy, codes
-        self._blocks, self._starts = space.hamming_blocks(k_diff)
+        self._starts = space.neighbor_starts
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -210,29 +199,21 @@ class Neighborhood(Sequence):
         if not -n <= j < n:
             raise IndexError("neighbor index out of range")
         j %= n
-        b = bisect_right(self._starts, j) - 1
-        j -= self._starts[b]
+        p = bisect_right(self._starts, j) - 1
+        r = j - self._starts[p]
         assigned = list(self._strategy.assignments)
-        for p in reversed(self._blocks[b]):
-            domain = self._domains[p]
-            j, r = divmod(j, domain.size - 1)
-            assigned[p] = domain.values[r + (r >= self._codes[p])]
+        assigned[p] = self._domains[p].values[r + (r >= self._codes[p])]
         return Strategy(tuple(assigned))
 
 
-def neighbors(space: StrategySpace, strategy: Strategy, k_diff: int = 1) -> Neighborhood:
-    """All strategies at Hamming distance exactly ``k_diff`` from ``strategy``.
+def neighbors(space: StrategySpace, strategy: Strategy) -> Neighborhood:
+    """All strategies that differ from ``strategy`` in exactly one parameter.
 
     Returns an indexable sequence that builds only the neighbours indexed.
-    The order is deterministic: position subsets in ``combinations`` order,
-    then values in (default, alternatives...) order, last position fastest.
+    The order is deterministic: positions in domain order, then each
+    position's other values in (default, alternatives...) order.
     """
-    codes = space.codes(strategy)
-    if k_diff < 1:
-        raise ValueError("k_diff must be at least 1")
-    if k_diff > space.k:
-        raise ValueError(f"k_diff {k_diff} exceeds the parameter count {space.k}")
-    return Neighborhood(space, strategy, codes, k_diff)
+    return Neighborhood(space, strategy, space.codes(strategy))
 
 
 def encode_features(space: StrategySpace, strategy: Strategy, index: int) -> tuple[int, ...]:

@@ -37,23 +37,19 @@ def all_strategies(space: StrategySpace) -> list[Strategy]:
     ]
 
 
-def reference_neighbors(space: StrategySpace, strategy: Strategy, k_diff: int = 1) -> list[Strategy]:
-    """The eager Hamming-``k_diff`` enumeration that ``space.neighbors`` must match element for element.
+def reference_neighbors(space: StrategySpace, strategy: Strategy) -> list[Strategy]:
+    """The eager Hamming-1 enumeration that ``space.neighbors`` must match element for element.
 
-    Positions in ``combinations`` order, then each position's other values in
-    (default, alternatives...) order, the last position varying fastest.
+    Positions in domain order, then each position's other values in
+    (default, alternatives...) order.
     """
     out: list[Strategy] = []
-    for positions in itertools.combinations(range(space.k), k_diff):
-        pools = [
-            [v for v in space.domains[p].values if v != strategy.assignments[p]]
-            for p in positions
-        ]
-        for combo in itertools.product(*pools):
-            assigned = list(strategy.assignments)
-            for p, value in zip(positions, combo):
+    for p, domain in enumerate(space.domains):
+        for value in domain.values:
+            if value != strategy.assignments[p]:
+                assigned = list(strategy.assignments)
                 assigned[p] = value
-            out.append(Strategy(tuple(assigned)))
+                out.append(Strategy(tuple(assigned)))
     return out
 
 
@@ -70,7 +66,7 @@ def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[ChainR
     current, cost_current = start, cost_of(start)
     records = []
     for _ in range(n_samples):
-        options = reference_neighbors(space, current, config.k_diff)
+        options = reference_neighbors(space, current)
         proposal = options[int(rng.integers(len(options)))]
         cost_proposal = cost_of(proposal)
         alpha = acceptance_probability(cost_current, cost_proposal, config.beta)

@@ -12,6 +12,7 @@ from stratlearn.backends import (
     MetricParseError,
     SolverAdapterConfig,
     SolverLaunchError,
+    SolveOutcome,
     SyntheticLandscape,
     UnexpectedExitCodeError,
     Verdict,
@@ -185,6 +186,15 @@ class TestExternalAdapter:
         assert backend.num_problems == 2
         assert backend.solve(1, Strategy(("1",))).verdict is Verdict.UNSAT
         assert backend.solve(2, Strategy(("1",))).metric == 20.0
+
+    def test_locator_with_shell_characters_is_one_argument(self, tmp_path, one_param_space):
+        (tmp_path / "my dir").mkdir()
+        (tmp_path / "it's").mkdir()
+        p1 = write_problem(tmp_path / "my dir", "p1.problem", verdict="UNSAT", conflicts=10)
+        p2 = write_problem(tmp_path / "it's", "p2.problem", verdict="SAT", conflicts=20)
+        backend = ExternalBackend(adapter_for(), one_param_space, parse_manifest(f"1\t{p1}\n2\t{p2}\n"))
+        assert backend.solve(1, Strategy(("1",))) == SolveOutcome(Verdict.UNSAT, 10.0)
+        assert backend.solve(2, Strategy(("1",)), budget=50.0) == SolveOutcome(Verdict.SAT, 20.0)
 
 
 class TestAdapterConfigFile:

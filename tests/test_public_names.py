@@ -6,7 +6,9 @@ underscore must be referenced somewhere other than its own definition: in
 unit tests read is test scaffolding and belongs in ``tests/helpers.py``.
 Likewise every keyword-only parameter of a public function must be given a
 value by some call in those files; one that only unit tests set is an option
-nothing uses.  Calls are matched by keyword name alone, whatever the callee.
+nothing uses.  The same holds for each field of a config dataclass, one whose
+fields all have defaults.  Calls are matched by keyword name alone, whatever
+the callee.
 """
 
 import ast
@@ -55,6 +57,22 @@ def public_keyword_parameters(path: Path) -> list[tuple[str, str]]:
     ]
 
 
+def config_fields(path: Path) -> list[tuple[str, str]]:
+    """(class, field) for each field of a module-level dataclass whose fields all have defaults."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        if fields and all(f.value is not None for f in fields):
+            found += [(node.name, f.target.id) for f in fields]
+    return found
+
+
 def given_keywords(path: Path) -> set[str]:
     """Keyword names passed at calls in ``path``, except ``f(x=x)`` forwarding a parameter ``x`` of the caller."""
     given = set()
@@ -86,6 +104,17 @@ def test_every_keyword_only_parameter_is_set_outside_unit_tests():
     assert unset == []
 
 
+def test_every_config_field_is_set_outside_unit_tests():
+    given = set().union(*(given_keywords(path) for path in READERS))
+    unset = [
+        f"{cls}.{name}"
+        for path in LIBRARY
+        for cls, name in config_fields(path)
+        if name not in given
+    ]
+    assert unset == []
+
+
 def test_every_public_name_has_a_reader_outside_unit_tests():
     used = set().union(*(referenced_names(path) for path in READERS))
     unread = [
@@ -101,5 +130,8 @@ def test_the_scan_sees_definitions_and_references():
     assert len(READERS) > len(LIBRARY) + 2
     assert ("run", "seed") in public_keyword_parameters(REPO / "src" / "stratlearn" / "engine.py")
     assert "seed" in given_keywords(REPO / "scripts" / "demo_convergence.py")
+    assert ("SamplerConfig", "seed") in config_fields(REPO / "src" / "stratlearn" / "sampler.py")
+    # RunConfig's space_path has no default, so it is not a config dataclass here.
+    assert not any(cls == "RunConfig" for cls, _ in config_fields(REPO / "src" / "stratlearn" / "cli.py"))
     # run() forwards its own forest_config, which alone would not count as setting it.
     assert "forest_config" not in given_keywords(REPO / "src" / "stratlearn" / "engine.py")

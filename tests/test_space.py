@@ -108,15 +108,6 @@ class TestNeighbors:
             for w in universe:
                 assert (w.assignments in table[v]) == (v.assignments in table[w])
 
-    def test_k_diff_two_counts_binary(self):
-        space = binary_space(3)
-        assert len(neighbors(space, default_strategy(space), k_diff=2)) == 3
-
-    def test_k_diff_beyond_k_rejected(self):
-        space = binary_space(2)
-        with pytest.raises(ValueError, match="exceeds"):
-            neighbors(space, default_strategy(space), k_diff=3)
-
     def test_deterministic_order(self, small_space):
         v = default_strategy(small_space)
         assert list(neighbors(small_space, v)) == list(neighbors(small_space, v))
@@ -138,19 +129,18 @@ class TestLazyNeighborhood:
     )
     def test_every_strategy_and_radius_equals_the_reference(self, space):
         for v in all_strategies(space):
-            for k_diff in range(1, space.k + 1):
-                expected = reference_neighbors(space, v, k_diff)
-                lazy = neighbors(space, v, k_diff)
-                n = len(expected)
-                assert len(lazy) == n
-                assert [lazy[j] for j in range(n)] == expected
-                assert [lazy[-j] for j in range(1, n + 1)] == expected[::-1]
-                assert list(lazy) == expected
-                first, *rest = lazy
-                assert [first, *rest] == expected
-                for j in (n, -n - 1):
-                    with pytest.raises(IndexError):
-                        lazy[j]
+            expected = reference_neighbors(space, v)
+            lazy = neighbors(space, v)
+            n = len(expected)
+            assert len(lazy) == n
+            assert [lazy[j] for j in range(n)] == expected
+            assert [lazy[-j] for j in range(1, n + 1)] == expected[::-1]
+            assert list(lazy) == expected
+            first, *rest = lazy
+            assert [first, *rest] == expected
+            for j in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    lazy[j]
 
 
 class TestCodeTable:
@@ -166,9 +156,9 @@ class TestCodeTable:
     def test_every_entry_point_raises_the_same_message(self, small_space, assignments, message):
         strategy = Strategy(assignments)
         for call in (
-            lambda: small_space.validate(strategy),
+            lambda: small_space.codes(strategy),
             lambda: encode_features(small_space, strategy, 1),
-            lambda: neighbors(small_space, strategy, 1),
+            lambda: neighbors(small_space, strategy),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()
@@ -181,8 +171,7 @@ class TestCodeTable:
         used, untouched = fresh(), fresh()
         v = default_strategy(used)
         encode_features(used, v, 1)
-        for k_diff in (1, 2):
-            neighbors(used, v, k_diff)[0]
+        neighbors(used, v)[0]
         assert used.domains[0].codes == {"1": 0, "0": 1}
         assert used == untouched and hash(used) == hash(untouched)
         for a, b in zip(used.domains, untouched.domains):
@@ -242,7 +231,7 @@ def test_parse_serialize_round_trip(space):
 @given(spaces(), st.integers(min_value=0, max_value=1000))
 def test_neighbor_count_formula(space, index):
     v = default_strategy(space)
-    assert len(neighbors(space, v, 1)) == sum(d.size - 1 for d in space.domains)
+    assert len(neighbors(space, v)) == sum(d.size - 1 for d in space.domains)
     # encoding stays within the ordinal ranges
     code = encode_features(space, v, index)
     assert code[-1] == index and all(c == 0 for c in code[:-1])
