@@ -81,16 +81,24 @@ class SolverAdapterConfig:
 
 
 def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> None:
-    """Check that the command template mentions {problem} and each parameter exactly once."""
-    fields = [f for _, f, _, _ in string.Formatter().parse(config.command_template) if f]
-    expected = ("problem",) + space.names
-    for name in expected:
-        n = fields.count(name)
-        if n != 1:
-            raise ValueError(f"command template must reference {{{name}}} exactly once, found {n}")
-    unknown = set(fields) - set(expected)
-    if unknown:
-        raise ValueError(f"command template references unknown fields {sorted(unknown)}")
+    """Check that the command template and the budget flag split into shell words, and that
+    the template references {problem} and each parameter, and the flag {budget}, exactly once."""
+    checks = [("command template", config.command_template, ("problem",) + space.names)]
+    if config.metric_budget_flag:
+        checks.append(("budget flag", config.metric_budget_flag, ("budget",)))
+    for what, template, expected in checks:
+        try:
+            words = shlex.split(template)
+        except ValueError as exc:
+            raise ValueError(f"{what} {template!r} does not split into shell words: {exc}") from None
+        fields = [f for word in words for _, f, _, _ in string.Formatter().parse(word) if f]
+        unknown = set(fields) - set(expected)
+        if unknown:
+            raise ValueError(f"{what} references unknown fields {sorted(unknown)}")
+        for name in expected:
+            n = fields.count(name)
+            if n != 1:
+                raise ValueError(f"{what} must reference {{{name}}} exactly once, found {n}")
 
 
 def _parse_metric(config: SolverAdapterConfig, stdout: str) -> float | None:
@@ -98,7 +106,10 @@ def _parse_metric(config: SolverAdapterConfig, stdout: str) -> float | None:
     if match is None:
         return None
     text = match.group(1) if match.groups() else match.group(0)
-    return float(text)
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise MetricParseError(f"metric {text!r} captured by {config.metric_pattern!r} is not a number") from None
 
 
 def evaluate_external(
@@ -110,6 +121,7 @@ def evaluate_external(
 ) -> SolveOutcome:
     """Launch the templated command, map its exit code, and parse the metric.
 
+    ``config`` must pass ``validate_template`` (``ExternalBackend`` checks it once).
     When ``budget`` is given it is passed through ``metric_budget_flag`` if the
     solver supports one; either way a run whose metric exceeds the budget is
     reported as ABORTED, so budgeted calls never report metric > budget with a
@@ -118,10 +130,7 @@ def evaluate_external(
     space.codes(strategy)  # ValueError unless every value of strategy is legal
     mapping = {"problem": str(problem), **dict(zip(space.names, strategy.assignments))}
     # Split before substituting, so that each substituted value is exactly one argument.
-    try:
-        args = [word.format(**mapping) for word in shlex.split(config.command_template)]
-    except KeyError as exc:
-        raise SolverLaunchError(f"command template references unknown field {exc}") from exc
+    args = [word.format(**mapping) for word in shlex.split(config.command_template)]
     if budget is not None and config.metric_budget_flag:
         budget_value = int(budget) if float(budget).is_integer() else budget
         args += [word.format(budget=budget_value) for word in shlex.split(config.metric_budget_flag)]

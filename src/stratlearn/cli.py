@@ -84,8 +84,8 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(x) for x in text.split(",")]
 
 
 def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
@@ -114,7 +114,7 @@ def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
     if ablate:
         parser.add_argument("--budgets", type=_floats, required=True,
                             help="comma-separated absolute learning budgets")
-        parser.add_argument("--depths", type=_ints, required=True,
+        parser.add_argument("--depths", type=_positive_ints, required=True,
                             help="comma-separated fixed tree depths")
         return parser
     parser.add_argument("--budget-frac", dest="budget_fraction", type=_fraction, default=0.15,

@@ -237,11 +237,7 @@ def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int
 def _absorb_evaluations(state: EngineState, evaluated: list[CostRecord], trajectory: Trajectory | None) -> None:
     """Charge learning time (and log events) for the backend calls of an epoch."""
     for record in evaluated:
-        charge = (
-            record.baseline_metric * ABORT_MULTIPLIER
-            if record.aborted
-            else record.raw_metric
-        )
+        charge = record.baseline_metric * ABORT_MULTIPLIER if record.aborted else record.raw_metric
         state.learning_time_spent += charge
         if trajectory is not None:
             trajectory.record(
@@ -280,40 +276,33 @@ def learning_epoch(
     chain_config = dataclasses.replace(
         sampler_config, seed=_substream_seed(seed, _COLLECT_STREAM, state.epochs)
     )
-    in_force = state.strategy
+    space = state.space
+    in_force = space.codes(state.strategy)
     evaluated: list[CostRecord] = []
 
-    def cost_fn(strategy: Strategy) -> float:
+    def cost_fn(codes: tuple[int, ...]) -> float:
         # The in-force strategy's run *is* the baseline run; skip the redundant call.
-        if strategy == in_force:
+        if codes == in_force:
             return 1.0
-        record = collect_cost(backend, index, strategy, baseline)
+        record = collect_cost(backend, index, space.strategy(codes), baseline)
         evaluated.append(record)
         return record.cost
 
     try:
-        samples = run_chain(
-            state.space, cost_fn, in_force, policy.samples_per_epoch, chain_config
-        )
+        samples = run_chain(space, cost_fn, state.strategy, policy.samples_per_epoch, chain_config)
     except CostFunctionError:
         _absorb_evaluations(state, evaluated, trajectory)
         for record in evaluated:
-            state.dataset.append(
-                DataPoint(encode_features(state.space, record.strategy, index), record.cost)
-            )
+            state.dataset.append(DataPoint(encode_features(space.codes(record.strategy), index), record.cost))
         raise
 
     _absorb_evaluations(state, evaluated, trajectory)
     for sample in samples:
-        state.dataset.append(
-            DataPoint(encode_features(state.space, sample.strategy, index), sample.cost)
-        )
+        state.dataset.append(DataPoint(encode_features(sample.codes, index), sample.cost))
 
     forest_seed = _substream_seed(seed, _TRAIN_STREAM, state.epochs)
     if forest_config.fixed_depth is not None:
-        oracle = fit_forest(
-            state.dataset, forest_config.trees, forest_config.fixed_depth, forest_seed
-        )
+        oracle = fit_forest(state.dataset, forest_config.trees, forest_config.fixed_depth, forest_seed)
     else:
         init, cap = _resolved_depths(forest_config, state.dataset.feature_width)
         oracle = fit_adaptive(
@@ -352,25 +341,22 @@ def rule_strategize(
     oracle = state.oracle
     index = state.index
 
-    def predicted_cost(strategy: Strategy) -> float:
-        return predict(oracle, encode_features(state.space, strategy, index))
+    def predicted_cost(codes: tuple[int, ...]) -> float:
+        return predict(oracle, encode_features(codes, index))
 
-    best = state.strategy
+    best = state.space.codes(state.strategy)
     best_cost = predicted_cost(best)
     if policy.strategize_samples > 1:
         chain_config = dataclasses.replace(
             sampler_config, seed=_substream_seed(seed, _STRATEGIZE_STREAM, index)
         )
-        chain = run_chain(
-            state.space, predicted_cost, state.strategy,
-            policy.strategize_samples - 1, chain_config,
-        )
+        chain = run_chain(state.space, predicted_cost, state.strategy, policy.strategize_samples - 1, chain_config)
         for record in chain:
             if record.cost < best_cost:
-                best, best_cost = record.strategy, record.cost
-    state.strategy = best
+                best, best_cost = record.codes, record.cost
+    state.strategy = state.space.strategy(best)
     if trajectory is not None:
-        trajectory.record("strategize", index, best, cost=best_cost)
+        trajectory.record("strategize", index, state.strategy, cost=best_cost)
     return state
 
 

@@ -1,10 +1,11 @@
 """Metropolis-Hastings random walks over strategy spaces.
 
-The proposal kernel moves to a uniformly drawn neighbor of the current
-strategy, one that differs from it in exactly one parameter.  Every state
-has sum(domain size - 1) neighbors, even with mixed domain sizes, so the
-neighbor graph is regular and the kernel exactly symmetric: the chain's
-stationary distribution is proportional to exp(-beta * cost).
+A chain's state is a strategy's tuple of ordinal codes.  The proposal kernel
+moves to a uniformly drawn neighbor of the current state, one that differs
+from it in exactly one parameter.  Every state has sum(domain size - 1)
+neighbors, even with mixed domain sizes, so the neighbor graph is regular
+and the kernel exactly symmetric: the chain's stationary distribution is
+proportional to exp(-beta * cost).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """Chain state after one propose/accept step."""
+    """Chain state (ordinal codes) after one propose/accept step."""
 
-    strategy: Strategy
+    codes: tuple[int, ...]
     cost: float
     accepted: bool
 
@@ -66,40 +67,41 @@ def acceptance_probability(cost_current: float, cost_proposed: float, beta: floa
 
 def run_chain(
     space: StrategySpace,
-    cost_fn: Callable[[Strategy], float],
+    cost_fn: Callable[[tuple[int, ...]], float],
     start: Strategy,
     n_samples: int,
     config: SamplerConfig,
 ) -> list[ChainRecord]:
     """Draw ``n_samples`` chain states starting from ``start``.
 
-    Each step draws a neighbor index, builds that one neighbor, evaluates its
-    cost, and accepts or rejects; the recorded sample is the post-step state,
-    so consecutive records are either equal or one parameter apart.  Cost
-    evaluations are memoized per strategy within the chain, so revisits are
-    free; all drawn samples (including repeats) are still emitted.  The chain
-    is fully deterministic given the config seed.
+    ``start`` is encoded, and so validated, once; from then on the chain walks
+    code tuples, and ``cost_fn`` receives code tuples.  Each step draws a
+    neighbor index, builds that one neighbor, evaluates its cost, and accepts
+    or rejects; the recorded sample is the post-step state, so consecutive
+    records are either equal or one parameter apart.  Cost evaluations are
+    memoized per state within the chain, so revisits are free; all drawn
+    samples (including repeats) are still emitted.  A failing or non-finite
+    cost raises ``CostFunctionError`` with the decoded strategy.  The chain is
+    fully deterministic given the config seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    space.codes(start)  # ValueError unless every value of start is legal
+    current = space.codes(start)  # ValueError unless every value of start is legal
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-    cost_memo: dict[tuple[str, ...], float] = {}
+    cost_memo: dict[tuple[int, ...], float] = {}
 
-    def cost_of(strategy: Strategy) -> float:
-        key = strategy.assignments
-        if key not in cost_memo:
+    def cost_of(codes: tuple[int, ...]) -> float:
+        if codes not in cost_memo:
             try:
-                value = float(cost_fn(strategy))
+                value = float(cost_fn(codes))
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite cost {value!r}")
             except Exception as exc:
-                raise CostFunctionError(strategy, exc) from exc
-            if not math.isfinite(value):
-                raise CostFunctionError(strategy, ValueError(f"non-finite cost {value!r}"))
-            cost_memo[key] = value
-        return cost_memo[key]
+                raise CostFunctionError(space.strategy(codes), exc) from exc
+            cost_memo[codes] = value
+        return cost_memo[codes]
 
-    current = start
-    cost_current = cost_of(start)
+    cost_current = cost_of(current)
     records: list[ChainRecord] = []
     for _ in range(n_samples):
         options = neighbors(space, current)

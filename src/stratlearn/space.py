@@ -1,9 +1,9 @@
 """Finite solver-parameter spaces and their CSV table format.
 
 A strategy space is the cartesian product of per-parameter value domains;
-a strategy assigns one value to every parameter.  Values are plain strings
-throughout: the engine never does arithmetic on them, and only a solver
-adapter gives them meaning.
+a strategy assigns one value to every parameter.  Only a solver adapter gives
+the string values meaning; chains walk a strategy's ordinal codes instead
+(each value's position in its domain, default 0).
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class StrategySpace:
             domain, value = next((d, a) for d, a in zip(self.domains, strategy.assignments) if a not in d.values)
             raise ValueError(f"value {value!r} is not legal for parameter {domain.name!r}") from None
 
+    def strategy(self, codes: tuple[int, ...]) -> Strategy:
+        """The strategy whose ordinal codes are ``codes``; the inverse of ``codes``."""
+        return Strategy(tuple([d.values[c] for d, c in zip(self.domains, codes)]))
+
     @cached_property
     def neighbor_starts(self) -> tuple[int, ...]:
         """Index of each position's first Hamming-1 neighbour, then the neighbour count."""
@@ -181,45 +185,43 @@ def default_strategy(space: StrategySpace) -> Strategy:
 
 
 class Neighborhood(Sequence):
-    """The Hamming-1 neighbours of one strategy, each built only when indexed.
+    """The Hamming-1 neighbours of one code tuple, each built only when indexed.
 
-    Element ``j``: bisect ``neighbor_starts`` for the changed position ``p``,
-    then give ``p`` its ``r``-th other value, ``r = j - neighbor_starts[p]``.
+    Element ``j``: bisect ``StrategySpace.neighbor_starts`` for the changed
+    position ``p``, then give ``p`` its ``r``-th other code, ``r = j - neighbor_starts[p]``.
     """
 
-    def __init__(self, space: StrategySpace, strategy: Strategy, codes: tuple[int, ...]):
-        self._domains, self._strategy, self._codes = space.domains, strategy, codes
-        self._starts = space.neighbor_starts
+    def __init__(self, starts: tuple[int, ...], codes: tuple[int, ...]):
+        self._starts, self._codes = starts, codes
 
     def __len__(self) -> int:
         return self._starts[-1]
 
-    def __getitem__(self, j: int) -> Strategy:
+    def __getitem__(self, j: int) -> tuple[int, ...]:
         n = len(self)
         if not -n <= j < n:
             raise IndexError("neighbor index out of range")
         j %= n
         p = bisect_right(self._starts, j) - 1
         r = j - self._starts[p]
-        assigned = list(self._strategy.assignments)
-        assigned[p] = self._domains[p].values[r + (r >= self._codes[p])]
-        return Strategy(tuple(assigned))
+        codes = list(self._codes)
+        codes[p] = r + (r >= codes[p])
+        return tuple(codes)
 
 
-def neighbors(space: StrategySpace, strategy: Strategy) -> Neighborhood:
-    """All strategies that differ from ``strategy`` in exactly one parameter.
+def neighbors(space: StrategySpace, codes: tuple[int, ...]) -> Neighborhood:
+    """All code tuples that differ from the (unchecked) ``codes`` in exactly one position.
 
     Returns an indexable sequence that builds only the neighbours indexed.
     The order is deterministic: positions in domain order, then each
-    position's other values in (default, alternatives...) order.
+    position's other codes ascending.
     """
-    return Neighborhood(space, strategy, space.codes(strategy))
+    return Neighborhood(space.neighbor_starts, codes)
 
 
-def encode_features(space: StrategySpace, strategy: Strategy, index: int) -> tuple[int, ...]:
-    """Ordinal code of each assignment followed by the raw problem index.
+def encode_features(codes: tuple[int, ...], index: int) -> tuple[int, ...]:
+    """The forest's feature row: a strategy's ordinal codes followed by the raw problem index.
 
-    The default value of each parameter encodes to 0, its first alternative
-    to 1, and so on.  The encoding is injective over (strategy, index).
+    The encoding is injective over (strategy, index).
     """
-    return space.codes(strategy) + (int(index),)
+    return codes + (index,)

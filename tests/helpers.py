@@ -16,7 +16,7 @@ from stratlearn.backends import (
     geometric_schedule,
 )
 from stratlearn.forest import _TREE_STREAM
-from stratlearn.sampler import ChainRecord, acceptance_probability
+from stratlearn.sampler import acceptance_probability
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
 
@@ -53,8 +53,12 @@ def reference_neighbors(space: StrategySpace, strategy: Strategy) -> list[Strate
     return out
 
 
-def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[ChainRecord]:
-    """``sampler.run_chain`` drawing from ``reference_neighbors``: same stream, same memo, same records."""
+def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[tuple[Strategy, float, bool]]:
+    """``sampler.run_chain`` over ``Strategy`` values, drawing from ``reference_neighbors``.
+
+    Same stream and memo; each record is (strategy, cost, accepted), which is
+    what a ``run_chain`` record decodes to when ``cost_fn`` sees the decoded strategy.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     memo: dict[tuple[str, ...], float] = {}
 
@@ -73,7 +77,7 @@ def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[ChainR
         accepted = alpha >= 1.0 or rng.random() < alpha
         if accepted:
             current, cost_current = proposal, cost_proposal
-        records.append(ChainRecord(current, cost_current, accepted))
+        records.append((current, cost_current, accepted))
     return records
 
 

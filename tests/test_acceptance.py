@@ -130,13 +130,13 @@ def test_criterion_03_mcmc_stationarity():
         steps = 100_000
         for space, cost_table in [(binary_space(2), binary_costs), (mixed, mixed_costs)]:
             records = run_chain(
-                space, lambda v: cost_table[v.assignments], default_strategy(space),
+                space, lambda v: cost_table[space.strategy(v).assignments], default_strategy(space),
                 steps, SamplerConfig(beta=1.0, seed=0),
             )
             z = sum(math.exp(-c) for c in cost_table.values())
             counts = {key: 0 for key in cost_table}
             for record in records:
-                counts[record.strategy.assignments] += 1
+                counts[space.strategy(record.codes).assignments] += 1
             for key, cost in cost_table.items():
                 expected = math.exp(-cost) / z
                 assert counts[key] / steps == pytest.approx(expected, abs=0.02)

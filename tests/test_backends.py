@@ -168,6 +168,15 @@ class TestExternalAdapter:
         with pytest.raises(MetricParseError):
             evaluate_external(broken, one_param_space, str(problem), Strategy(("1",)))
 
+    def test_non_numeric_metric_capture(self, tmp_path, one_param_space):
+        problem = write_problem(tmp_path, "p.sat", verdict="SAT", conflicts=5)
+        broken = SolverAdapterConfig(
+            command_template=adapter_for().command_template,
+            metric_pattern=r"^c (stub) solver",
+        )
+        with pytest.raises(MetricParseError, match="metric 'stub' captured by .* is not a number"):
+            evaluate_external(broken, one_param_space, str(problem), Strategy(("1",)))
+
     def test_template_must_mention_each_parameter_once(self, one_param_space):
         with pytest.raises(ValueError, match="exactly once"):
             validate_template(SolverAdapterConfig(command_template="solver {problem}"), one_param_space)
@@ -232,6 +241,26 @@ class TestAdapterConfigFile:
         with pytest.raises(ValueError) as excinfo:
             load_adapter_config(path)
         assert str(excinfo.value) == f"{path}:3: exit_sat must be an integer, got 'ten'"
+
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("command = solver {problem} --chrono '{chrono}",
+             "command template .* does not split into shell words: No closing quotation"),
+            ("budget_flag = --conflicts {budgte}", r"budget flag references unknown fields \['budgte'\]"),
+            ("budget_flag = --conflicts", r"budget flag must reference \{budget\} exactly once, found 0"),
+            ("budget_flag = --conflicts {budget} --on {problem}",
+             r"budget flag references unknown fields \['problem'\]"),
+        ],
+        ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field"],
+    )
+    def test_bad_template_fails_at_construction(self, tmp_path, one_param_space, line, message):
+        # Unchecked, each would surface only at the first (budgeted) solve, mid-run.
+        path = tmp_path / "adapter.cfg"
+        path.write_text(f"command = solver {{problem}} --chrono {{chrono}}\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            ExternalBackend(load_adapter_config(path), one_param_space, parse_manifest("1\tp.cnf\n"))
 
 
 class TestManifest:

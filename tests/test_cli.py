@@ -328,6 +328,15 @@ class TestAblateCommand:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depths", ["-1", "0", "1,0"])
+    def test_depths_must_be_positive_integers(self, depths, capsys):
+        # Like --fixed-depth: depth 0 would fit single-leaf trees, and a negative depth fails every cell.
+        argv = ["ablate", "--space", "s.csv", "--landscape", "l.json", "--budgets", "0,800", "--depths", depths]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "is not a positive integer" in capsys.readouterr().err
+
     def test_grid_flags_rejected_on_a_plain_run(self, ablation_files):
         space_path, land_path = ablation_files
         proc = self.run_cli("--space", space_path, "--landscape", land_path, "--budgets", "0,800")

@@ -184,7 +184,7 @@ class TestLearningEpoch:
 class TestStrategize:
     def oracle_from_costs(self, space, costs, index):
         data = Dataset(
-            DataPoint(encode_features(space, v, index), costs[v.assignments])
+            DataPoint(encode_features(space.codes(v), index), costs[v.assignments])
             for v in all_strategies(space)
         )
         return fit_forest(data, n_trees=1, max_depth=10, seed=0, bootstrap=False)

@@ -16,7 +16,7 @@ from stratlearn.sampler import (
     acceptance_probability,
     run_chain,
 )
-from stratlearn.space import Strategy, builtin_space, default_strategy, neighbors
+from stratlearn.space import Strategy, StrategySpace, builtin_space, default_strategy, neighbors
 
 finite_costs = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 betas = st.floats(min_value=1e-3, max_value=50.0)
@@ -69,7 +69,7 @@ class TestPropose:
     def test_single_binary_domain_is_deterministic(self):
         space = binary_space(1)
         (record,) = run_chain(space, lambda v: 1.0, default_strategy(space), 1, SamplerConfig(seed=0))
-        assert record.strategy == Strategy(("0",))
+        assert space.strategy(record.codes) == Strategy(("0",))
 
     def test_uniform_over_compact_neighborhood(self, small_space):
         draws = 100_000
@@ -77,10 +77,10 @@ class TestPropose:
             small_space, lambda v: 1.0, default_strategy(small_space), draws, SamplerConfig(seed=42)
         )
         counts = [0] * 9
-        previous = default_strategy(small_space)
+        previous = small_space.codes(default_strategy(small_space))
         for record in records:
-            counts[neighbors(small_space, previous).index(record.strategy)] += 1
-            previous = record.strategy
+            counts[neighbors(small_space, previous).index(record.codes)] += 1
+            previous = record.codes
         for count in counts:
             assert count / draws == pytest.approx(1 / 9, abs=0.01)
 
@@ -91,7 +91,7 @@ class TestPropose:
 
         for space, expected in [(binary_space(3), 3), (builtin_space("kissat_small"), 9)]:
             for v in all_strategies(space):
-                assert len(neighbors(space, v)) == expected
+                assert len(neighbors(space, space.codes(v))) == expected
 
 
 class TestRunChain:
@@ -105,9 +105,9 @@ class TestRunChain:
         space = binary_space(1)
         costs = {("1",): 10.0, ("0",): 0.0}
         records = run_chain(
-            space, lambda v: costs[v.assignments], Strategy(("1",)), 1, SamplerConfig(seed=0)
+            space, lambda v: costs[space.strategy(v).assignments], Strategy(("1",)), 1, SamplerConfig(seed=0)
         )
-        assert records[0].strategy == Strategy(("0",))
+        assert space.strategy(records[0].codes) == Strategy(("0",))
         assert records[0].accepted and records[0].cost == 0.0
 
     def test_consecutive_states_equal_or_neighbors(self, small_space):
@@ -115,20 +115,19 @@ class TestRunChain:
         table = {}
 
         def cost_fn(v):
-            return table.setdefault(v.assignments, float(rng_costs.uniform(0, 3)))
+            return table.setdefault(v, float(rng_costs.uniform(0, 3)))
 
         start = default_strategy(small_space)
         records = run_chain(small_space, cost_fn, start, 300, SamplerConfig(seed=5))
-        previous = start
+        previous = small_space.codes(start)
         for record in records:
-            if record.strategy != previous:
-                distance = sum(a != b for a, b in zip(record.strategy.assignments, previous.assignments))
-                assert distance == 1
-            previous = record.strategy
+            if record.codes != previous:
+                assert sum(a != b for a, b in zip(record.codes, previous)) == 1
+            previous = record.codes
 
     def test_deterministic_replay(self, small_space):
         def cost_fn(v):
-            return sum(a != b for a, b in zip(v.assignments, ("1", "1", "1", "1", "2", "6")))
+            return sum(a != b for a, b in zip(v, (1, 1, 1, 1, 2, 6)))
 
         start = default_strategy(small_space)
         first = run_chain(small_space, cost_fn, start, 200, SamplerConfig(seed=9))
@@ -140,7 +139,7 @@ class TestRunChain:
         calls = []
 
         def cost_fn(v):
-            calls.append(v.assignments)
+            calls.append(v)
             return 1.0
 
         run_chain(space, cost_fn, default_strategy(space), 200, SamplerConfig(seed=2))
@@ -151,13 +150,31 @@ class TestRunChain:
         space = binary_space(1)
 
         def cost_fn(v):
-            if v.assignments == ("0",):
+            if space.strategy(v) == Strategy(("0",)):
                 raise RuntimeError("boom")
             return 1.0
 
-        with pytest.raises(CostFunctionError) as excinfo:
+        with pytest.raises(CostFunctionError, match="strategy 0: boom") as excinfo:
             run_chain(space, cost_fn, Strategy(("1",)), 5, SamplerConfig(seed=0))
         assert excinfo.value.strategy == Strategy(("0",))
+
+    def test_non_finite_cost_carries_strategy(self):
+        space = binary_space(1)
+        with pytest.raises(CostFunctionError, match="strategy 1: non-finite cost nan") as excinfo:
+            run_chain(space, lambda v: float("nan"), Strategy(("1",)), 5, SamplerConfig(seed=0))
+        assert excinfo.value.strategy == Strategy(("1",))
+
+    def test_validates_start_once_and_walks_codes(self, small_space, monkeypatch):
+        start = default_strategy(small_space)
+        encoded, built = [], []
+        codes, init = StrategySpace.codes, Strategy.__init__
+        monkeypatch.setattr(StrategySpace, "codes", lambda self, v: encoded.append(v) or codes(self, v))
+        monkeypatch.setattr(Strategy, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        for n in (1, 10, 1000):
+            encoded.clear()
+            records = run_chain(small_space, lambda v: 1.0, start, n, SamplerConfig(seed=n))
+            assert encoded == [start] and built == []
+            assert len(records) == n and all(r.accepted for r in records)
 
     def test_rejects_empty_chain(self):
         space = binary_space(1)
@@ -168,16 +185,17 @@ class TestRunChain:
         # the Hamming-1 graph is regular (every state has 3 neighbours here), so
         # the kernel is symmetric; sanity-check the pull toward low cost dominates
         space = space_from([("a", "1", ("0", "2")), ("b", "1", ("0",))])
-        cost = {v.assignments: 0.0 if v.assignments == ("2", "0") else 2.0 for v in _universe(space)}
+        best = space.codes(Strategy(("2", "0")))
         records = run_chain(
-            space, lambda v: cost[v.assignments], default_strategy(space), 20_000, SamplerConfig(seed=3)
+            space, lambda v: 0.0 if v == best else 2.0, default_strategy(space), 20_000, SamplerConfig(seed=3)
         )
-        best_share = sum(r.strategy.assignments == ("2", "0") for r in records) / len(records)
+        best_share = sum(r.codes == best for r in records) / len(records)
         assert best_share > 0.5
 
 
 class TestChainPinned:
-    """The lazy neighbourhood must leave the random stream, and so every chain, as it was."""
+    """The code-tuple chain must draw the same stream, and so decode to the same chain, as the
+    eager reference over ``Strategy`` values."""
 
     @staticmethod
     def rugged_cost(strategy: Strategy) -> float:
@@ -192,16 +210,11 @@ class TestChainPinned:
         start = default_strategy(space)
         for seed in range(5):
             config = SamplerConfig(beta=beta, seed=seed)
-            records = run_chain(space, self.rugged_cost, start, 300, config)
-            assert records == reference_run_chain(space, self.rugged_cost, start, 300, config)
+            records = run_chain(space, lambda v: self.rugged_cost(space.strategy(v)), start, 300, config)
+            decoded = [(space.strategy(r.codes), r.cost, r.accepted) for r in records]
+            assert decoded == reference_run_chain(space, self.rugged_cost, start, 300, config)
             accepted = sum(r.accepted for r in records)
             assert 0 < accepted < len(records)
-
-
-def _universe(space):
-    from helpers import all_strategies
-
-    return all_strategies(space)
 
 
 class TestConfig:
@@ -210,6 +223,6 @@ class TestConfig:
             SamplerConfig(beta=0.0)
 
     def test_records_are_frozen(self):
-        record = ChainRecord(Strategy(("1",)), 1.0, True)
+        record = ChainRecord((0,), 1.0, True)
         with pytest.raises(AttributeError):
             record.cost = 2.0

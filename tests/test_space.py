@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_strategies, binary_space, reference_neighbors, space_from
+from stratlearn.sampler import SamplerConfig, run_chain
 from stratlearn.space import (
     ParameterDomain,
     SpaceFormatError,
@@ -84,39 +85,39 @@ class TestDefaults:
 
 class TestNeighbors:
     def test_wide_default_has_13_neighbors(self, large_space):
-        assert len(neighbors(large_space, default_strategy(large_space))) == 13
+        assert len(neighbors(large_space, large_space.codes(default_strategy(large_space)))) == 13
 
     def test_compact_default_has_9_neighbors(self, small_space):
-        assert len(neighbors(small_space, default_strategy(small_space))) == 9
+        assert len(neighbors(small_space, small_space.codes(default_strategy(small_space)))) == 9
 
     def test_single_binary_domain(self):
         space = binary_space(1)
-        (only,) = neighbors(space, default_strategy(space))
-        assert only == Strategy(("0",))
+        (only,) = neighbors(space, space.codes(default_strategy(space)))
+        assert space.strategy(only) == Strategy(("0",))
 
     def test_count_formula_on_every_strategy(self, small_space):
         expected = sum(d.size - 1 for d in small_space.domains)
         for v in all_strategies(small_space):
-            assert len(neighbors(small_space, v)) == expected
+            assert len(neighbors(small_space, small_space.codes(v))) == expected
 
     def test_symmetry_exhaustive(self):
         space = space_from([("a", "1", ("0", "2")), ("b", "x", ("y",)), ("c", "0", ("1", "2", "3"))])
         assert len(all_strategies(space)) <= 256
-        universe = all_strategies(space)
-        table = {v: set(n.assignments for n in neighbors(space, v)) for v in universe}
+        universe = [space.codes(v) for v in all_strategies(space)]
+        table = {v: set(neighbors(space, v)) for v in universe}
         for v in universe:
             for w in universe:
-                assert (w.assignments in table[v]) == (v.assignments in table[w])
+                assert (w in table[v]) == (v in table[w])
 
     def test_deterministic_order(self, small_space):
-        v = default_strategy(small_space)
+        v = small_space.codes(default_strategy(small_space))
         assert list(neighbors(small_space, v)) == list(neighbors(small_space, v))
         first = neighbors(small_space, v)[0]
-        assert first.assignments == ("0", "1", "1", "1", "2", "6")
+        assert small_space.strategy(first).assignments == ("0", "1", "1", "1", "2", "6")
 
 
 class TestLazyNeighborhood:
-    """``neighbors`` builds each neighbour on indexing; it must equal the eager enumeration."""
+    """``neighbors`` builds each neighbour on indexing; decoded, it must equal the eager enumeration."""
 
     @pytest.mark.parametrize(
         "space",
@@ -130,21 +131,21 @@ class TestLazyNeighborhood:
     def test_every_strategy_and_radius_equals_the_reference(self, space):
         for v in all_strategies(space):
             expected = reference_neighbors(space, v)
-            lazy = neighbors(space, v)
+            lazy = neighbors(space, space.codes(v))
             n = len(expected)
             assert len(lazy) == n
-            assert [lazy[j] for j in range(n)] == expected
-            assert [lazy[-j] for j in range(1, n + 1)] == expected[::-1]
-            assert list(lazy) == expected
+            assert [space.strategy(lazy[j]) for j in range(n)] == expected
+            assert [space.strategy(lazy[-j]) for j in range(1, n + 1)] == expected[::-1]
+            assert [space.strategy(c) for c in lazy] == expected
             first, *rest = lazy
-            assert [first, *rest] == expected
+            assert [space.strategy(c) for c in (first, *rest)] == expected
             for j in (n, -n - 1):
                 with pytest.raises(IndexError):
                     lazy[j]
 
 
 class TestCodeTable:
-    """One value -> code lookup validates, encodes, and seeds the neighbourhood."""
+    """One value -> code lookup validates and encodes; ``strategy`` decodes."""
 
     CASES = [
         (("1", "1", "1", "1", "2"), "strategy has 5 assignments, space has 6 parameters"),
@@ -157,8 +158,7 @@ class TestCodeTable:
         strategy = Strategy(assignments)
         for call in (
             lambda: small_space.codes(strategy),
-            lambda: encode_features(small_space, strategy, 1),
-            lambda: neighbors(small_space, strategy),
+            lambda: run_chain(small_space, lambda codes: 1.0, strategy, 1, SamplerConfig()),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()
@@ -170,8 +170,7 @@ class TestCodeTable:
 
         used, untouched = fresh(), fresh()
         v = default_strategy(used)
-        encode_features(used, v, 1)
-        neighbors(used, v)[0]
+        used.strategy(neighbors(used, used.codes(v))[0])
         assert used.domains[0].codes == {"1": 0, "0": 1}
         assert used == untouched and hash(used) == hash(untouched)
         for a, b in zip(used.domains, untouched.domains):
@@ -183,22 +182,26 @@ class TestCodeTable:
 class TestEncodeFeatures:
     def test_defaults_encode_to_zero(self, small_space):
         v = default_strategy(small_space)
-        assert encode_features(small_space, v, 7) == (0, 0, 0, 0, 0, 0, 7)
+        assert encode_features(small_space.codes(v), 7) == (0, 0, 0, 0, 0, 0, 7)
 
     def test_alternative_positions(self, small_space):
         v = Strategy(("1", "1", "2", "1", "2", "9"))
-        assert encode_features(small_space, v, 3) == (0, 0, 2, 0, 0, 2, 3)
+        assert encode_features(small_space.codes(v), 3) == (0, 0, 2, 0, 0, 2, 3)
 
     def test_index_zero(self, small_space):
         v = default_strategy(small_space)
-        assert encode_features(small_space, v, 0)[-1] == 0
+        assert encode_features(small_space.codes(v), 0)[-1] == 0
+
+    def test_strategy_inverts_codes(self, small_space):
+        for v in all_strategies(small_space):
+            assert small_space.strategy(small_space.codes(v)) == v
 
     def test_injective_over_strategy_and_index(self):
         space = space_from([("a", "1", ("0", "2")), ("b", "0", ("1",))])
         seen = {}
         for v in all_strategies(space):
             for index in range(3):
-                code = encode_features(space, v, index)
+                code = encode_features(space.codes(v), index)
                 assert code not in seen, f"collision with {seen[code]}"
                 seen[code] = (v, index)
 
@@ -230,8 +233,8 @@ def test_parse_serialize_round_trip(space):
 @settings(max_examples=50, deadline=None)
 @given(spaces(), st.integers(min_value=0, max_value=1000))
 def test_neighbor_count_formula(space, index):
-    v = default_strategy(space)
+    v = space.codes(default_strategy(space))
     assert len(neighbors(space, v)) == sum(d.size - 1 for d in space.domains)
     # encoding stays within the ordinal ranges
-    code = encode_features(space, v, index)
+    code = encode_features(v, index)
     assert code[-1] == index and all(c == 0 for c in code[:-1])
