@@ -2,11 +2,13 @@
 
 The base rules walk an index through the problem sequence: an UNSAT answer on
 a non-final problem advances the index, a SAT answer ends the run with
-Success, and UNSAT on the final problem ends it with Failure.  On top of
-that, learning epochs gather (strategy, index, cost) samples by rerunning the
-just-solved problem under sampled strategies, a random forest is refit on the
-growing dataset, and after every index advance the active strategy switches
-to the candidate the forest predicts to be cheapest.
+Success, and UNSAT on the final problem ends it with Failure.
+``apply_solve`` is the one place that picks the rule from a solve's verdict
+and index.  On top of that, learning epochs gather (strategy, index, cost)
+samples by rerunning the just-solved problem under sampled strategies, a
+random forest is refit on the growing dataset, and after every index advance
+the active strategy switches to the candidate the forest predicts to be
+cheapest.
 
 Time is accounted on a virtual clock by default: every backend call reports a
 deterministic effort metric which the engine treats as time, so runs replay
@@ -185,35 +187,25 @@ def _require_live(state: EngineState) -> None:
         raise InapplicableRuleError(f"terminal state {state.terminal.value} is absorbing")
 
 
-def rule_next(state: EngineState, outcome) -> EngineState:
-    """Advance to the next problem after an UNSAT answer on a non-final one.
+def apply_solve(state: EngineState, outcome) -> Outcome | None:
+    """Pick the base rule from a main solve's verdict and the index; nothing else picks it.
 
-    ``outcome`` is the current problem's solve under the in-force strategy;
-    ``run()`` has already recorded its metric as ``state.baseline``.
+    SAT applies Success at any index and UNSAT on the final problem applies
+    Failure; both set ``state.terminal`` and return it.  UNSAT below the final
+    index returns None: Next applies, and ``run()`` advances the index after
+    any epoch on the solved problem.  Any other verdict raises RuntimeError.
     """
     _require_live(state)
     if outcome.verdict is Verdict.SAT:
-        raise InapplicableRuleError("verdict is SAT; the success rule applies")
-    if outcome.verdict is not Verdict.UNSAT:
-        raise InapplicableRuleError(f"verdict {outcome.verdict.value} admits no rule")
-    if state.index >= state.num_problems:
-        raise InapplicableRuleError("final problem is UNSAT; the failure rule applies")
-    state.index += 1
-    return state
-
-
-def rule_success(state: EngineState) -> EngineState:
-    _require_live(state)
-    state.terminal = Outcome.SUCCESS
-    return state
-
-
-def rule_failure(state: EngineState) -> EngineState:
-    _require_live(state)
-    if state.index != state.num_problems:
-        raise InapplicableRuleError("failure requires the final problem index")
-    state.terminal = Outcome.FAILURE
-    return state
+        state.terminal = Outcome.SUCCESS
+    elif outcome.verdict is not Verdict.UNSAT:
+        raise RuntimeError(
+            f"backend returned {outcome.verdict.value} for problem {state.index}; "
+            "the engine needs a decisive verdict"
+        )
+    elif state.index == state.num_problems:
+        state.terminal = Outcome.FAILURE
+    return state.terminal
 
 
 def should_learn(state: EngineState, policy: EpochPolicy, t_current: float) -> bool:
@@ -223,7 +215,7 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float) -> b
     strategy; one epoch reruns it ``samples_per_epoch`` times at worst.
     """
     estimate = state.learning_time_spent + policy.samples_per_epoch * t_current
-    return estimate <= policy.learning_budget
+    return policy.learning_budget > 0 and estimate <= policy.learning_budget
 
 
 def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int | None]:
@@ -407,19 +399,19 @@ def run(
 ) -> RunResult:
     """Drive the rules from ``default_strategy(space)`` until Success, Failure, or the time limit.
 
-    After every index advance the engine may issue one learning epoch on the
-    problem it just solved (budget permitting) and, once the oracle exists,
-    switches the strategy via its predictions at the new index.  Collection
-    and strategize chains both reseed ``sampler_config``.  All random
-    streams derive from ``seed`` through fixed labeled splits, so identical
-    inputs replay identical trajectories in virtual-clock mode.
+    Each solve goes to ``apply_solve``, which alone picks the base rule.  When
+    Next applies, the engine may run one learning epoch on the problem it
+    just solved (budget permitting), advances the index and, once the oracle
+    exists, switches the strategy via its predictions at the new index.
+    Collection and strategize chains both reseed ``sampler_config``.  All
+    random streams derive from ``seed`` through fixed labeled splits, so
+    identical inputs replay identical trajectories in virtual-clock mode.
     """
     if clock not in ("virtual", "wall"):
         raise ValueError(f"unknown clock mode {clock!r}")
     if sampler_config is None:
         sampler_config = SamplerConfig(seed=seed)
-    n = backend.num_problems
-    state = initial_state(space, n)
+    state = initial_state(space, backend.num_problems)
     trajectory = Trajectory()
     wall_start = time.perf_counter()
 
@@ -440,19 +432,10 @@ def run(
         )
         state.baseline = outcome.metric
 
-        if outcome.verdict is Verdict.SAT:
-            rule_success(state)
-            break
-        if outcome.verdict is not Verdict.UNSAT:
-            raise RuntimeError(
-                f"backend returned {outcome.verdict.value} for problem {state.index}; "
-                "the engine needs a decisive verdict"
-            )
-        if state.index == n:
-            rule_failure(state)
+        if apply_solve(state, outcome) is not None:
             break
 
-        if policy.learning_budget > 0 and should_learn(state, policy, duration):
+        if should_learn(state, policy, duration):
             if outcome.metric > 0:
                 learning_epoch(
                     state, backend, policy, sampler_config,
@@ -467,7 +450,7 @@ def run(
                 policy.samples_per_epoch * duration, policy.learning_budget,
             )
 
-        rule_next(state, outcome)
+        state.index += 1
         if state.oracle is not None:
             rule_strategize(
                 state, sampler_config, policy, seed=seed, trajectory=trajectory

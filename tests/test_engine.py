@@ -23,12 +23,10 @@ from stratlearn.engine import (
     Outcome,
     Trajectory,
     UntrainedOracleError,
+    apply_solve,
     initial_state,
     learning_epoch,
-    rule_failure,
-    rule_next,
     rule_strategize,
-    rule_success,
     run,
     should_learn,
     summarize,
@@ -45,51 +43,77 @@ def fresh_state(n, space=SPACE2):
     return initial_state(space, n)
 
 
-def solved(state, backend):
-    """The outcome ``run()`` hands to ``rule_next``: the current problem under the in-force strategy."""
-    return backend.solve(state.index, state.strategy)
+SAT, UNSAT, ABORTED = Verdict.SAT, Verdict.UNSAT, Verdict.ABORTED
+
+# The base rule apply_solve picks on a live state, for each verdict at the
+# first, a middle and the final index; with n = 1 the three coincide.
+# RuntimeError marks a verdict that admits no rule; None means Next applies.
+RULE_TABLE = [
+    (SAT, 1, 1, Outcome.SUCCESS),
+    (SAT, 1, 3, Outcome.SUCCESS),
+    (SAT, 2, 3, Outcome.SUCCESS),
+    (SAT, 3, 3, Outcome.SUCCESS),
+    (UNSAT, 1, 1, Outcome.FAILURE),
+    (UNSAT, 1, 3, None),
+    (UNSAT, 2, 3, None),
+    (UNSAT, 3, 3, Outcome.FAILURE),
+    (ABORTED, 1, 1, RuntimeError),
+    (ABORTED, 1, 3, RuntimeError),
+    (ABORTED, 2, 3, RuntimeError),
+    (ABORTED, 3, 3, RuntimeError),
+]
 
 
 class TestBaseRules:
-    def test_next_advances_on_unsat(self):
-        state = fresh_state(3)
-        backend = backend_for(["UNSAT", "UNSAT", "UNSAT"])
-        rule_next(state, solved(state, backend))
-        assert state.index == 2
+    @pytest.mark.parametrize("terminal", [None, Outcome.SUCCESS, Outcome.FAILURE],
+                             ids=["fresh", "after-success", "after-failure"])
+    @pytest.mark.parametrize(
+        ("verdict", "index", "n", "expected"),
+        RULE_TABLE,
+        ids=[f"{verdict.value}-{index}of{n}" for verdict, index, n, _ in RULE_TABLE],
+    )
+    def test_apply_solve(self, verdict, index, n, expected, terminal):
+        state = fresh_state(n)
+        state.index = index
+        state.terminal = terminal
+        outcome = SolveOutcome(verdict, 10.0)
+        if terminal is not None:
+            with pytest.raises(InapplicableRuleError, match="absorbing"):
+                apply_solve(state, outcome)
+            assert state.terminal is terminal
+        elif expected is RuntimeError:
+            with pytest.raises(RuntimeError, match="decisive") as raised:
+                apply_solve(state, outcome)
+            assert not isinstance(raised.value, InapplicableRuleError)
+            assert state.terminal is None
+        else:
+            assert apply_solve(state, outcome) is expected
+            assert state.terminal is expected
+        assert state.index == index  # run() advances it, after any epoch
         assert state.baseline is None  # run() records it, before any epoch
 
-    def test_next_inapplicable_on_final_problem(self):
-        state = fresh_state(3)
-        state.index = 3
-        backend = backend_for(["UNSAT", "UNSAT", "UNSAT"])
-        with pytest.raises(InapplicableRuleError, match="failure"):
-            rule_next(state, solved(state, backend))
-
-    def test_next_inapplicable_on_sat(self):
-        state = fresh_state(3)
-        backend = backend_for(["SAT", "UNSAT", "UNSAT"])
-        with pytest.raises(InapplicableRuleError, match="success"):
-            rule_next(state, solved(state, backend))
-
-    def test_success_at_any_index(self):
-        state = fresh_state(3)
-        state.index = 2
-        assert rule_success(state).terminal is Outcome.SUCCESS
-
-    def test_failure_requires_final_index(self):
-        state = fresh_state(3)
-        with pytest.raises(InapplicableRuleError):
-            rule_failure(state)
-        state.index = 3
-        assert rule_failure(state).terminal is Outcome.FAILURE
-
-    def test_terminal_states_absorb(self):
-        state = rule_success(fresh_state(2))
-        backend = backend_for(["UNSAT", "UNSAT"])
-        for rule in (lambda: rule_next(state, solved(state, backend)), lambda: rule_success(state),
-                     lambda: rule_failure(state)):
-            with pytest.raises(InapplicableRuleError, match="absorbing"):
-                rule()
+    @pytest.mark.parametrize("policy", [
+        EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=1),
+        EpochPolicy(samples_per_epoch=3, learning_budget=1e9, strategize_samples=3),
+    ], ids=["no-learning", "learning"])
+    def test_replaying_solve_events_reaches_the_run_outcome(self, policy):
+        # The seed of a derivation check: a checker that replays a trajectory's
+        # solve events through apply_solve cannot disagree with run().
+        for n in range(1, 5):
+            for bits in range(2**n):
+                result = run(backend_for(verdicts_from_bits(bits, n)), policy, space=SPACE2, seed=0)
+                solves = result.trajectory.phase_events("solve")
+                state = initial_state(SPACE2, n)
+                replayed = 0
+                for event in solves:
+                    assert event.index == state.index
+                    replayed += 1
+                    if apply_solve(state, SolveOutcome(Verdict(event.verdict), event.raw_metric)) is not None:
+                        break
+                    state.index += 1
+                assert replayed == len(solves)
+                assert state.terminal is result.outcome
+                assert state.index == result.state.index
 
 
 class TestShouldLearn:
@@ -108,6 +132,7 @@ class TestShouldLearn:
         state = fresh_state(2)
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=0.0)
         assert not should_learn(state, policy, t_current=1.0)
+        assert not should_learn(state, policy, t_current=0.0)  # 0 + 100*0 <= 0, yet no budget
 
 
 def landscape_backend():
@@ -351,7 +376,7 @@ class TestRun:
             assert all(e.index != 1 for e in result.trajectory.phase_events("collect"))
             assert result.state.epochs > 0  # the later, nonzero baselines still learn
 
-    def test_collect_past_on_the_current_index_skips_the_in_force_strategy(self):
+    def test_every_epoch_collects_on_the_index_just_solved_without_rerunning_the_in_force_strategy(self):
         class CountingBackend(SyntheticBackend):
             def __init__(self, landscape):
                 super().__init__(landscape)
