@@ -7,6 +7,7 @@ and tests, and a subprocess adapter for external DIMACS-convention solvers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -68,7 +69,8 @@ class SolverAdapterConfig:
     ``command_template`` must reference ``{problem}`` and every space
     parameter by name exactly once.  Exit codes follow the DIMACS solver
     convention by default (10 = SAT, 20 = UNSAT); ``exit_code_aborted``
-    covers budget-limited runs that finish without an answer.
+    covers budget-limited runs that finish without an answer.  The three
+    codes must be distinct.
     ``metric_pattern`` is a regex whose first group captures the metric.
     """
 
@@ -81,8 +83,13 @@ class SolverAdapterConfig:
 
 
 def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> None:
-    """Check that the command template and the budget flag split into shell words, and that
-    the template references {problem} and each parameter, and the flag {budget}, exactly once."""
+    """Check that the command template and the budget flag split into shell words, that
+    the template references {problem} and each parameter, and the flag {budget}, exactly once,
+    and that no two exit codes are equal."""
+    codes = {name: getattr(config, name) for name in ("exit_code_sat", "exit_code_unsat", "exit_code_aborted")}
+    for (a, code), (b, other) in itertools.combinations(codes.items(), 2):
+        if code == other:
+            raise ValueError(f"{a} and {b} are both {code}; each verdict needs its own exit code")
     checks = [("command template", config.command_template, ("problem",) + space.names)]
     if config.metric_budget_flag:
         checks.append(("budget flag", config.metric_budget_flag, ("budget",)))
@@ -337,11 +344,16 @@ class ProblemManifest:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def _entry(self, index: int) -> ManifestEntry:
+        if not 1 <= index <= len(self.entries):
+            raise IndexError(f"index {index} out of range 1..{len(self.entries)}")
+        return self.entries[index - 1]
+
     def locator(self, index: int) -> str:
-        return self.entries[index - 1].locator
+        return self._entry(index).locator
 
     def metadata(self, index: int) -> dict[str, str]:
-        return self.entries[index - 1].metadata
+        return self._entry(index).metadata
 
 
 def parse_manifest(text: str) -> ProblemManifest:

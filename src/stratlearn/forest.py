@@ -16,11 +16,12 @@ interactions no single split can.  Deepening grows the same trees.  A
 leaf's value is its targets' sum in sample order over their number, or
 their shared value exactly.
 
-Each tree is a set of parallel node arrays (see ``RegressionTree``).  A
-forest stacks its trees' arrays once; one vectorized walk, one step per
-level of the deepest tree grown, predicts one row or many, and one
-reduction gives the trees' shared value exactly when all agree (constant
-targets score 1.0), else their sum in tree order divided by their number.
+A forest is the grower's node arrays as they stand (see ``RandomForest``):
+tree t's root is node t, and a split's children are a pair, right after
+left.  One vectorized walk, ``levels`` steps long, predicts one row or
+many, and one reduction gives the trees' shared value exactly when all
+agree (constant targets score 1.0), else their sum in tree order divided by
+their number.
 
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
@@ -91,52 +92,42 @@ class Dataset:
 
 
 @dataclass(eq=False)
-class RegressionTree:
-    """Parallel node arrays, node 0 the root: node i sends x to ``left[i]`` if
-    x[feature[i]] <= threshold[i], else to ``right[i]`` = ``left[i] + 1``.  A
-    leaf (feature -1, threshold NaN) is its own left and right child.  ``value``
-    and ``count`` are each node's mean target and size; ``depth`` counts levels."""
+class RandomForest:
+    """Ensemble of regression trees in one set of parallel node arrays; the
+    prediction is the mean over the trees.
+
+    Tree t's root is node ``roots[t]`` (node t, as grown).  Node i sends x to
+    ``left[i]`` if x[feature[i]] <= threshold[i], else to ``left[i] + 1``; a
+    leaf (feature -1, threshold NaN) is its own left child.  ``value`` is each
+    node's mean target, and ``levels`` counts the levels in which any leaf
+    split, the depth of the deepest tree.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
-    count: np.ndarray
-    depth: int
-
-
-@dataclass
-class RandomForest:
-    """Ensemble of regression trees; the prediction is the mean over trees."""
-
-    trees: tuple[RegressionTree, ...]
+    roots: np.ndarray
+    levels: int
     feature_width: int
     trained_depth: int
     training_score: float
 
-    def __post_init__(self) -> None:
-        # All trees in one set of node arrays, tree t's nodes numbered on from roots[t].
-        self._roots = np.cumsum([0] + [t.value.shape[0] for t in self.trees[:-1]])
-        self._feature = np.concatenate([t.feature for t in self.trees])
-        self._threshold = np.concatenate([t.threshold for t in self.trees])
-        self._left = np.concatenate([t.left + r for t, r in zip(self.trees, self._roots)])
-        self._value = np.concatenate([t.value for t in self.trees])
-        self._levels = max(t.depth for t in self.trees)
-
     def predict(self, X: np.ndarray | Sequence[float]) -> np.ndarray:
         """Mean over the trees for each row of ``X``, or for ``X`` itself if it is one row."""
         X = np.asarray(X, dtype=np.float64)
+        if X.shape[-1] != self.feature_width:
+            raise ValueError(f"feature width {X.shape[-1]} does not match forest width {self.feature_width}")
         if X.ndim == 1:  # read as X[feature]
-            rows, nodes = (), self._roots
+            rows, nodes = (), self.roots
         else:  # read as X.T[feature, row]; nodes[t, r] is row r's node in tree t
-            X, rows, nodes = X.T, (np.arange(X.shape[0]),), self._roots[:, None]
-        for _ in range(self._levels):
-            go_right = X[(self._feature[nodes], *rows)] > self._threshold[nodes]
+            X, rows, nodes = X.T, (np.arange(X.shape[0]),), self.roots[:, None]
+        for _ in range(self.levels):
+            go_right = X[(self.feature[nodes], *rows)] > self.threshold[nodes]
             # Children come in pairs, so right is left + 1; a leaf's NaN threshold
             # sends every row left, to the leaf itself.
-            nodes = self._left[nodes] + go_right
-        values = self._value[nodes]
+            nodes = self.left[nodes] + go_right
+        values = self.value[nodes]
         # Trees that agree give their shared value exactly, so constant targets
         # score exactly 1.0; otherwise the sum runs over the trees in order.
         first = values[0]
@@ -150,7 +141,7 @@ class _ForestGrower:
     Data row ``rows[i]`` lies in live leaf ``leaf[i]``, node ``live[leaf[i]]``.
     The rows are the trees' samples end to end, each in draw order, less those
     in leaves that split no further.  All trees' nodes share one set of arrays
-    in order of creation, ``owner`` naming each node's tree.
+    in order of creation, tree t's root first as node t.
     """
 
     def __init__(self, data: Dataset, n_trees: int, seed: int, bootstrap: bool):
@@ -167,25 +158,25 @@ class _ForestGrower:
         # Codes index each column's distinct values, ascending; np.unique would import numpy.ma (1 MB).
         self.values = [np.array(sorted(set(column.tolist()))) for column in X.T]
         self.codes = np.reshape([np.searchsorted(v, column) for v, column in zip(self.values, X.T)], X.T.shape)
-        self.owner, self.feature, self.left, self.count = np.zeros((4, 0), dtype=np.intp)
+        self.feature, self.left = np.zeros((2, 0), dtype=np.intp)
         self.threshold, self.value = np.zeros((2, 0))
-        self.depths = np.zeros(n_trees, dtype=np.intp)
-        self._add_leaves(np.arange(n_trees), self.rows, np.repeat(np.arange(n_trees), n))
+        self.roots, self.levels = np.arange(n_trees), 0
+        self._add_leaves(n_trees, self.rows, np.repeat(self.roots, n))
 
-    def _add_leaves(self, owner: np.ndarray, rows: np.ndarray, leaf: np.ndarray) -> None:
-        """New leaves of trees ``owner``, data row ``rows[i]`` in leaf ``leaf[i]``, become the live ones."""
-        y, n = self.y[rows], owner.shape[0]
+    def _add_leaves(self, n: int, rows: np.ndarray, leaf: np.ndarray) -> None:
+        """``n`` new leaves, data row ``rows[i]`` in leaf ``leaf[i]``, become the live ones."""
+        y = self.y[rows]
         count = np.bincount(leaf, minlength=n)
         low, high = np.full(n, np.inf), np.full(n, -np.inf)
         np.minimum.at(low, leaf, y)
         np.maximum.at(high, leaf, y)
         # Exact value for constant targets, so memorizing forests score exactly 1.0.
         value = np.where(low == high, low, np.bincount(leaf, y, n) / count)
-        ids = np.arange(self.owner.shape[0], self.owner.shape[0] + n)  # a leaf is its own child
-        self.owner, self.feature, self.threshold, self.left, self.value, self.count = (
+        ids = np.arange(self.value.shape[0], self.value.shape[0] + n)  # a leaf is its own child
+        self.feature, self.threshold, self.left, self.value = (
             np.concatenate(pair) for pair in zip(
-                (self.owner, self.feature, self.threshold, self.left, self.value, self.count),
-                (owner, np.full(n, -1), np.full(n, np.nan), ids, value, count),
+                (self.feature, self.threshold, self.left, self.value),
+                (np.full(n, -1), np.full(n, np.nan), ids, value),
             )
         )
         live = (count >= _MIN_SPLIT) & (low < high)
@@ -226,31 +217,25 @@ class _ForestGrower:
         found = best < np.inf
         parents, feature, cut = self.live[found], feature[found], cut[found]
         self.feature[parents], self.threshold[parents] = feature, threshold[found]
-        self.left[parents] = np.arange(self.owner.shape[0], self.owner.shape[0] + 2 * parents.shape[0], 2)
-        self.depths += np.bincount(self.owner[parents], minlength=self.depths.shape[0]) > 0
+        self.left[parents] = np.arange(self.value.shape[0], self.value.shape[0] + 2 * parents.shape[0], 2)
+        # A tree that splits at this level split at every level before it.
+        self.levels += parents.shape[0] > 0
         keep = found[leaf]
         rows, leaf = rows[keep], (np.cumsum(found) - 1)[leaf[keep]]
         # Splitting leaf r sends its rows to children 2r (left) and 2r + 1.
         side = self.codes[feature[leaf], rows] > cut[leaf]
-        self._add_leaves(np.repeat(self.owner[parents], 2), rows, 2 * leaf + side)
-
-    def trees(self) -> tuple[RegressionTree, ...]:
-        """Copies of the trees grown so far, each numbering its nodes in order of creation."""
-        order = np.argsort(self.owner, kind="stable")
-        sizes = np.bincount(self.owner)
-        local = np.argsort(order) - (np.cumsum(sizes) - sizes)[self.owner]
-        left = local[self.left]
-        columns = (self.feature, self.threshold, left, left + (self.feature >= 0), self.value, self.count)
-        split = [np.split(column[order], np.cumsum(sizes)[:-1]) for column in columns]
-        return tuple(RegressionTree(*arrays, int(depth)) for *arrays, depth in zip(*split, self.depths))
+        self._add_leaves(2 * parents.shape[0], rows, 2 * leaf + side)
 
 
 def _grown_forest(grower: _ForestGrower, data: Dataset, depth: int) -> RandomForest:
     """Grow every tree down to ``depth`` and score the forest on ``data``."""
-    # Trees with live leaves have grown one level per call so far, the most of any tree.
-    while grower.live.size and grower.depths.max() < depth:
+    while grower.live.size and grower.levels < depth:
         grower.grow_level()
-    forest = RandomForest(grower.trees(), data.feature_width, depth, 0.0)
+    # A later grow_level writes the split fields of this level's leaves in place.
+    forest = RandomForest(
+        grower.feature.copy(), grower.threshold.copy(), grower.left.copy(), grower.value,
+        grower.roots, grower.levels, data.feature_width, depth, 0.0,
+    )
     forest.training_score = r2_score(forest, data)
     return forest
 
@@ -270,10 +255,6 @@ def fit_forest(
 
 def predict(forest: RandomForest, features: Sequence[float]) -> float:
     """Mean of the individual tree predictions for one feature vector."""
-    if len(features) != forest.feature_width:
-        raise ValueError(
-            f"feature width {len(features)} does not match forest width {forest.feature_width}"
-        )
     return float(forest.predict(features))
 
 

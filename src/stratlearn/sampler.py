@@ -107,8 +107,11 @@ def run_chain(
         options = neighbors(space, current)
         proposal = options[int(rng.integers(len(options)))]
         cost_proposal = cost_of(proposal)
-        alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
-        accepted = alpha >= 1.0 or rng.random() < alpha
+        # Only an uphill move needs the formula and a draw; exp of a tiny rise may round to 1.0.
+        accepted = cost_proposal <= cost_current
+        if not accepted:
+            alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
+            accepted = alpha >= 1.0 or rng.random() < alpha
         if accepted:
             current, cost_current = proposal, cost_proposal
         records.append(ChainRecord(current, cost_current, accepted))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import itertools
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from stratlearn.backends import (
     Verdict,
     geometric_schedule,
 )
-from stratlearn.forest import _TREE_STREAM
+from stratlearn.forest import _TREE_STREAM, RandomForest
 from stratlearn.sampler import acceptance_probability
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
@@ -230,18 +231,38 @@ def reference_records(node: RefNode) -> list[tuple]:
     return records
 
 
-def node_records(tree, node: int = 0) -> list[tuple]:
-    """``reference_records`` of a flat-array tree, read from ``node`` down.
+def node_records(forest: RandomForest, X: np.ndarray, rows: np.ndarray, node: int) -> list[tuple]:
+    """``reference_records`` of the tree under ``node`` of a forest, ``rows`` being
+    the sample rows that reach it (each node's count is their number).
 
-    A leaf must link to itself on both sides and carry feature -1 and a NaN
-    threshold; it reads as a reference leaf (feature and threshold None).  A
-    split's right child must follow its left child.
+    A leaf must link to itself and carry feature -1 and a NaN threshold; it
+    reads as a reference leaf (feature and threshold None).  A split's
+    children must come after it, right after left.
     """
-    value, count = float(tree.value[node]).hex(), int(tree.count[node])
-    if tree.left[node] == node:
-        assert tree.right[node] == node and tree.feature[node] == -1
-        assert np.isnan(tree.threshold[node])
+    value, count = float(forest.value[node]).hex(), int(rows.shape[0])
+    left = int(forest.left[node])
+    if left == node:
+        assert forest.feature[node] == -1 and np.isnan(forest.threshold[node])
         return [(None, None, value, count)]
-    assert tree.left[node] > node and tree.right[node] == tree.left[node] + 1
-    records = [(int(tree.feature[node]), float(tree.threshold[node]).hex(), value, count)]
-    return records + node_records(tree, int(tree.left[node])) + node_records(tree, int(tree.right[node]))
+    assert left > node
+    feature, threshold = int(forest.feature[node]), float(forest.threshold[node])
+    goes_left = X[rows, feature] <= threshold
+    return (
+        [(feature, threshold.hex(), value, count)]
+        + node_records(forest, X, rows[goes_left], left)
+        + node_records(forest, X, rows[~goes_left], left + 1)
+    )
+
+
+def joined(first: RandomForest, second: RandomForest) -> RandomForest:
+    """``first`` with ``second``'s trees after its own, ``second``'s nodes numbered on from ``first``'s."""
+    offset = first.value.shape[0]
+    return dataclasses.replace(
+        first,
+        feature=np.concatenate([first.feature, second.feature]),
+        threshold=np.concatenate([first.threshold, second.threshold]),
+        left=np.concatenate([first.left, second.left + offset]),
+        value=np.concatenate([first.value, second.value]),
+        roots=np.concatenate([first.roots, second.roots + offset]),
+        levels=max(first.levels, second.levels),
+    )

@@ -25,6 +25,7 @@ from helpers import (
     backend_for,
     binary_space,
     convergence_landscape,
+    joined,
     penalty,
     space_from,
     verdicts_from_bits,
@@ -41,7 +42,6 @@ from stratlearn.engine import EpochPolicy, ForestConfig, Outcome, run, summarize
 from stratlearn.forest import (
     DataPoint,
     Dataset,
-    RandomForest,
     fit_adaptive,
     fit_forest,
     r2_score,
@@ -182,14 +182,14 @@ def test_criterion_05_tree_oracle_equivalence():
                 continue
             checked += 1
             data = Dataset(DataPoint(tuple(int(v) for v in row), float(c)) for row, c in zip(X, y))
-            tree = fit_forest(data, n_trees=1, max_depth=1, bootstrap=False).trees[0]
+            tree = fit_forest(data, n_trees=1, max_depth=1, bootstrap=False)  # rooted at node 0
             _, feature, threshold = expected
             assert tree.feature[0] == feature
             assert tree.threshold[0] == threshold
-            # leaf means by re-routing the training data
+            # leaf means by re-routing the training data; the right child follows the left
             left_mask = X[:, feature] <= threshold
             assert tree.value[tree.left[0]] == pytest.approx(float(y[left_mask].mean()))
-            assert tree.value[tree.right[0]] == pytest.approx(float(y[~left_mask].mean()))
+            assert tree.value[tree.left[0] + 1] == pytest.approx(float(y[~left_mask].mean()))
 
 
 def test_criterion_06_r2_conventions():
@@ -201,7 +201,7 @@ def test_criterion_06_r2_conventions():
         assert r2_score(memorizer, data) == 1.0
         stump = fit_forest(data, n_trees=1, max_depth=0, seed=0, bootstrap=False)
         assert r2_score(stump, data) == 0.0
-        blend = RandomForest((memorizer.trees[0], stump.trees[0]), 1, 10, 0.0)
+        blend = joined(memorizer, stump)
         assert r2_score(blend, data) == pytest.approx(0.75, abs=1e-9)
 
 

@@ -196,6 +196,16 @@ class TestExternalAdapter:
         assert backend.solve(1, Strategy(("1",))).verdict is Verdict.UNSAT
         assert backend.solve(2, Strategy(("1",))).metric == 20.0
 
+    def test_both_backends_refuse_indices_outside_the_problems(self, tmp_path, one_param_space):
+        p1 = write_problem(tmp_path, "p1", verdict="UNSAT", conflicts=10)
+        p2 = write_problem(tmp_path, "p2", verdict="SAT", conflicts=20)
+        external = ExternalBackend(adapter_for(), one_param_space, parse_manifest(f"1\t{p1}\n2\t{p2}\n"))
+        synthetic = backend_for(["UNSAT", "SAT"])
+        for backend in (external, synthetic):
+            for index in (0, 3):
+                with pytest.raises(IndexError, match="out of range 1..2"):
+                    backend.solve(index, Strategy(("1",)))
+
     def test_locator_with_shell_characters_is_one_argument(self, tmp_path, one_param_space):
         (tmp_path / "my dir").mkdir()
         (tmp_path / "it's").mkdir()
@@ -252,8 +262,10 @@ class TestAdapterConfigFile:
             ("budget_flag = --conflicts", r"budget flag must reference \{budget\} exactly once, found 0"),
             ("budget_flag = --conflicts {budget} --on {problem}",
              r"budget flag references unknown fields \['problem'\]"),
+            # exit_aborted defaults to 0, so every run that exits 0 would read as SAT.
+            ("exit_sat = 0", "exit_code_sat and exit_code_aborted are both 0"),
         ],
-        ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field"],
+        ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field", "shared_exit_code"],
     )
     def test_bad_template_fails_at_construction(self, tmp_path, one_param_space, line, message):
         # Unchecked, each would surface only at the first (budgeted) solve, mid-run.
@@ -286,6 +298,14 @@ class TestManifest:
         assert [load_manifest(path).metadata(i) for i in (1, 2, 3)] == [
             manifest.metadata(i) for i in (1, 2, 3)
         ]
+
+    def test_indices_outside_one_to_n_rejected(self):
+        manifest = parse_manifest("1\ta.cnf\tk=1\n2\tb.cnf\tk=2\n")
+        for index in (-1, 0, 3):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                manifest.locator(index)
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                manifest.metadata(index)
 
     def test_comments_ignored(self):
         manifest = parse_manifest("# problems\n1\ta.cnf\n")

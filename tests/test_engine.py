@@ -1,5 +1,7 @@
 """Transition rules, epoch policy, strategize, and full runs."""
 
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +17,13 @@ from helpers import (
     convergence_landscape,
     verdicts_from_bits,
 )
-from stratlearn.backends import SolveOutcome, SyntheticBackend, Verdict
+from stratlearn.backends import (
+    SolveOutcome,
+    SyntheticBackend,
+    SyntheticLandscape,
+    Verdict,
+    geometric_schedule,
+)
 from stratlearn.engine import (
     EpochPolicy,
     ForestConfig,
@@ -33,7 +41,7 @@ from stratlearn.engine import (
 )
 from stratlearn.forest import DataPoint, Dataset, fit_forest
 from stratlearn.sampler import CostFunctionError, SamplerConfig
-from stratlearn.space import Strategy, default_strategy, encode_features
+from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
 SPACE2 = binary_space(2)
 NO_LEARNING = EpochPolicy(samples_per_epoch=100, learning_budget=0.0, strategize_samples=500)
@@ -417,7 +425,31 @@ class TestRun:
                      forest_config=ForestConfig(trees=3, depth_cap=2))
         assert summarize(result.trajectory, result.outcome).epochs >= 1
         assert result.state.oracle.trained_depth <= 2
-        assert all(tree.depth <= 2 for tree in result.state.oracle.trees)
+        assert result.state.oracle.levels <= 2  # the depth of the deepest tree
+
+    @pytest.mark.parametrize("forest_config, digest", [
+        (ForestConfig(trees=8), "9e09167ec13780c9f0eca8739664a7ac4676fc8673eaf6976fa2a04138c342c8"),
+        (ForestConfig(trees=8, fixed_depth=3),
+         "d4dfd728f83b2d2fbfbe55f9f33cec39db890ebf52f99ffc852a1f22b065aee2"),
+    ], ids=["adaptive", "fixed_depth"])
+    def test_trajectory_is_pinned(self, forest_config, digest):
+        """A refactor that keeps the engine's behaviour keeps these event logs byte for byte."""
+        space = builtin_space("kissat_large")
+        landscape = SyntheticLandscape(
+            optimum=tuple(d.values[-1] for d in space.domains),
+            weights=tuple(0.1 * (i + 1) for i in range(space.k)),
+            base_metrics=geometric_schedule(50.0, 1.5, 5),
+            verdicts=(Verdict.UNSAT,) * 5,
+        )
+        policy = EpochPolicy(samples_per_epoch=30, learning_budget=1e9, strategize_samples=40)
+        result = run(SyntheticBackend(landscape), policy, space=space, seed=5, forest_config=forest_config)
+        assert summarize(result.trajectory, result.outcome).epochs >= 2
+        assert result.trajectory.phase_events("strategize")
+        sha = hashlib.sha256()
+        for event in result.trajectory:
+            sha.update(repr(dataclasses.astuple(event)).encode())
+            sha.update(b"\n")
+        assert sha.hexdigest() == digest
 
     def test_aborted_main_solve_is_an_error(self):
         class AbortingBackend:

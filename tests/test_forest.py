@@ -1,16 +1,18 @@
 """Regression trees, forests, scoring conventions, adaptive depth."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import bootstrap_rows, node_records, reference_records, reference_trees
+from helpers import bootstrap_rows, joined, node_records, reference_records, reference_trees
 from stratlearn.forest import (
     DataPoint,
     Dataset,
-    RandomForest,
+    _ForestGrower,
+    _grown_forest,
     fit_adaptive,
     fit_forest,
     predict,
@@ -23,7 +25,8 @@ def make_dataset(X, y):
 
 
 def fit_one_tree(data, max_depth):
-    return fit_forest(data, n_trees=1, max_depth=max_depth, bootstrap=False).trees[0]
+    """A one-tree forest without bootstrap; its tree is rooted at node 0."""
+    return fit_forest(data, n_trees=1, max_depth=max_depth, bootstrap=False)
 
 
 def brute_force_root_split(X, y):
@@ -40,16 +43,16 @@ def brute_force_root_split(X, y):
     return best
 
 
-def route(tree, row):
-    """Id of the leaf of a flat-array tree that ``row`` reaches, walked one node at a time."""
-    node = 0
-    while tree.left[node] != node:
-        node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+def route(forest, row, node=0):
+    """Id of the leaf that ``row`` reaches from root ``node``, walked one node at a time."""
+    while forest.left[node] != node:
+        left = forest.left[node]
+        node = left if row[forest.feature[node]] <= forest.threshold[node] else left + 1
     return int(node)
 
 
-def is_leaf(tree, node):
-    return tree.left[node] == tree.right[node] == node
+def is_leaf(forest, node):
+    return forest.left[node] == node
 
 
 def tied_dataset(rng, n=None):
@@ -71,13 +74,13 @@ def tied_dataset(rng, n=None):
     return make_dataset(X, y)
 
 
-def nodes_with_rows(tree, X, rows, node=0, level=0):
-    """(node, the sample rows reaching it, its depth) for every node of a flat-array tree, in preorder."""
+def nodes_with_rows(forest, X, rows, node, level=0):
+    """(node, the sample rows reaching it, its depth) for every node of the tree under root ``node``, in preorder."""
     yield node, rows, level
-    if not is_leaf(tree, node):
-        left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        yield from nodes_with_rows(tree, X, rows[left], int(tree.left[node]), level + 1)
-        yield from nodes_with_rows(tree, X, rows[~left], int(tree.right[node]), level + 1)
+    if not is_leaf(forest, node):
+        left = X[rows, forest.feature[node]] <= forest.threshold[node]
+        yield from nodes_with_rows(forest, X, rows[left], int(forest.left[node]), level + 1)
+        yield from nodes_with_rows(forest, X, rows[~left], int(forest.left[node]) + 1, level + 1)
 
 
 def exact_sse(y):
@@ -108,8 +111,11 @@ def exact_cuts(X, y):
     return cuts
 
 
-def tree_records(forest):
-    return [node_records(tree) for tree in forest.trees]
+def tree_records(forest, data, seed, bootstrap=True):
+    """``node_records`` of every tree of a forest fit on ``data``, counting each tree's bootstrap rows."""
+    X, _ = data.to_arrays()
+    return [node_records(forest, X, bootstrap_rows(len(data), t, seed, bootstrap), int(root))
+            for t, root in enumerate(forest.roots)]
 
 
 def sequential_mean(values):
@@ -154,8 +160,9 @@ class TestFitTree:
     def test_featureless_data_is_one_leaf(self):
         data = Dataset([DataPoint((), 1.0), DataPoint((), 2.0)])
         forest = fit_forest(data, n_trees=2, max_depth=3, seed=0)
-        assert all(is_leaf(tree, 0) and tree.value.shape == (1,) for tree in forest.trees)
-        assert predict(forest, ()) == float(np.mean([t.value[0] for t in forest.trees]))
+        assert all(is_leaf(forest, root) for root in forest.roots)
+        assert forest.value.shape == forest.roots.shape
+        assert predict(forest, ()) == float(np.mean([forest.value[root] for root in forest.roots]))
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(5)
@@ -168,7 +175,6 @@ class TestFitTree:
         for row in X:
             leaf = route(tree, row)
             assert tree.value[leaf] == pytest.approx(np.mean(buckets[leaf]))
-            assert tree.count[leaf] == len(buckets[leaf])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -191,7 +197,9 @@ class TestLevelWiseGrowth:
                     forest = fit_forest(data, n_trees=2, max_depth=depth, seed=case,
                                         bootstrap=bootstrap)
                     expected = reference_trees(data, 2, depth, seed=case, bootstrap=bootstrap)
-                    assert tree_records(forest) == [reference_records(root) for root in expected]
+                    assert tree_records(forest, data, case, bootstrap) == [
+                        reference_records(root) for root in expected
+                    ]
 
     def test_every_split_is_a_best_legal_cut_in_exact_arithmetic(self):
         """Independent of summation order: each split is a legal cut whose exact SSE is
@@ -205,14 +213,14 @@ class TestLevelWiseGrowth:
                 for bootstrap in (False, True):
                     forest = fit_forest(data, n_trees=2, max_depth=depth, seed=case,
                                         bootstrap=bootstrap)
-                    for t, tree in enumerate(forest.trees):
+                    for t, root in enumerate(forest.roots):
                         rows = bootstrap_rows(len(data), t, case, bootstrap)
-                        for node, at, level in nodes_with_rows(tree, X, rows):
+                        for node, at, level in nodes_with_rows(forest, X, rows, int(root)):
                             cuts = exact_cuts(X[at], y[at])
-                            if is_leaf(tree, node):
+                            if is_leaf(forest, node):
                                 assert level == depth or not cuts or np.ptp(y[at]) == 0
                                 continue
-                            chosen = cuts[int(tree.feature[node]), float(tree.threshold[node])]
+                            chosen = cuts[int(forest.feature[node]), float(forest.threshold[node])]
                             assert chosen - min(cuts.values()) <= Fraction(1e-9) * exact_sse(y[at])
 
     def test_trees_grown_together_stay_independent(self):
@@ -227,7 +235,7 @@ class TestLevelWiseGrowth:
                                            depth_cap=5, seed=case, bootstrap=bootstrap),
                 )
                 for fit in fits:
-                    records = [tree_records(fit(k)) for k in (1, 3, 6)]
+                    records = [tree_records(fit(k), data, case, bootstrap) for k in (1, 3, 6)]
                     for fewer, more in zip(records, records[1:]):
                         assert more[: len(fewer)] == fewer
 
@@ -240,7 +248,7 @@ class TestLevelWiseGrowth:
                 grown = fit_adaptive(data, n_trees=3, init_depth=init_depth,
                                      score_threshold=1.1, depth_cap=cap, seed=case)
                 fresh = fit_forest(data, n_trees=3, max_depth=cap, seed=case)
-                assert tree_records(grown) == tree_records(fresh)
+                assert tree_records(grown, data, case) == tree_records(fresh, data, case)
                 assert grown.trained_depth == cap
                 assert grown.training_score == r2_score(grown, data) == fresh.training_score
                 # A first score that clears the threshold stops growth at init_depth.
@@ -249,7 +257,24 @@ class TestLevelWiseGrowth:
                                        score_threshold=first.training_score, depth_cap=cap,
                                        seed=case)
                 assert stopped.trained_depth == init_depth
-                assert tree_records(stopped) == tree_records(first)
+                assert tree_records(stopped, data, case) == tree_records(first, data, case)
+
+    def test_a_fitted_forest_is_unchanged_by_its_grower_growing_deeper(self):
+        """``fit_adaptive`` takes a forest from one grower at each depth.  The walk
+        never reads a frontier leaf's links, so predictions alone would not show a
+        later level written into the forest's arrays; its node records do."""
+        rng = np.random.default_rng(55)
+        for case in range(10):
+            data = make_dataset(rng.integers(0, 4, size=(40, 3)), rng.normal(size=40))
+            X, _ = data.to_arrays()
+            grower = _ForestGrower(data, 4, case, bootstrap=True)
+            forest = _grown_forest(grower, data, 1)
+            records, predictions = tree_records(forest, data, case), forest.predict(X)
+            _grown_forest(grower, data, 4)
+            assert grower.levels == 4
+            assert np.array_equal(forest.predict(X), predictions)
+            assert tree_records(forest, data, case) == records
+            assert records == tree_records(fit_forest(data, 4, 1, case), data, case)
 
 
 class TestOnePredictor:
@@ -266,7 +291,7 @@ class TestOnePredictor:
                     forest = fit_forest(data, n_trees=9, max_depth=depth, seed=case,
                                         bootstrap=bootstrap)
                     for row, together in zip(probe, forest.predict(probe)):
-                        leaves = [float(t.value[route(t, row)]) for t in forest.trees]
+                        leaves = [float(forest.value[route(forest, row, root)]) for root in forest.roots]
                         single = predict(forest, tuple(row))
                         assert single.hex() == float(together).hex() == sequential_mean(leaves).hex()
                         if all(v == leaves[0] for v in leaves):
@@ -287,9 +312,8 @@ class TestOnePredictor:
             deep_predictions = deep.predict(X)
             deep_first = predict(deep, tuple(X[0]))
             assert time.perf_counter() - start < 1.0
-            grown = fit_forest(data, n_trees=5, max_depth=max(t.depth for t in deep.trees),
-                               seed=case)
-            assert tree_records(deep) == tree_records(grown)
+            grown = fit_forest(data, n_trees=5, max_depth=deep.levels, seed=case)
+            assert tree_records(deep, data, case) == tree_records(grown, data, case)
             assert np.array_equal(deep_predictions, grown.predict(X))
             assert deep_first == predict(grown, tuple(X[0]))
 
@@ -302,8 +326,7 @@ class TestForest:
         data = make_dataset(X, y)
         forest = fit_forest(data, n_trees=1, max_depth=3, seed=1, bootstrap=False)
         probe = rng.integers(0, 4, size=(50, 2)).astype(float)
-        tree = forest.trees[0]
-        by_hand = [tree.value[route(tree, row)] for row in probe]
+        by_hand = [forest.value[route(forest, row)] for row in probe]
         assert np.array_equal(forest.predict(probe), by_hand)
 
     def test_constant_costs_predict_constant_and_score_one(self):
@@ -330,7 +353,7 @@ class TestForest:
         data_high = make_dataset([(0,), (1,)], [3.0, 3.0])
         t1 = fit_one_tree(data_low, max_depth=0)
         t2 = fit_one_tree(data_high, max_depth=0)
-        forest = RandomForest((t1, t2), feature_width=1, trained_depth=0, training_score=0.0)
+        forest = joined(t1, t2)
         assert predict(forest, (0,)) == 2.0
 
     def test_single_leaf_forest_ignores_input(self):
@@ -351,18 +374,21 @@ class TestForest:
         X = rng.integers(0, 4, size=(25, 2)).astype(float)
         y = rng.normal(size=25)
         forest = fit_forest(make_dataset(X, y), n_trees=5, max_depth=3, seed=2)
-        reversed_forest = RandomForest(
-            tuple(reversed(forest.trees)), forest.feature_width,
-            forest.trained_depth, forest.training_score,
-        )
+        reversed_forest = dataclasses.replace(forest, roots=forest.roots[::-1])
         probe = rng.integers(0, 4, size=(30, 2)).astype(float)
         assert np.allclose(forest.predict(probe), reversed_forest.predict(probe))
 
     def test_width_mismatch_rejected(self):
         data = make_dataset([(0, 1), (1, 0)], [0.0, 1.0])
         forest = fit_forest(data, n_trees=1, max_depth=1, seed=0)
+        wide, narrow = np.zeros((3, 3)), np.zeros((3, 1))
+        for rows in ((0, 1, 2), (0,), wide, narrow):
+            with pytest.raises(ValueError, match="width"):
+                forest.predict(rows)
         with pytest.raises(ValueError, match="width"):
             predict(forest, (0, 1, 2))
+        with pytest.raises(ValueError, match="width"):
+            r2_score(forest, make_dataset(wide, [0.0, 1.0, 2.0]))
 
     def test_doubling_trees_roughly_doubles_time(self):
         rng = np.random.default_rng(9)
@@ -399,7 +425,7 @@ class TestR2:
         data = make_dataset(X, y)
         memorizer = fit_one_tree(data, max_depth=10)
         stump = fit_one_tree(data, max_depth=0)
-        blend = RandomForest((memorizer, stump), 1, 10, 0.0)
+        blend = joined(memorizer, stump)
         assert r2_score(blend, data) == pytest.approx(0.75, abs=1e-9)
 
 
