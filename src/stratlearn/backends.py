@@ -181,8 +181,9 @@ _ADAPTER_KEYS = {
 
 
 def load_adapter_config(path: str | Path) -> SolverAdapterConfig:
-    """Read a key=value adapter file (# comments allowed)."""
+    """Read a key=value adapter file (# comments allowed); each key may be set once."""
     kwargs: dict[str, object] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -192,6 +193,9 @@ def load_adapter_config(path: str | Path) -> SolverAdapterConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _ADAPTER_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown adapter key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: repeated adapter key {key!r} (first set on line {seen[key]})")
+        seen[key] = lineno
         attr = _ADAPTER_KEYS[key]
         if attr.startswith("exit_code"):
             try:

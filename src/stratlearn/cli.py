@@ -174,11 +174,10 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
         backend, policy, space=space, sampler_config=SamplerConfig(seed=config.seed),
         forest_config=forest_config, seed=config.seed, time_limit=config.time_limit, clock=clock,
     )
-    summary = summarize(result.trajectory, result.outcome)
-    if config.out:
-        meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
-        emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=meta)
-    return result, summary
+    if not config.out:
+        return result, summarize(result.trajectory, result.outcome)
+    meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
+    return result, emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=meta)
 
 
 def _cell(value) -> str:

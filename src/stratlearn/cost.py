@@ -22,10 +22,7 @@ ABORT_MULTIPLIER = 10.0
 
 @dataclass(frozen=True)
 class CostRecord:
-    strategy: Strategy
-    index: int
     raw_metric: float
-    baseline_metric: float
     cost: float
     aborted: bool
 
@@ -49,11 +46,4 @@ def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float
         cost = ABORT_MULTIPLIER
     else:
         cost = outcome.metric / baseline_metric
-    return CostRecord(
-        strategy=strategy,
-        index=index,
-        raw_metric=float(outcome.metric),
-        baseline_metric=float(baseline_metric),
-        cost=cost,
-        aborted=aborted,
-    )
+    return CostRecord(raw_metric=float(outcome.metric), cost=cost, aborted=aborted)

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .backends import Verdict
-from .cost import ABORT_MULTIPLIER, CostRecord, collect_cost
+from .cost import ABORT_MULTIPLIER, collect_cost
 from .forest import DataPoint, Dataset, RandomForest, fit_adaptive, fit_forest, predict
 from .sampler import CostFunctionError, SamplerConfig, run_chain
 from .space import Strategy, StrategySpace, default_strategy, encode_features
@@ -226,18 +226,6 @@ def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int
     return min(math.ceil(feature_width / 3), cap), config.depth_cap
 
 
-def _absorb_evaluations(state: EngineState, evaluated: list[CostRecord], trajectory: Trajectory | None) -> None:
-    """Charge learning time (and log events) for the backend calls of an epoch."""
-    for record in evaluated:
-        charge = record.baseline_metric * ABORT_MULTIPLIER if record.aborted else record.raw_metric
-        state.learning_time_spent += charge
-        if trajectory is not None:
-            trajectory.record(
-                "collect", record.index, record.strategy,
-                raw_metric=record.raw_metric, cost=record.cost, virtual_time=charge,
-            )
-
-
 def learning_epoch(
     state: EngineState,
     backend,
@@ -254,10 +242,14 @@ def learning_epoch(
     the solve just made.  The chain starts at the engine's current strategy,
     whose cost on the current problem is 1 by construction, so it costs no
     extra backend call.
-    A backend failure mid-chain (``CostFunctionError``) is re-raised, with no
-    refit, after the calls already measured are charged, logged and added to
-    the dataset; ``run()`` does not catch it, so the whole run ends (ROADMAP.md
-    item 3 is to make it end only the epoch).
+    Each backend call is handled as it returns: its time (the capped budget,
+    ``ABORT_MULTIPLIER`` times the baseline, if it aborted, else its raw
+    metric) is charged to ``state.learning_time_spent``, a ``collect`` event is
+    recorded, and its data point is kept.  A finished chain adds its samples
+    to the dataset.  A backend failure mid-chain (``CostFunctionError``) adds
+    the kept points instead and is re-raised with no refit; ``run()`` does not
+    catch it, so the whole run ends (ROADMAP.md item 3 is to make it end only
+    the epoch).
     """
     _require_live(state)
     index = state.index
@@ -270,25 +262,31 @@ def learning_epoch(
     )
     space = state.space
     in_force = space.codes(state.strategy)
-    evaluated: list[CostRecord] = []
+    measured: list[DataPoint] = []
 
     def cost_fn(codes: tuple[int, ...]) -> float:
         # The in-force strategy's run *is* the baseline run; skip the redundant call.
         if codes == in_force:
             return 1.0
-        record = collect_cost(backend, index, space.strategy(codes), baseline)
-        evaluated.append(record)
+        strategy = space.strategy(codes)
+        record = collect_cost(backend, index, strategy, baseline)
+        charge = baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric
+        state.learning_time_spent += charge
+        if trajectory is not None:
+            trajectory.record(
+                "collect", index, strategy,
+                raw_metric=record.raw_metric, cost=record.cost, virtual_time=charge,
+            )
+        measured.append(DataPoint(encode_features(codes, index), record.cost))
         return record.cost
 
     try:
         samples = run_chain(space, cost_fn, state.strategy, policy.samples_per_epoch, chain_config)
     except CostFunctionError:
-        _absorb_evaluations(state, evaluated, trajectory)
-        for record in evaluated:
-            state.dataset.append(DataPoint(encode_features(space.codes(record.strategy), index), record.cost))
+        for point in measured:
+            state.dataset.append(point)
         raise
 
-    _absorb_evaluations(state, evaluated, trajectory)
     for sample in samples:
         state.dataset.append(DataPoint(encode_features(sample.codes, index), sample.cost))
 
@@ -307,7 +305,7 @@ def learning_epoch(
         trajectory.record("train", index, state.strategy, cost=oracle.training_score)
     logger.debug(
         "epoch %d on problem %d: %d backend calls, dataset size %d, score %.3f at depth %d",
-        state.epochs, index, len(evaluated), len(state.dataset),
+        state.epochs, index, len(measured), len(state.dataset),
         oracle.training_score, oracle.trained_depth,
     )
     return state

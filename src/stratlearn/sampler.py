@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class SamplerConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(NamedTuple):
     """Chain state (ordinal codes) after one propose/accept step."""
 
     codes: tuple[int, ...]
@@ -102,10 +101,10 @@ def run_chain(
         return cost_memo[codes]
 
     cost_current = cost_of(current)
+    n_neighbors = space.neighbor_starts[-1]
     records: list[ChainRecord] = []
     for _ in range(n_samples):
-        options = neighbors(space, current)
-        proposal = options[int(rng.integers(len(options)))]
+        proposal = neighbors(space, current, int(rng.integers(n_neighbors)))
         cost_proposal = cost_of(proposal)
         # Only an uphill move needs the formula and a draw; exp of a tiny rise may round to 1.0.
         accepted = cost_proposal <= cost_current

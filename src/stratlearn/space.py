@@ -9,7 +9,6 @@ the string values meaning; chains walk a strategy's ordinal codes instead
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -184,39 +183,20 @@ def default_strategy(space: StrategySpace) -> Strategy:
     return Strategy(tuple(d.default_value for d in space.domains))
 
 
-class Neighborhood(Sequence):
-    """The Hamming-1 neighbours of one code tuple, each built only when indexed.
+def neighbors(space: StrategySpace, codes: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Hamming-1 neighbour ``j`` of the (unchecked) ``codes``, for ``0 <= j < space.neighbor_starts[-1]``.
 
-    Element ``j``: bisect ``StrategySpace.neighbor_starts`` for the changed
-    position ``p``, then give ``p`` its ``r``-th other code, ``r = j - neighbor_starts[p]``.
+    Neighbours are numbered by position in domain order, then by each
+    position's other codes ascending: bisect ``space.neighbor_starts`` for the
+    changed position ``p``, then give ``p`` its ``r``-th other code,
+    ``r = j - neighbor_starts[p]``.  An index outside the range is not checked.
     """
-
-    def __init__(self, starts: tuple[int, ...], codes: tuple[int, ...]):
-        self._starts, self._codes = starts, codes
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __getitem__(self, j: int) -> tuple[int, ...]:
-        n = len(self)
-        if not -n <= j < n:
-            raise IndexError("neighbor index out of range")
-        j %= n
-        p = bisect_right(self._starts, j) - 1
-        r = j - self._starts[p]
-        codes = list(self._codes)
-        codes[p] = r + (r >= codes[p])
-        return tuple(codes)
-
-
-def neighbors(space: StrategySpace, codes: tuple[int, ...]) -> Neighborhood:
-    """All code tuples that differ from the (unchecked) ``codes`` in exactly one position.
-
-    Returns an indexable sequence that builds only the neighbours indexed.
-    The order is deterministic: positions in domain order, then each
-    position's other codes ascending.
-    """
-    return Neighborhood(space.neighbor_starts, codes)
+    starts = space.neighbor_starts
+    p = bisect_right(starts, j) - 1
+    r = j - starts[p]
+    changed = list(codes)
+    changed[p] = r + (r >= changed[p])
+    return tuple(changed)
 
 
 def encode_features(codes: tuple[int, ...], index: int) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ def all_strategies(space: StrategySpace) -> list[Strategy]:
 
 
 def reference_neighbors(space: StrategySpace, strategy: Strategy) -> list[Strategy]:
-    """The eager Hamming-1 enumeration that ``space.neighbors`` must match element for element.
+    """The eager Hamming-1 enumeration that ``space.neighbors`` must match index for index.
 
     Positions in domain order, then each position's other values in
     (default, alternatives...) order.

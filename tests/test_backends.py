@@ -252,6 +252,13 @@ class TestAdapterConfigFile:
             load_adapter_config(path)
         assert str(excinfo.value) == f"{path}:3: exit_sat must be an integer, got 'ten'"
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # Read as a dict, the second template would silently replace the first.
+        path = tmp_path / "adapter.cfg"
+        path.write_text("command = x {problem}\n# again\ncommand = y {problem}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_adapter_config(path)
+        assert str(excinfo.value) == f"{path}:3: repeated adapter key 'command' (first set on line 1)"
 
     @pytest.mark.parametrize(
         "line,message",
@@ -269,8 +276,11 @@ class TestAdapterConfigFile:
     )
     def test_bad_template_fails_at_construction(self, tmp_path, one_param_space, line, message):
         # Unchecked, each would surface only at the first (budgeted) solve, mid-run.
+        # A bad ``command`` line replaces the good one: a file may set each key once.
+        lines = {"command": "command = solver {problem} --chrono {chrono}"}
+        lines[line.split("=", 1)[0].strip()] = line
         path = tmp_path / "adapter.cfg"
-        path.write_text(f"command = solver {{problem}} --chrono {{chrono}}\n{line}\n", encoding="utf-8")
+        path.write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             ExternalBackend(load_adapter_config(path), one_param_space, parse_manifest("1\tp.cnf\n"))
 

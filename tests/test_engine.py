@@ -24,6 +24,7 @@ from stratlearn.backends import (
     Verdict,
     geometric_schedule,
 )
+from stratlearn.cost import ABORT_MULTIPLIER
 from stratlearn.engine import (
     EpochPolicy,
     ForestConfig,
@@ -207,11 +208,41 @@ class TestLearningEpoch:
         policy = EpochPolicy(samples_per_epoch=50, learning_budget=1e9)
         # the space has only 3 non-default strategies; allow 2 calls, fail the 3rd
         backend = FlakyBackend(landscape_backend(), allowed=2)
+        trajectory = Trajectory()
         with pytest.raises(CostFunctionError):
-            learning_epoch(state, backend, policy, SamplerConfig(seed=0))
-        assert len(state.dataset) == 2
+            learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=trajectory)
         assert state.oracle is None  # epoch aborted before training
-        assert state.learning_time_spent > 0
+        # the two measured calls, and only they, are charged, logged and kept, in call order
+        collects = trajectory.phase_events("collect")
+        assert len(collects) == 2
+        X, y = state.dataset.to_arrays()
+        rows = [encode_features(SPACE2.codes(Strategy(e.strategy)), e.index) for e in collects]
+        assert [tuple(row) for row in X.tolist()] == rows
+        assert y.tolist() == [e.cost for e in collects]
+        assert state.learning_time_spent == collects[0].virtual_time + collects[1].virtual_time > 0
+
+    def test_collect_charges_the_capped_budget_when_aborted(self):
+        # p0 off its optimum costs 21x the baseline, past the 10x budget; p1 off costs 1.5x.
+        backend = SyntheticBackend(SyntheticLandscape(
+            optimum=("1", "1"), weights=(20.0, 0.5), base_metrics=(10.0,) * 3, verdicts=(UNSAT,) * 3,
+        ))
+        state = fresh_state(3)
+        state.baseline = 10.0
+        trajectory = Trajectory()
+        policy = EpochPolicy(samples_per_epoch=50, learning_budget=1e9)
+        learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=trajectory)
+        collects = trajectory.phase_events("collect")
+        aborted = [e.raw_metric > ABORT_MULTIPLIER * state.baseline for e in collects]
+        assert any(aborted) and not all(aborted)
+        spent = 0.0
+        for event, was_aborted in zip(collects, aborted):
+            if was_aborted:
+                assert event.cost == ABORT_MULTIPLIER
+                assert event.virtual_time == ABORT_MULTIPLIER * state.baseline
+            else:
+                assert event.virtual_time == event.raw_metric
+            spent += event.virtual_time
+        assert state.learning_time_spent == spent
 
 
 class TestStrategize:

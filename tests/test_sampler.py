@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_space, reference_run_chain, space_from
+from helpers import all_strategies, binary_space, reference_neighbors, reference_run_chain, space_from
 from stratlearn.sampler import (
     ChainRecord,
     CostFunctionError,
@@ -16,7 +16,7 @@ from stratlearn.sampler import (
     acceptance_probability,
     run_chain,
 )
-from stratlearn.space import Strategy, StrategySpace, builtin_space, default_strategy, neighbors
+from stratlearn.space import Strategy, StrategySpace, builtin_space, default_strategy
 
 finite_costs = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 betas = st.floats(min_value=1e-3, max_value=50.0)
@@ -77,21 +77,24 @@ class TestPropose:
             small_space, lambda v: 1.0, default_strategy(small_space), draws, SamplerConfig(seed=42)
         )
         counts = [0] * 9
+        options: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         previous = small_space.codes(default_strategy(small_space))
         for record in records:
-            counts[neighbors(small_space, previous).index(record.codes)] += 1
+            if previous not in options:
+                reference = reference_neighbors(small_space, small_space.strategy(previous))
+                options[previous] = [small_space.codes(v) for v in reference]
+            counts[options[previous].index(record.codes)] += 1
             previous = record.codes
         for count in counts:
             assert count / draws == pytest.approx(1 / 9, abs=0.01)
 
     def test_kernel_symmetric_on_binary_domains(self):
         # Every strategy has the same neighbor count, also on the mixed-size
-        # kissat_small domains: sum(domain size - 1).
-        from helpers import all_strategies
-
+        # kissat_small domains: sum(domain size - 1), the range a chain draws from.
         for space, expected in [(binary_space(3), 3), (builtin_space("kissat_small"), 9)]:
+            assert space.neighbor_starts[-1] == expected
             for v in all_strategies(space):
-                assert len(neighbors(space, space.codes(v))) == expected
+                assert len(reference_neighbors(space, v)) == expected
 
 
 class TestRunChain:

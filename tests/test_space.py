@@ -83,41 +83,32 @@ class TestDefaults:
         assert default_strategy(large_space).assignments == expected
 
 
+def all_neighbors(space, codes):
+    """Neighbour ``j`` of ``codes`` for every ``j`` a chain can draw."""
+    return [neighbors(space, codes, j) for j in range(space.neighbor_starts[-1])]
+
+
 class TestNeighbors:
+    """``neighbors`` builds one neighbour by index; over every index, decoded, it must equal the eager enumeration."""
+
     def test_wide_default_has_13_neighbors(self, large_space):
-        assert len(neighbors(large_space, large_space.codes(default_strategy(large_space)))) == 13
+        assert len(all_neighbors(large_space, large_space.codes(default_strategy(large_space)))) == 13
 
     def test_compact_default_has_9_neighbors(self, small_space):
-        assert len(neighbors(small_space, small_space.codes(default_strategy(small_space)))) == 9
+        assert len(all_neighbors(small_space, small_space.codes(default_strategy(small_space)))) == 9
 
     def test_single_binary_domain(self):
         space = binary_space(1)
-        (only,) = neighbors(space, space.codes(default_strategy(space)))
+        (only,) = all_neighbors(space, space.codes(default_strategy(space)))
         assert space.strategy(only) == Strategy(("0",))
 
     def test_count_formula_on_every_strategy(self, small_space):
         expected = sum(d.size - 1 for d in small_space.domains)
         for v in all_strategies(small_space):
-            assert len(neighbors(small_space, small_space.codes(v))) == expected
-
-    def test_symmetry_exhaustive(self):
-        space = space_from([("a", "1", ("0", "2")), ("b", "x", ("y",)), ("c", "0", ("1", "2", "3"))])
-        assert len(all_strategies(space)) <= 256
-        universe = [space.codes(v) for v in all_strategies(space)]
-        table = {v: set(neighbors(space, v)) for v in universe}
-        for v in universe:
-            for w in universe:
-                assert (w in table[v]) == (v in table[w])
-
-    def test_deterministic_order(self, small_space):
-        v = small_space.codes(default_strategy(small_space))
-        assert list(neighbors(small_space, v)) == list(neighbors(small_space, v))
-        first = neighbors(small_space, v)[0]
-        assert small_space.strategy(first).assignments == ("0", "1", "1", "1", "2", "6")
-
-
-class TestLazyNeighborhood:
-    """``neighbors`` builds each neighbour on indexing; decoded, it must equal the eager enumeration."""
+            codes = small_space.codes(v)
+            found = set(all_neighbors(small_space, codes))
+            assert len(found) == expected
+            assert all(sum(a != b for a, b in zip(w, codes)) == 1 for w in found)
 
     @pytest.mark.parametrize(
         "space",
@@ -128,20 +119,25 @@ class TestLazyNeighborhood:
         ],
         ids=["kissat_small", "mixed_2x3x4", "binary_4"],
     )
-    def test_every_strategy_and_radius_equals_the_reference(self, space):
+    def test_every_strategy_and_index_equals_the_reference(self, space):
         for v in all_strategies(space):
             expected = reference_neighbors(space, v)
-            lazy = neighbors(space, space.codes(v))
-            n = len(expected)
-            assert len(lazy) == n
-            assert [space.strategy(lazy[j]) for j in range(n)] == expected
-            assert [space.strategy(lazy[-j]) for j in range(1, n + 1)] == expected[::-1]
-            assert [space.strategy(c) for c in lazy] == expected
-            first, *rest = lazy
-            assert [space.strategy(c) for c in (first, *rest)] == expected
-            for j in (n, -n - 1):
-                with pytest.raises(IndexError):
-                    lazy[j]
+            assert [space.strategy(c) for c in all_neighbors(space, space.codes(v))] == expected
+
+    def test_symmetry_exhaustive(self):
+        space = space_from([("a", "1", ("0", "2")), ("b", "x", ("y",)), ("c", "0", ("1", "2", "3"))])
+        assert len(all_strategies(space)) <= 256
+        universe = [space.codes(v) for v in all_strategies(space)]
+        table = {v: set(all_neighbors(space, v)) for v in universe}
+        for v in universe:
+            for w in universe:
+                assert (w in table[v]) == (v in table[w])
+
+    def test_deterministic_order(self, small_space):
+        v = small_space.codes(default_strategy(small_space))
+        assert all_neighbors(small_space, v) == all_neighbors(small_space, v)
+        first = neighbors(small_space, v, 0)
+        assert small_space.strategy(first).assignments == ("0", "1", "1", "1", "2", "6")
 
 
 class TestCodeTable:
@@ -170,7 +166,7 @@ class TestCodeTable:
 
         used, untouched = fresh(), fresh()
         v = default_strategy(used)
-        used.strategy(neighbors(used, used.codes(v))[0])
+        used.strategy(neighbors(used, used.codes(v), 0))
         assert used.domains[0].codes == {"1": 0, "0": 1}
         assert used == untouched and hash(used) == hash(untouched)
         for a, b in zip(used.domains, untouched.domains):
@@ -233,8 +229,10 @@ def test_parse_serialize_round_trip(space):
 @settings(max_examples=50, deadline=None)
 @given(spaces(), st.integers(min_value=0, max_value=1000))
 def test_neighbor_count_formula(space, index):
-    v = space.codes(default_strategy(space))
-    assert len(neighbors(space, v)) == sum(d.size - 1 for d in space.domains)
+    start = default_strategy(space)
+    v = space.codes(start)
+    assert space.neighbor_starts[-1] == sum(d.size - 1 for d in space.domains)
+    assert [space.strategy(c) for c in all_neighbors(space, v)] == reference_neighbors(space, start)
     # encoding stays within the ordinal ranges
     code = encode_features(v, index)
     assert code[-1] == index and all(c == 0 for c in code[:-1])
