@@ -1,8 +1,11 @@
 """Solving backends behind a uniform interface: (index, strategy) -> verdict + metric.
 
-Problem payloads are opaque to the engine; only an adapter interprets them.
-Two adapters ship here: a deterministic synthetic landscape for experiments
-and tests, and a subprocess adapter for external DIMACS-convention solvers.
+Problem payloads are opaque to the engine; only a backend interprets them.
+Two backends ship here, and each one's ``solve`` does all of its work:
+``SyntheticBackend`` evaluates a deterministic landscape for experiments and
+tests, and ``ExternalBackend`` launches a DIMACS-convention solver process on
+a manifest's locators.  Under a budget, either reports a run whose metric
+exceeds it as ABORTED.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import re
 import shlex
 import string
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -64,48 +67,48 @@ class UnexpectedExitCodeError(SolverError):
 
 @dataclass(frozen=True)
 class SolverAdapterConfig:
-    """How to launch an external solver and read its answer.
+    """How to launch an external solver and read its answer; each field is an adapter-file key.
 
-    ``command_template`` must reference ``{problem}`` and every space
-    parameter by name exactly once.  Exit codes follow the DIMACS solver
-    convention by default (10 = SAT, 20 = UNSAT); ``exit_code_aborted``
-    covers budget-limited runs that finish without an answer.  The three
-    codes must be distinct.
-    ``metric_pattern`` is a regex whose first group captures the metric.
+    ``command`` must reference ``{problem}`` and every space parameter by
+    name exactly once.  Exit codes follow the DIMACS solver convention by
+    default (10 = SAT, 20 = UNSAT); ``exit_aborted`` covers budget-limited
+    runs that finish without an answer.  The three codes must be distinct.
+    ``metric_pattern`` is a regex whose first group captures the metric, and
+    ``budget_flag`` the arguments, referencing ``{budget}``, that pass a budget.
     """
 
-    command_template: str
-    exit_code_sat: int = 10
-    exit_code_unsat: int = 20
-    exit_code_aborted: int = 0
+    command: str
+    exit_sat: int = 10
+    exit_unsat: int = 20
+    exit_aborted: int = 0
     metric_pattern: str = r"^c conflicts:\s*([0-9.]+)"
-    metric_budget_flag: str | None = None
+    budget_flag: str | None = None
 
 
 def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> None:
-    """Check that the command template and the budget flag split into shell words, that
-    the template references {problem} and each parameter, and the flag {budget}, exactly once,
+    """Check that the command and the budget flag split into shell words, that the
+    command references {problem} and each parameter, and the flag {budget}, exactly once,
     and that no two exit codes are equal."""
-    codes = {name: getattr(config, name) for name in ("exit_code_sat", "exit_code_unsat", "exit_code_aborted")}
+    codes = {name: getattr(config, name) for name in ("exit_sat", "exit_unsat", "exit_aborted")}
     for (a, code), (b, other) in itertools.combinations(codes.items(), 2):
         if code == other:
             raise ValueError(f"{a} and {b} are both {code}; each verdict needs its own exit code")
-    checks = [("command template", config.command_template, ("problem",) + space.names)]
-    if config.metric_budget_flag:
-        checks.append(("budget flag", config.metric_budget_flag, ("budget",)))
-    for what, template, expected in checks:
+    checks = [("command", config.command, ("problem",) + space.names)]
+    if config.budget_flag:
+        checks.append(("budget_flag", config.budget_flag, ("budget",)))
+    for key, template, expected in checks:
         try:
             words = shlex.split(template)
         except ValueError as exc:
-            raise ValueError(f"{what} {template!r} does not split into shell words: {exc}") from None
-        fields = [f for word in words for _, f, _, _ in string.Formatter().parse(word) if f]
-        unknown = set(fields) - set(expected)
+            raise ValueError(f"{key} {template!r} does not split into shell words: {exc}") from None
+        named = [f for word in words for _, f, _, _ in string.Formatter().parse(word) if f]
+        unknown = set(named) - set(expected)
         if unknown:
-            raise ValueError(f"{what} references unknown fields {sorted(unknown)}")
+            raise ValueError(f"{key} references unknown fields {sorted(unknown)}")
         for name in expected:
-            n = fields.count(name)
+            n = named.count(name)
             if n != 1:
-                raise ValueError(f"{what} must reference {{{name}}} exactly once, found {n}")
+                raise ValueError(f"{key} must reference {{{name}}} exactly once, found {n}")
 
 
 def _parse_metric(config: SolverAdapterConfig, stdout: str) -> float | None:
@@ -114,74 +117,17 @@ def _parse_metric(config: SolverAdapterConfig, stdout: str) -> float | None:
         return None
     text = match.group(1) if match.groups() else match.group(0)
     try:
-        return float(text)
+        metric = float(text)
     except (TypeError, ValueError):
         raise MetricParseError(f"metric {text!r} captured by {config.metric_pattern!r} is not a number") from None
-
-
-def evaluate_external(
-    config: SolverAdapterConfig,
-    space: StrategySpace,
-    problem: str,
-    strategy: Strategy,
-    budget: float | None = None,
-) -> SolveOutcome:
-    """Launch the templated command, map its exit code, and parse the metric.
-
-    ``config`` must pass ``validate_template`` (``ExternalBackend`` checks it once).
-    When ``budget`` is given it is passed through ``metric_budget_flag`` if the
-    solver supports one; either way a run whose metric exceeds the budget is
-    reported as ABORTED, so budgeted calls never report metric > budget with a
-    decisive verdict.
-    """
-    space.codes(strategy)  # ValueError unless every value of strategy is legal
-    mapping = {"problem": str(problem), **dict(zip(space.names, strategy.assignments))}
-    # Split before substituting, so that each substituted value is exactly one argument.
-    args = [word.format(**mapping) for word in shlex.split(config.command_template)]
-    if budget is not None and config.metric_budget_flag:
-        budget_value = int(budget) if float(budget).is_integer() else budget
-        args += [word.format(budget=budget_value) for word in shlex.split(config.metric_budget_flag)]
-    logger.debug("launching %s", " ".join(args))
-    try:
-        proc = subprocess.run(args, capture_output=True, text=True)
-    except OSError as exc:
-        raise SolverLaunchError(f"failed to launch {args[0]!r}: {exc}") from exc
-
-    code = proc.returncode
-    if code == config.exit_code_sat:
-        verdict = Verdict.SAT
-    elif code == config.exit_code_unsat:
-        verdict = Verdict.UNSAT
-    elif code == config.exit_code_aborted:
-        verdict = Verdict.ABORTED
-    else:
-        raise UnexpectedExitCodeError(f"unexpected exit code {code}")
-
-    metric = _parse_metric(config, proc.stdout)
-    if metric is None:
-        if verdict is Verdict.ABORTED and budget is not None:
-            metric = float(budget)
-        else:
-            raise MetricParseError(
-                f"no metric matching {config.metric_pattern!r} in solver output"
-            )
-    if budget is not None and metric > budget:
-        verdict = Verdict.ABORTED
-    return SolveOutcome(verdict, metric)
-
-
-_ADAPTER_KEYS = {
-    "command": "command_template",
-    "exit_sat": "exit_code_sat",
-    "exit_unsat": "exit_code_unsat",
-    "exit_aborted": "exit_code_aborted",
-    "metric_pattern": "metric_pattern",
-    "budget_flag": "metric_budget_flag",
-}
+    if not 0 <= metric < math.inf:  # NaN fails too
+        raise MetricParseError(f"metric {text!r} captured by {config.metric_pattern!r} is not finite and nonnegative")
+    return metric
 
 
 def load_adapter_config(path: str | Path) -> SolverAdapterConfig:
     """Read a key=value adapter file (# comments allowed); each key may be set once."""
+    keys = {f.name for f in fields(SolverAdapterConfig)}
     kwargs: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -191,19 +137,18 @@ def load_adapter_config(path: str | Path) -> SolverAdapterConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ADAPTER_KEYS:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown adapter key {key!r}")
         if key in seen:
             raise ValueError(f"{path}:{lineno}: repeated adapter key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        attr = _ADAPTER_KEYS[key]
-        if attr.startswith("exit_code"):
+        if key.startswith("exit_"):
             try:
                 value = int(value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
-        kwargs[attr] = value
-    if "command_template" not in kwargs:
+        kwargs[key] = value
+    if "command" not in kwargs:
         raise ValueError(f"{path}: adapter file must set 'command'")
     return SolverAdapterConfig(**kwargs)  # type: ignore[arg-type]
 
@@ -217,67 +162,35 @@ class SyntheticLandscape:
     """Deterministic stand-in for a real problem sequence.
 
     The effort metric is ``base_metrics[i-1] * (1 + sum of weights of
-    mismatched parameters)`` against a hidden optimum, which may drift:
-    ``drift`` lists (from_index, optimum) pairs and the latest entry whose
-    index is <= i wins.
+    mismatched parameters)`` against a hidden ``optimum``.
     """
 
     optimum: tuple[str, ...]
     weights: tuple[float, ...]
     base_metrics: tuple[float, ...]
     verdicts: tuple[Verdict, ...]
-    drift: tuple[tuple[int, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.optimum):
             raise ValueError("weights and optimum must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("penalty weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in self.weights):  # NaN fails too
+            raise ValueError(f"weights must be finite and nonnegative, got {self.weights!r}")
         if len(self.base_metrics) != len(self.verdicts):
             raise ValueError("base_metrics and verdicts must have equal length")
-        if any(b <= 0 for b in self.base_metrics):
-            raise ValueError("base metrics must be positive")
-        for from_index, opt in self.drift:
-            if len(opt) != len(self.optimum):
-                raise ValueError("drifted optimum must match the optimum length")
-            if from_index < 1:
-                raise ValueError("drift indices start at 1")
+        if not all(0 < b < math.inf for b in self.base_metrics):
+            raise ValueError(f"base_metrics must be finite and positive, got {self.base_metrics!r}")
 
     @property
     def num_problems(self) -> int:
         return len(self.verdicts)
 
-    def optimum_at(self, index: int) -> tuple[str, ...]:
-        chosen = self.optimum
-        for from_index, opt in sorted(self.drift):
-            if from_index <= index:
-                chosen = opt
-        return chosen
-
     def metric(self, index: int, strategy: Strategy) -> float:
-        opt = self.optimum_at(index)
         if self.weights and len(strategy.assignments) != len(self.weights):
             raise ValueError("strategy length does not match landscape weights")
         penalty = 1.0 + sum(
-            w for w, a, o in zip(self.weights, strategy.assignments, opt) if a != o
+            w for w, a, o in zip(self.weights, strategy.assignments, self.optimum) if a != o
         )
         return self.base_metrics[index - 1] * penalty
-
-
-def evaluate_synthetic(
-    landscape: SyntheticLandscape,
-    index: int,
-    strategy: Strategy,
-    budget: float | None = None,
-) -> SolveOutcome:
-    """Pure function of (landscape, index, strategy, budget)."""
-    if not 1 <= index <= landscape.num_problems:
-        raise IndexError(f"index {index} out of range 1..{landscape.num_problems}")
-    metric = landscape.metric(index, strategy)
-    verdict = landscape.verdicts[index - 1]
-    if budget is not None and metric > budget:
-        verdict = Verdict.ABORTED
-    return SolveOutcome(verdict, metric)
 
 
 def geometric_schedule(first: float, growth: float, n: int) -> tuple[float, ...]:
@@ -287,32 +200,28 @@ def geometric_schedule(first: float, growth: float, n: int) -> tuple[float, ...]
     return tuple(first * growth**i for i in range(n))
 
 
-def landscape_to_dict(landscape: SyntheticLandscape) -> dict:
-    return {
+def save_landscape(landscape: SyntheticLandscape, path: str | Path) -> None:
+    data = {
         "optimum": list(landscape.optimum),
         "weights": list(landscape.weights),
         "base_metrics": list(landscape.base_metrics),
         "verdicts": [v.value for v in landscape.verdicts],
-        "drift": [[i, list(opt)] for i, opt in landscape.drift],
     }
+    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def landscape_from_dict(data: dict) -> SyntheticLandscape:
+def load_landscape(path: str | Path) -> SyntheticLandscape:
+    """Read a file written by ``save_landscape``; its keys must be exactly the landscape's fields."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    expected = [f.name for f in fields(SyntheticLandscape)]
+    if sorted(data) != sorted(expected):
+        raise ValueError(f"{path}: landscape keys must be {expected}, got {list(data)}")
     return SyntheticLandscape(
         optimum=tuple(str(v) for v in data["optimum"]),
         weights=tuple(float(w) for w in data["weights"]),
         base_metrics=tuple(float(b) for b in data["base_metrics"]),
         verdicts=tuple(Verdict(v) for v in data["verdicts"]),
-        drift=tuple((int(i), tuple(str(v) for v in opt)) for i, opt in data.get("drift", [])),
     )
-
-
-def save_landscape(landscape: SyntheticLandscape, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(landscape_to_dict(landscape), indent=2) + "\n", encoding="utf-8")
-
-
-def load_landscape(path: str | Path) -> SyntheticLandscape:
-    return landscape_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # --------------------------------------------------------------------------
@@ -382,8 +291,12 @@ def parse_manifest(text: str) -> ProblemManifest:
             for item in cells[2].split(","):
                 if "=" not in item:
                     raise ManifestError(f"line {lineno}: bad metadata item {item!r}")
-                key, value = item.split("=", 1)
-                metadata[key.strip()] = value.strip()
+                key, value = (part.strip() for part in item.split("=", 1))
+                if not key:
+                    raise ManifestError(f"line {lineno}: metadata item {item!r} has no key")
+                if key in metadata:
+                    raise ManifestError(f"line {lineno}: repeated metadata key {key!r}")
+                metadata[key] = value
         entries.append(ManifestEntry(index, locator, metadata))
     return ProblemManifest(entries)
 
@@ -407,23 +320,68 @@ class SyntheticBackend:
         return self.landscape.num_problems
 
     def solve(self, index: int, strategy: Strategy, budget: float | None = None) -> SolveOutcome:
-        return evaluate_synthetic(self.landscape, index, strategy, budget)
+        landscape = self.landscape
+        if not 1 <= index <= landscape.num_problems:
+            raise IndexError(f"index {index} out of range 1..{landscape.num_problems}")
+        metric = landscape.metric(index, strategy)
+        verdict = landscape.verdicts[index - 1]
+        if budget is not None and metric > budget:
+            verdict = Verdict.ABORTED
+        return SolveOutcome(verdict, metric)
 
 
 class ExternalBackend:
-    """Backend that launches an external solver process per solve, on the manifest's locators."""
+    """Backend that launches an external solver process per solve, on the manifest's locators.
+
+    The adapter config is checked by ``validate_template`` once, here.
+    """
 
     def __init__(self, config: SolverAdapterConfig, space: StrategySpace, manifest: ProblemManifest):
         validate_template(config, space)
         self.config = config
         self.space = space
         self.manifest = manifest
+        self._verdicts = {config.exit_sat: Verdict.SAT, config.exit_unsat: Verdict.UNSAT,
+                          config.exit_aborted: Verdict.ABORTED}
 
     @property
     def num_problems(self) -> int:
         return len(self.manifest)
 
     def solve(self, index: int, strategy: Strategy, budget: float | None = None) -> SolveOutcome:
-        return evaluate_external(
-            self.config, self.space, self.manifest.locator(index), strategy, budget
-        )
+        """Launch the command on the problem's locator, map its exit code, and parse the metric.
+
+        When ``budget`` is given it is passed through ``budget_flag`` if the
+        solver supports one; either way a run whose metric exceeds the budget is
+        reported as ABORTED, so budgeted calls never report metric > budget with a
+        decisive verdict.
+        """
+        config = self.config
+        problem = self.manifest.locator(index)
+        self.space.codes(strategy)  # ValueError unless every value of strategy is legal
+        mapping = {"problem": problem, **dict(zip(self.space.names, strategy.assignments))}
+        # Split before substituting, so that each substituted value is exactly one argument.
+        args = [word.format(**mapping) for word in shlex.split(config.command)]
+        if budget is not None and config.budget_flag:
+            budget_value = int(budget) if float(budget).is_integer() else budget
+            args += [word.format(budget=budget_value) for word in shlex.split(config.budget_flag)]
+        logger.debug("launching %s", " ".join(args))
+        try:
+            proc = subprocess.run(args, capture_output=True, text=True)
+        except OSError as exc:
+            raise SolverLaunchError(f"failed to launch {args[0]!r}: {exc}") from exc
+
+        verdict = self._verdicts.get(proc.returncode)
+        if verdict is None:
+            raise UnexpectedExitCodeError(f"unexpected exit code {proc.returncode}")
+        metric = _parse_metric(config, proc.stdout)
+        if metric is None:
+            if verdict is Verdict.ABORTED and budget is not None:
+                metric = float(budget)
+            else:
+                raise MetricParseError(
+                    f"no metric matching {config.metric_pattern!r} in solver output"
+                )
+        if budget is not None and metric > budget:
+            verdict = Verdict.ABORTED
+        return SolveOutcome(verdict, metric)

@@ -32,7 +32,6 @@ from .engine import (
     run,
     summarize,
 )
-from .sampler import SamplerConfig
 from .space import load_space
 
 logger = logging.getLogger(__name__)
@@ -171,8 +170,8 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
     forest_config = ForestConfig(trees=config.trees, init_depth=config.init_depth, fixed_depth=config.fixed_depth)
     clock = "virtual" if config.virtual_clock else "wall"
     result = run(
-        backend, policy, space=space, sampler_config=SamplerConfig(seed=config.seed),
-        forest_config=forest_config, seed=config.seed, time_limit=config.time_limit, clock=clock,
+        backend, policy, space=space, forest_config=forest_config, seed=config.seed,
+        time_limit=config.time_limit, clock=clock,
     )
     if not config.out:
         return result, summarize(result.trajectory, result.outcome)
@@ -239,9 +238,6 @@ class GridResult:
     depths: tuple[int, ...]
     largest_solved: list[list[int | None]]
     errors: dict[tuple[int, int], str]
-
-    def cell(self, budget_pos: int, depth_pos: int) -> int | None:
-        return self.largest_solved[budget_pos][depth_pos]
 
     def matrix(self) -> list[str]:
         """Heat-map-ready rows: a depth header, then one row per budget."""

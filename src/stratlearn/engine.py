@@ -10,6 +10,13 @@ random forest is refit on the growing dataset, and after every index advance
 the active strategy switches to the candidate the forest predicts to be
 cheapest.
 
+The scalar cost of a strategy on a problem is the raw backend metric divided
+by the metric of ``run()``'s solve of that problem, so the in-force strategy
+costs exactly 1.  Collection runs get a metric budget of a fixed
+``ABORT_MULTIPLIER`` (10) times that baseline; a run that exhausts it enters
+the dataset at cost 10 with the aborted flag set, so the oracle still learns
+that the region is bad.
+
 Time is accounted on a virtual clock by default: every backend call reports a
 deterministic effort metric which the engine treats as time, so runs replay
 bit-identically under a fixed seed.  A wall-clock mode exists for production
@@ -28,7 +35,6 @@ from enum import Enum
 import numpy as np
 
 from .backends import Verdict
-from .cost import ABORT_MULTIPLIER, collect_cost
 from .forest import DataPoint, Dataset, RandomForest, fit_adaptive, fit_forest, predict
 from .sampler import CostFunctionError, SamplerConfig, run_chain
 from .space import Strategy, StrategySpace, default_strategy, encode_features
@@ -38,6 +44,8 @@ logger = logging.getLogger(__name__)
 _COLLECT_STREAM = 11
 _TRAIN_STREAM = 12
 _STRATEGIZE_STREAM = 13
+
+ABORT_MULTIPLIER = 10.0
 
 
 def _substream_seed(seed: int, stream: int, step: int) -> int:
@@ -224,6 +232,35 @@ def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int
         return config.init_depth, config.depth_cap
     cap = feature_width if config.depth_cap is None else config.depth_cap
     return min(math.ceil(feature_width / 3), cap), config.depth_cap
+
+
+@dataclass(frozen=True)
+class CostRecord:
+    raw_metric: float
+    cost: float
+    aborted: bool
+
+
+def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float) -> CostRecord:
+    """Run the backend under a metric budget and return the normalized cost.
+
+    The solver's verdict is discarded: the problem's status is already known
+    from the run that recorded the baseline.
+    """
+    if not baseline_metric > 0:
+        raise ValueError(f"baseline must be positive, got {baseline_metric!r}")
+    budget = ABORT_MULTIPLIER * baseline_metric
+    outcome = backend.solve(index, strategy, budget=budget)
+    aborted = outcome.verdict is Verdict.ABORTED or outcome.metric > budget
+    if aborted:
+        logger.info(
+            "collect run on problem %d aborted (metric %.6g, budget %.6g); cost capped at %.6g",
+            index, outcome.metric, budget, ABORT_MULTIPLIER,
+        )
+        cost = ABORT_MULTIPLIER
+    else:
+        cost = outcome.metric / baseline_metric
+    return CostRecord(raw_metric=float(outcome.metric), cost=cost, aborted=aborted)
 
 
 def learning_epoch(

@@ -11,10 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from stratlearn.backends import (
+    ExternalBackend,
+    SolverAdapterConfig,
     SyntheticBackend,
     SyntheticLandscape,
     Verdict,
     geometric_schedule,
+    parse_manifest,
 )
 from stratlearn.forest import _TREE_STREAM, RandomForest
 from stratlearn.sampler import acceptance_probability
@@ -142,6 +145,11 @@ def backend_for(verdicts, metrics=None) -> SyntheticBackend:
     return SyntheticBackend(SyntheticLandscape(
         optimum=(), weights=(), base_metrics=tuple(float(m) for m in metrics), verdicts=schedule,
     ))
+
+
+def one_problem_backend(config: SolverAdapterConfig, space: StrategySpace, problem) -> ExternalBackend:
+    """An ``ExternalBackend`` whose manifest holds ``problem`` alone, as index 1."""
+    return ExternalBackend(config, space, parse_manifest(f"1\t{problem}\n"))
 
 
 # Reference tree grower: one node at a time, recursively, with the split rule

@@ -26,6 +26,7 @@ from helpers import (
     binary_space,
     convergence_landscape,
     joined,
+    one_problem_backend,
     penalty,
     space_from,
     verdicts_from_bits,
@@ -34,7 +35,6 @@ from stratlearn.backends import (
     SolverAdapterConfig,
     SyntheticBackend,
     Verdict,
-    evaluate_external,
     save_landscape,
 )
 from stratlearn.cli import RunConfig, ablation_grid, execute
@@ -263,8 +263,8 @@ def test_criterion_09_ablation_shape(tmp_path):
                 budgets=ABLATION_BUDGETS, depths=(1, 4),
             )
             assert not grid.errors
-            low_corner = grid.cell(0, 0)   # min budget, depth 1
-            high_corner = grid.cell(1, 1)  # max budget, depth 4
+            low_corner = grid.largest_solved[0][0]   # min budget, depth 1
+            high_corner = grid.largest_solved[1][1]  # max budget, depth 4
             if high_corner >= low_corner:
                 dominated += 1
         assert dominated >= 9, f"high corner dominated in only {dominated}/10 seeds"
@@ -293,21 +293,21 @@ def test_criterion_11_external_adapter_contract(tmp_path):
     with criterion("11 external adapter: exit codes and metric parsing", 1.0):
         space = parse_space("name,default,alternatives\nchrono,1,0\n")
         adapter = SolverAdapterConfig(
-            command_template=f"{sys.executable} {STUB} {{problem}} --opt-chrono {{chrono}}",
+            command=f"{sys.executable} {STUB} {{problem}} --opt-chrono {{chrono}}",
             metric_pattern=r"^c conflicts:\s*(\d+)",
-            metric_budget_flag="--conflicts {budget}",
+            budget_flag="--conflicts {budget}",
         )
         sat = tmp_path / "sat.problem"
         sat.write_text("verdict=SAT\nconflicts=42\n", encoding="utf-8")
-        outcome = evaluate_external(adapter, space, str(sat), Strategy(("1",)))
+        outcome = one_problem_backend(adapter, space, sat).solve(1, Strategy(("1",)))
         assert outcome.verdict is Verdict.SAT and outcome.metric == 42.0
 
         unsat = tmp_path / "unsat.problem"
         unsat.write_text("verdict=UNSAT\nconflicts=0\n", encoding="utf-8")
-        outcome = evaluate_external(adapter, space, str(unsat), Strategy(("0",)))
+        outcome = one_problem_backend(adapter, space, unsat).solve(1, Strategy(("0",)))
         assert outcome.verdict is Verdict.UNSAT and outcome.metric == 0.0
 
         broken = tmp_path / "broken.problem"
         broken.write_text("verdict=SAT\nconflicts=1\nexit=1\n", encoding="utf-8")
         with pytest.raises(Exception, match="unexpected exit code 1"):
-            evaluate_external(adapter, space, str(broken), Strategy(("1",)))
+            one_problem_backend(adapter, space, broken).solve(1, Strategy(("1",)))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import backend_for
+from helpers import backend_for, one_problem_backend
 from stratlearn.backends import (
     ExternalBackend,
     ManifestError,
@@ -13,14 +13,11 @@ from stratlearn.backends import (
     SolverAdapterConfig,
     SolverLaunchError,
     SolveOutcome,
+    SyntheticBackend,
     SyntheticLandscape,
     UnexpectedExitCodeError,
     Verdict,
-    evaluate_external,
-    evaluate_synthetic,
     geometric_schedule,
-    landscape_from_dict,
-    landscape_to_dict,
     load_adapter_config,
     load_landscape,
     load_manifest,
@@ -46,49 +43,62 @@ def make_landscape(**overrides):
 
 class TestSynthetic:
     def test_optimum_pays_base_metric(self):
-        land = make_landscape()
-        outcome = evaluate_synthetic(land, 1, Strategy(("0", "0")))
+        outcome = SyntheticBackend(make_landscape()).solve(1, Strategy(("0", "0")))
         assert outcome.metric == 100.0
         assert outcome.verdict is Verdict.UNSAT
 
     def test_one_mismatch_multiplies(self):
-        land = make_landscape()
-        outcome = evaluate_synthetic(land, 1, Strategy(("1", "0")))
+        outcome = SyntheticBackend(make_landscape()).solve(1, Strategy(("1", "0")))
         assert outcome.metric == 150.0
 
     def test_budget_exceeded_reports_aborted_with_metric(self):
-        land = make_landscape()
-        outcome = evaluate_synthetic(land, 1, Strategy(("1", "0")), budget=120.0)
+        outcome = SyntheticBackend(make_landscape()).solve(1, Strategy(("1", "0")), budget=120.0)
         assert outcome.verdict is Verdict.ABORTED
         assert outcome.metric == 150.0
 
     def test_pure_function_of_inputs(self):
-        land = make_landscape()
-        a = evaluate_synthetic(land, 2, Strategy(("1", "1")), budget=None)
-        b = evaluate_synthetic(land, 2, Strategy(("1", "1")), budget=None)
+        backend = SyntheticBackend(make_landscape())
+        a = backend.solve(2, Strategy(("1", "1")), budget=None)
+        b = backend.solve(2, Strategy(("1", "1")), budget=None)
         assert a == b
 
     def test_index_out_of_range(self):
-        land = make_landscape()
         with pytest.raises(IndexError, match="out of range"):
-            evaluate_synthetic(land, 4, Strategy(("0", "0")))
+            SyntheticBackend(make_landscape()).solve(4, Strategy(("0", "0")))
 
     def test_verdict_schedule_respected(self):
-        land = make_landscape()
-        assert evaluate_synthetic(land, 3, Strategy(("0", "0"))).verdict is Verdict.SAT
+        assert SyntheticBackend(make_landscape()).solve(3, Strategy(("0", "0"))).verdict is Verdict.SAT
 
-    def test_drift_switches_optimum(self):
-        land = make_landscape(drift=((3, ("1", "1")),))
-        assert land.optimum_at(2) == ("0", "0")
-        assert land.optimum_at(3) == ("1", "1")
-        assert evaluate_synthetic(land, 3, Strategy(("1", "1"))).metric == 400.0
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(weights=(0.5, float("nan"))), "weights must be finite and nonnegative"),
+            (dict(weights=(float("inf"), 1.0)), "weights must be finite and nonnegative"),
+            (dict(weights=(-0.5, 1.0)), "weights must be finite and nonnegative"),
+            (dict(base_metrics=(100.0, float("inf"), 400.0)), "base_metrics must be finite and positive"),
+            (dict(base_metrics=(float("nan"), 200.0, 400.0)), "base_metrics must be finite and positive"),
+            (dict(base_metrics=(0.0, 200.0, 400.0)), "base_metrics must be finite and positive"),
+        ],
+        ids=["nan_weight", "inf_weight", "negative_weight", "inf_base", "nan_base", "zero_base"],
+    )
+    def test_bad_numbers_rejected_naming_the_field(self, overrides, message):
+        # NaN and Infinity are valid JSON to ``json.loads``, so a --landscape file can hold them.
+        with pytest.raises(ValueError, match=message):
+            make_landscape(**overrides)
 
     def test_json_round_trip(self, tmp_path):
-        land = make_landscape(drift=((2, ("1", "0")),))
+        land = make_landscape()
         path = tmp_path / "land.json"
         save_landscape(land, path)
         assert load_landscape(path) == land
-        assert landscape_from_dict(landscape_to_dict(land)) == land
+        # Any other key fails loudly: a file written for a drifting landscape must not simulate another one.
+        text = path.read_text(encoding="utf-8")
+        for name, edited in [("stale", text.replace('"optimum"', '"drift": [], "optimum"')),
+                             ("partial", text.replace('"verdicts"', '"verdict"'))]:
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(edited, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"{name}.json: landscape keys must be .*, got"):
+                load_landscape(bad)
 
     def test_geometric_schedule(self):
         assert geometric_schedule(2.0, 3.0, 3) == (2.0, 6.0, 18.0)
@@ -113,34 +123,34 @@ def write_problem(tmp_path, name, **fields):
 
 def adapter_for(problem_free_args: str = "") -> SolverAdapterConfig:
     return SolverAdapterConfig(
-        command_template=f"{sys.executable} {STUB} {{problem}} --chrono {{chrono}}" + problem_free_args,
+        command=f"{sys.executable} {STUB} {{problem}} --chrono {{chrono}}" + problem_free_args,
         metric_pattern=r"^c conflicts:\s*(\d+)",
-        metric_budget_flag="--conflicts {budget}",
+        budget_flag="--conflicts {budget}",
     )
 
 
 class TestExternalAdapter:
     def test_sat_exit_code_and_metric(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.sat", verdict="SAT", conflicts=42)
-        outcome = evaluate_external(adapter_for(), one_param_space, str(problem), Strategy(("1",)))
+        outcome = one_problem_backend(adapter_for(), one_param_space, problem).solve(1, Strategy(("1",)))
         assert outcome.verdict is Verdict.SAT
         assert outcome.metric == 42.0
 
     def test_unsat_with_zero_conflicts(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.unsat", verdict="UNSAT", conflicts=0)
-        outcome = evaluate_external(adapter_for(), one_param_space, str(problem), Strategy(("0",)))
+        outcome = one_problem_backend(adapter_for(), one_param_space, problem).solve(1, Strategy(("0",)))
         assert outcome.verdict is Verdict.UNSAT
         assert outcome.metric == 0.0
 
     def test_unexpected_exit_code(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.bad", verdict="SAT", conflicts=1, exit=1)
         with pytest.raises(UnexpectedExitCodeError, match="unexpected exit code 1"):
-            evaluate_external(adapter_for(), one_param_space, str(problem), Strategy(("1",)))
+            one_problem_backend(adapter_for(), one_param_space, problem).solve(1, Strategy(("1",)))
 
     def test_budget_passed_through_aborts(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.hard", verdict="UNSAT", conflicts=500)
-        outcome = evaluate_external(
-            adapter_for(), one_param_space, str(problem), Strategy(("1",)), budget=100.0
+        outcome = one_problem_backend(adapter_for(), one_param_space, problem).solve(
+            1, Strategy(("1",)), budget=100.0
         )
         assert outcome.verdict is Verdict.ABORTED
         assert outcome.metric == 100.0
@@ -148,41 +158,53 @@ class TestExternalAdapter:
     def test_determinism_across_runs(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.det", verdict="UNSAT", conflicts=321)
         outcomes = [
-            evaluate_external(adapter_for(), one_param_space, str(problem), Strategy(("0",)))
+            one_problem_backend(adapter_for(), one_param_space, problem).solve(1, Strategy(("0",)))
             for _ in range(2)
         ]
         assert outcomes[0].metric == outcomes[1].metric == 321.0
 
     def test_launch_failure(self, one_param_space):
-        config = SolverAdapterConfig(command_template="/definitely/not/a/solver {problem} {chrono}")
+        config = SolverAdapterConfig(command="/definitely/not/a/solver {problem} {chrono}")
         with pytest.raises(SolverLaunchError):
-            evaluate_external(config, one_param_space, "p", Strategy(("1",)))
+            one_problem_backend(config, one_param_space, "p").solve(1, Strategy(("1",)))
 
     def test_metric_parse_failure(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.sat", verdict="SAT", conflicts=5)
         config = adapter_for()
         broken = SolverAdapterConfig(
-            command_template=config.command_template,
+            command=config.command,
             metric_pattern=r"^c decisions:\s*(\d+)",
         )
         with pytest.raises(MetricParseError):
-            evaluate_external(broken, one_param_space, str(problem), Strategy(("1",)))
+            one_problem_backend(broken, one_param_space, problem).solve(1, Strategy(("1",)))
 
     def test_non_numeric_metric_capture(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.sat", verdict="SAT", conflicts=5)
         broken = SolverAdapterConfig(
-            command_template=adapter_for().command_template,
+            command=adapter_for().command,
             metric_pattern=r"^c (stub) solver",
         )
         with pytest.raises(MetricParseError, match="metric 'stub' captured by .* is not a number"):
-            evaluate_external(broken, one_param_space, str(problem), Strategy(("1",)))
+            one_problem_backend(broken, one_param_space, problem).solve(1, Strategy(("1",)))
+
+    @pytest.mark.parametrize("text", ["nan", "-3", "inf"])
+    def test_non_finite_or_negative_metric_capture(self, tmp_path, text):
+        # float() reads each of these, but none is an effort a run can report.
+        space = parse_space(f"name,default,alternatives\nlevel,{text},1\n")
+        config = SolverAdapterConfig(
+            command=f"{sys.executable} {STUB} {{problem}} --level {{level}}",
+            metric_pattern=r"^c options: --level (\S+)",
+        )
+        problem = write_problem(tmp_path, "p.sat", verdict="SAT", conflicts=5)
+        with pytest.raises(MetricParseError, match=f"metric '{text}' captured by .* is not finite and nonnegative"):
+            one_problem_backend(config, space, problem).solve(1, Strategy((text,)))
 
     def test_template_must_mention_each_parameter_once(self, one_param_space):
         with pytest.raises(ValueError, match="exactly once"):
-            validate_template(SolverAdapterConfig(command_template="solver {problem}"), one_param_space)
+            validate_template(SolverAdapterConfig(command="solver {problem}"), one_param_space)
         with pytest.raises(ValueError, match="exactly once"):
             validate_template(
-                SolverAdapterConfig(command_template="solver {problem} {chrono} {chrono}"),
+                SolverAdapterConfig(command="solver {problem} {chrono} {chrono}"),
                 one_param_space,
             )
         validate_template(adapter_for(), one_param_space)
@@ -229,9 +251,9 @@ class TestAdapterConfigFile:
             encoding="utf-8",
         )
         config = load_adapter_config(path)
-        assert config.command_template == "kissat {problem} --chrono={chrono}"
-        assert config.exit_code_sat == 10
-        assert config.metric_budget_flag == "--conflicts {budget}"
+        assert config.command == "kissat {problem} --chrono={chrono}"
+        assert config.exit_sat == 10
+        assert config.budget_flag == "--conflicts {budget}"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "adapter.cfg"
@@ -264,13 +286,13 @@ class TestAdapterConfigFile:
         "line,message",
         [
             ("command = solver {problem} --chrono '{chrono}",
-             "command template .* does not split into shell words: No closing quotation"),
-            ("budget_flag = --conflicts {budgte}", r"budget flag references unknown fields \['budgte'\]"),
-            ("budget_flag = --conflicts", r"budget flag must reference \{budget\} exactly once, found 0"),
+             "command .* does not split into shell words: No closing quotation"),
+            ("budget_flag = --conflicts {budgte}", r"budget_flag references unknown fields \['budgte'\]"),
+            ("budget_flag = --conflicts", r"budget_flag must reference \{budget\} exactly once, found 0"),
             ("budget_flag = --conflicts {budget} --on {problem}",
-             r"budget flag references unknown fields \['problem'\]"),
+             r"budget_flag references unknown fields \['problem'\]"),
             # exit_aborted defaults to 0, so every run that exits 0 would read as SAT.
-            ("exit_sat = 0", "exit_code_sat and exit_code_aborted are both 0"),
+            ("exit_sat = 0", "exit_sat and exit_aborted are both 0"),
         ],
         ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field", "shared_exit_code"],
     )
@@ -308,6 +330,20 @@ class TestManifest:
         assert [load_manifest(path).metadata(i) for i in (1, 2, 3)] == [
             manifest.metadata(i) for i in (1, 2, 3)
         ]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1\tp1\tk=1,k=2\n", "line 1: repeated metadata key 'k'"),
+            ("1\tp1\n2\tp2\ts=1,=3\n", "line 2: metadata item '=3' has no key"),
+        ],
+        ids=["repeated_key", "empty_key"],
+    )
+    def test_metadata_that_would_be_dropped_is_rejected(self, text, message):
+        # Read into a dict, the later value would replace the earlier, and "=3" would be filed under "".
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(text)
+        assert str(excinfo.value) == message
 
     def test_indices_outside_one_to_n_rejected(self):
         manifest = parse_manifest("1\ta.cnf\tk=1\n2\tb.cnf\tk=2\n")

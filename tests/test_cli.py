@@ -236,7 +236,7 @@ class TestAblationGrid:
         grid = ablation_grid(config, budgets=[800.0], depths=[2])
         single = dataclasses.replace(config, budget_seconds=800.0, fixed_depth=2)
         _, summary = execute(single)
-        assert grid.cell(0, 0) == summary.largest_solved_index
+        assert grid.largest_solved[0][0] == summary.largest_solved_index
 
     def test_zero_budget_row_equals_baseline(self, ablation_files):
         space_path, land_path = ablation_files

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from stratlearn.backends import SolveOutcome, SyntheticBackend, SyntheticLandscape, Verdict
-from stratlearn.cost import ABORT_MULTIPLIER, collect_cost
+from stratlearn.engine import ABORT_MULTIPLIER, collect_cost
 from stratlearn.space import Strategy
 
 

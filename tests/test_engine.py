@@ -24,8 +24,8 @@ from stratlearn.backends import (
     Verdict,
     geometric_schedule,
 )
-from stratlearn.cost import ABORT_MULTIPLIER
 from stratlearn.engine import (
+    ABORT_MULTIPLIER,
     EpochPolicy,
     ForestConfig,
     InapplicableRuleError,
