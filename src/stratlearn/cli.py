@@ -32,7 +32,7 @@ from .engine import (
     run,
     summarize,
 )
-from .space import load_space
+from .space import Strategy, load_space
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +156,13 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
     """Load inputs, run, and (when --out is set) emit the trajectory file."""
     space = load_space(config.space_path)
     if config.landscape_path:
-        backend = SyntheticBackend(load_landscape(config.landscape_path))
+        landscape = load_landscape(config.landscape_path)
+        if landscape.optimum:  # an empty optimum prices every strategy alike
+            try:
+                space.codes(Strategy(landscape.optimum))
+            except ValueError as exc:
+                raise ValueError(f"{config.landscape_path}: optimum does not fit the space: {exc}") from exc
+        backend = SyntheticBackend(landscape)
     else:
         if not config.adapter_path:
             raise ValueError("a manifest run needs an adapter config")

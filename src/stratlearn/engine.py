@@ -29,7 +29,7 @@ import dataclasses
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -83,8 +83,8 @@ class EpochPolicy:
     def __post_init__(self) -> None:
         if self.samples_per_epoch < 1:
             raise ValueError("samples_per_epoch must be at least 1")
-        if self.learning_budget < 0:
-            raise ValueError("learning_budget must be nonnegative")
+        if not self.learning_budget >= 0:  # NaN fails too
+            raise ValueError(f"learning_budget must be nonnegative, got {self.learning_budget!r}")
         if self.strategize_samples < 1:
             raise ValueError("strategize_samples must be at least 1")
 
@@ -108,6 +108,8 @@ class ForestConfig:
             raise ValueError("depth_cap must be at least 1")
         if self.fixed_depth is not None and self.fixed_depth < 0:
             raise ValueError("fixed_depth must be nonnegative")
+        if math.isnan(self.score_threshold):
+            raise ValueError("score_threshold must not be NaN")
         if self.init_depth is not None and self.depth_cap is not None and self.init_depth > self.depth_cap:
             raise ValueError(f"init_depth {self.init_depth} exceeds depth_cap {self.depth_cap}")
         if self.init_depth is not None and self.fixed_depth is not None:
@@ -170,7 +172,7 @@ class Trajectory:
 
 @dataclass
 class EngineState:
-    """Mutable run configuration: current index and strategy, dataset, oracle."""
+    """Mutable run configuration: current index and strategy, dataset, oracle and its prediction memo."""
 
     space: StrategySpace
     num_problems: int
@@ -178,6 +180,7 @@ class EngineState:
     dataset: Dataset
     index: int = 1
     oracle: RandomForest | None = None
+    predictions: dict[int, dict[tuple[int, ...], float]] = field(default_factory=dict)  # see rule_strategize
     learning_time_spent: float = 0.0
     epochs: int = 0
     baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
@@ -336,7 +339,7 @@ def learning_epoch(
             state.dataset, forest_config.trees, init,
             forest_config.score_threshold, cap, forest_seed,
         )
-    state.oracle = oracle
+    state.oracle, state.predictions = oracle, {}
     state.epochs += 1
     if trajectory is not None:
         trajectory.record("train", index, state.strategy, cost=oracle.training_score)
@@ -361,15 +364,25 @@ def rule_strategize(
     Candidates are the current strategy plus a chain of ``strategize_samples - 1``
     steps over the oracle's predictions; ties keep the earliest candidate, so a
     constant oracle never moves the strategy.
+
+    Predictions are memoized in ``state.predictions`` for as long as the
+    oracle lives, by the index's cell, then by codes.  A tree reads the index
+    feature only in tests ``index > t``, so the cell, the number of the
+    forest's index thresholds below the index, fixes the path through every
+    tree: indices in one cell share their leaves and predictions exactly.
     """
     _require_live(state)
     if state.oracle is None:
         raise UntrainedOracleError("strategize requires a trained oracle")
     oracle = state.oracle
     index = state.index
+    cell = np.count_nonzero(oracle.threshold[oracle.feature == oracle.feature_width - 1] < index)
+    memo = state.predictions.setdefault(cell, {})
 
     def predicted_cost(codes: tuple[int, ...]) -> float:
-        return predict(oracle, encode_features(codes, index))
+        if codes not in memo:
+            memo[codes] = predict(oracle, encode_features(codes, index))
+        return memo[codes]
 
     best = state.space.codes(state.strategy)
     best_cost = predicted_cost(best)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,21 @@ class TestExecute:
         assert code == 0
         out = capsys.readouterr().out
         assert "outcome=FAILURE" in out and "epochs=0" in out
+
+    @pytest.mark.parametrize("misfit, message", [
+        (lambda optimum: ("z",) + optimum[1:], "value 'z' is not legal for parameter"),
+        (lambda optimum: optimum[:-1], "strategy has 5 assignments, space has 6 parameters"),
+    ], ids=["value-outside-domain", "too-few-values"])
+    def test_landscape_that_does_not_fit_the_space_is_rejected(self, landscape_files, misfit, message):
+        space_path, land_path = landscape_files
+        landscape = convergence_landscape(6)
+        optimum = misfit(landscape.optimum)
+        save_landscape(
+            dataclasses.replace(landscape, optimum=optimum, weights=landscape.weights[:len(optimum)]), land_path
+        )
+        config = RunConfig(space_path=space_path, landscape_path=land_path, virtual_clock=True)
+        with pytest.raises(ValueError, match=re.escape(f"{land_path}: optimum does not fit the space: {message}")):
+            execute(config)
 
 
 class TestManifestRun:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from helpers import (
     convergence_landscape,
     verdicts_from_bits,
 )
+from stratlearn import engine
 from stratlearn.backends import (
     SolveOutcome,
     SyntheticBackend,
@@ -40,7 +42,7 @@ from stratlearn.engine import (
     should_learn,
     summarize,
 )
-from stratlearn.forest import DataPoint, Dataset, fit_forest
+from stratlearn.forest import DataPoint, Dataset, fit_forest, predict
 from stratlearn.sampler import CostFunctionError, SamplerConfig
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
@@ -287,6 +289,64 @@ class TestStrategize:
         with pytest.raises(UntrainedOracleError):
             rule_strategize(state, SamplerConfig(seed=0), policy)
 
+    def index_split_oracle(self, space):
+        """Costs reversed between indices 1 and 3, so the forest tests the index, and only at 2.0."""
+        strategies = all_strategies(space)
+        data = Dataset(
+            DataPoint(encode_features(space.codes(v), index), float(rank if index == 1 else -rank))
+            for index in (1, 3) for rank, v in enumerate(strategies)
+        )
+        oracle = fit_forest(data, n_trees=3, max_depth=12, seed=0)
+        assert set(oracle.threshold[oracle.feature == space.k]) == {2.0}
+        return oracle
+
+    def test_memo_is_exact_across_index_cells(self):
+        # Indices 1 and 2 lie below the threshold 2.0 (cell 0), 3 and 4 above it
+        # (cell 1); each choice must match an unmemoized scan of every strategy.
+        state = fresh_state(4)
+        state.oracle = oracle = self.index_split_oracle(SPACE2)
+        policy = EpochPolicy(strategize_samples=50)
+        trajectory = Trajectory()
+        for index in (1, 3, 2, 4):
+            state.index = index
+            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+            costs = {v: predict(oracle, encode_features(SPACE2.codes(v), index)) for v in all_strategies(SPACE2)}
+            assert state.strategy == min(costs, key=costs.get)
+            assert trajectory.events[-1].cost == costs[state.strategy]
+
+    def test_one_predict_per_code_tuple_in_a_cell(self, monkeypatch):
+        space = binary_space(5)
+        state = fresh_state(6, space)
+        state.oracle = self.index_split_oracle(space)
+        predicted = []
+
+        def counting_predict(forest, features):
+            predicted.append(tuple(features[:-1]))
+            return predict(forest, features)
+
+        monkeypatch.setattr(engine, "predict", counting_predict)
+        policy = EpochPolicy(strategize_samples=40)
+        for index in (3, 5):
+            state.index = index
+            rule_strategize(state, SamplerConfig(seed=0), policy)
+        assert len(predicted) == len(set(predicted)) > 1
+
+    def test_refit_predicts_from_the_new_oracle(self):
+        state = fresh_state(6)
+        state.index = 2
+        costs = {("1", "1"): 400.0, ("1", "0"): 300.0, ("0", "1"): 200.0, ("0", "0"): 100.0}
+        state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
+        policy = EpochPolicy(samples_per_epoch=20, learning_budget=1e9, strategize_samples=50)
+        rule_strategize(state, SamplerConfig(seed=0), policy)
+        backend = landscape_backend()
+        state.baseline = backend.solve(2, state.strategy).metric
+        learning_epoch(state, backend, policy, SamplerConfig(seed=0))
+        trajectory = Trajectory()
+        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+        refit = {v: predict(state.oracle, encode_features(SPACE2.codes(v), 2)) for v in all_strategies(SPACE2)}
+        assert state.strategy == min(refit, key=refit.get)
+        assert trajectory.events[-1].cost == refit[state.strategy]
+
 
 class TestRun:
     def test_single_sat_problem(self):
@@ -529,6 +589,11 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             EpochPolicy(learning_budget=-1.0)
 
+    def test_nan_budget_rejected_and_infinite_budget_kept(self):
+        with pytest.raises(ValueError, match="learning_budget must be nonnegative"):
+            EpochPolicy(learning_budget=math.nan)
+        assert EpochPolicy(learning_budget=math.inf).learning_budget == math.inf
+
     def test_strategize_samples_positive(self):
         with pytest.raises(ValueError):
             EpochPolicy(strategize_samples=0)
@@ -540,6 +605,7 @@ class TestPolicyValidation:
             ("init_depth", 0, "init_depth must be at least 1"),
             ("depth_cap", 0, "depth_cap must be at least 1"),
             ("fixed_depth", -1, "fixed_depth must be nonnegative"),
+            ("score_threshold", math.nan, "score_threshold must not be NaN"),
         ],
     )
     def test_forest_fields_checked_before_any_backend_call(self, field, value, message):
@@ -547,4 +613,5 @@ class TestPolicyValidation:
         # epoch's collection runs spend solver calls on it.
         with pytest.raises(ValueError, match=message):
             ForestConfig(**{field: value})
-        assert getattr(ForestConfig(**{field: value + 1}), field) == value + 1
+        legal = 0.5 if field == "score_threshold" else value + 1  # NaN + 1 is NaN
+        assert getattr(ForestConfig(**{field: legal}), field) == legal
