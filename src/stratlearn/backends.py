@@ -216,6 +216,9 @@ def load_landscape(path: str | Path) -> SyntheticLandscape:
     expected = [f.name for f in fields(SyntheticLandscape)]
     if sorted(data) != sorted(expected):
         raise ValueError(f"{path}: landscape keys must be {expected}, got {list(data)}")
+    for key in expected:
+        if not isinstance(data[key], list):
+            raise ValueError(f"{path}: landscape key {key!r} must be a JSON list, got {data[key]!r}")
     return SyntheticLandscape(
         optimum=tuple(str(v) for v in data["optimum"]),
         weights=tuple(float(w) for w in data["weights"]),

@@ -72,8 +72,9 @@ class EpochPolicy:
     """How much learning a run may do.
 
     ``samples_per_epoch`` is the chain length of one collection burst,
-    ``learning_budget`` the total (virtual) time learning may consume, and
-    ``strategize_samples`` the candidate count when switching strategies.
+    ``learning_budget`` the (virtual) time ``should_learn`` admits epochs
+    within, by an estimate, and ``strategize_samples`` the candidate count
+    when switching strategies.
     """
 
     samples_per_epoch: int = 100
@@ -223,18 +224,12 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float) -> b
     """Budget check: time already spent plus the estimated epoch cost must fit.
 
     ``t_current`` is the solve time of the current problem under the current
-    strategy; one epoch reruns it ``samples_per_epoch`` times at worst.
+    strategy; the estimate is ``samples_per_epoch`` reruns of it.  A collection
+    call is charged up to ``ABORT_MULTIPLIER`` times the baseline, so an
+    admitted epoch can overrun the budget (ROADMAP.md item 11).
     """
     estimate = state.learning_time_spent + policy.samples_per_epoch * t_current
     return policy.learning_budget > 0 and estimate <= policy.learning_budget
-
-
-def _resolved_depths(config: ForestConfig, feature_width: int) -> tuple[int, int | None]:
-    """Depths for ``fit_adaptive``; the default initial depth, a third of the width, is capped."""
-    if config.init_depth is not None:
-        return config.init_depth, config.depth_cap
-    cap = feature_width if config.depth_cap is None else config.depth_cap
-    return min(math.ceil(feature_width / 3), cap), config.depth_cap
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,7 @@ def learning_epoch(
     *,
     forest_config: ForestConfig = ForestConfig(),
     seed: int = 0,
-    trajectory: Trajectory | None = None,
+    trajectory: Trajectory,
 ) -> EngineState:
     """One burst of sample collection on the problem just solved, then an oracle refit.
 
@@ -282,14 +277,15 @@ def learning_epoch(
     the solve just made.  The chain starts at the engine's current strategy,
     whose cost on the current problem is 1 by construction, so it costs no
     extra backend call.
-    Each backend call is handled as it returns: its time (the capped budget,
-    ``ABORT_MULTIPLIER`` times the baseline, if it aborted, else its raw
-    metric) is charged to ``state.learning_time_spent``, a ``collect`` event is
-    recorded, and its data point is kept.  A finished chain adds its samples
-    to the dataset.  A backend failure mid-chain (``CostFunctionError``) adds
-    the kept points instead and is re-raised with no refit; ``run()`` does not
-    catch it, so the whole run ends (ROADMAP.md item 3 is to make it end only
-    the epoch).
+    The backend runs once per distinct strategy: the epoch's memo keeps each
+    cost in call order, and a revisit makes no call, charge or event.  A call
+    is charged as it returns (the capped budget, ``ABORT_MULTIPLIER`` times
+    the baseline, if it aborted, else its raw metric) to
+    ``state.learning_time_spent`` and recorded as a ``collect`` event.  A
+    finished chain adds its samples to the dataset.  A backend failure
+    mid-chain (``CostFunctionError``) adds the memo's points instead and is
+    re-raised with no refit; ``run()`` does not catch it, so the whole run
+    ends (ROADMAP.md item 3 is to make it end only the epoch).
     """
     _require_live(state)
     index = state.index
@@ -302,29 +298,29 @@ def learning_epoch(
     )
     space = state.space
     in_force = space.codes(state.strategy)
-    measured: list[DataPoint] = []
+    measured: dict[tuple[int, ...], float] = {}  # in call order
 
     def cost_fn(codes: tuple[int, ...]) -> float:
         # The in-force strategy's run *is* the baseline run; skip the redundant call.
         if codes == in_force:
             return 1.0
-        strategy = space.strategy(codes)
-        record = collect_cost(backend, index, strategy, baseline)
-        charge = baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric
-        state.learning_time_spent += charge
-        if trajectory is not None:
+        if codes not in measured:
+            strategy = space.strategy(codes)
+            record = collect_cost(backend, index, strategy, baseline)
+            charge = baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric
+            state.learning_time_spent += charge
             trajectory.record(
                 "collect", index, strategy,
                 raw_metric=record.raw_metric, cost=record.cost, virtual_time=charge,
             )
-        measured.append(DataPoint(encode_features(codes, index), record.cost))
-        return record.cost
+            measured[codes] = record.cost
+        return measured[codes]
 
     try:
         samples = run_chain(space, cost_fn, state.strategy, policy.samples_per_epoch, chain_config)
     except CostFunctionError:
-        for point in measured:
-            state.dataset.append(point)
+        for codes, cost in measured.items():
+            state.dataset.append(DataPoint(encode_features(codes, index), cost))
         raise
 
     for sample in samples:
@@ -334,15 +330,13 @@ def learning_epoch(
     if forest_config.fixed_depth is not None:
         oracle = fit_forest(state.dataset, forest_config.trees, forest_config.fixed_depth, forest_seed)
     else:
-        init, cap = _resolved_depths(forest_config, state.dataset.feature_width)
         oracle = fit_adaptive(
-            state.dataset, forest_config.trees, init,
-            forest_config.score_threshold, cap, forest_seed,
+            state.dataset, forest_config.trees, forest_config.init_depth,
+            forest_config.score_threshold, forest_config.depth_cap, forest_seed,
         )
     state.oracle, state.predictions = oracle, {}
     state.epochs += 1
-    if trajectory is not None:
-        trajectory.record("train", index, state.strategy, cost=oracle.training_score)
+    trajectory.record("train", index, state.strategy, cost=oracle.training_score)
     logger.debug(
         "epoch %d on problem %d: %d backend calls, dataset size %d, score %.3f at depth %d",
         state.epochs, index, len(measured), len(state.dataset),
@@ -357,7 +351,7 @@ def rule_strategize(
     policy: EpochPolicy,
     *,
     seed: int = 0,
-    trajectory: Trajectory | None = None,
+    trajectory: Trajectory,
 ) -> EngineState:
     """Switch to the candidate with the lowest predicted cost at the current index.
 
@@ -395,8 +389,7 @@ def rule_strategize(
             if record.cost < best_cost:
                 best, best_cost = record.codes, record.cost
     state.strategy = state.space.strategy(best)
-    if trajectory is not None:
-        trajectory.record("strategize", index, state.strategy, cost=best_cost)
+    trajectory.record("strategize", index, state.strategy, cost=best_cost)
     return state
 
 

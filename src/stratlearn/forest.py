@@ -274,7 +274,7 @@ def r2_score(forest: RandomForest, data: Dataset) -> float:
 def fit_adaptive(
     data: Dataset,
     n_trees: int,
-    init_depth: int,
+    init_depth: int | None = None,
     score_threshold: float = 0.9,
     depth_cap: int | None = None,
     seed: int = 0,
@@ -285,13 +285,17 @@ def fit_adaptive(
 
     Returns the final forest; its ``trained_depth`` records the depth used.
     ``depth_cap`` defaults to the feature width, or to ``init_depth`` if that
-    is deeper; a cap below ``init_depth`` is rejected.
+    is deeper, and ``init_depth`` to a third of the width, rounded up and
+    lowered to the cap; a cap below ``init_depth`` is rejected.
     """
+    cap = data.feature_width if depth_cap is None else depth_cap
+    if init_depth is None:
+        init_depth = min(math.ceil(data.feature_width / 3), cap)
     if init_depth < 1:
         raise ValueError("init_depth must be at least 1")
     if depth_cap is not None and depth_cap < init_depth:
         raise ValueError(f"depth_cap {depth_cap} is below init_depth {init_depth}")
-    cap = max(init_depth, data.feature_width) if depth_cap is None else depth_cap
+    cap = max(init_depth, cap)
     grower = _ForestGrower(data, n_trees, seed, bootstrap)
     depth = init_depth
     forest = _grown_forest(grower, data, depth)

@@ -77,28 +77,24 @@ def run_chain(
     code tuples, and ``cost_fn`` receives code tuples.  Each step draws a
     neighbor index, builds that one neighbor, evaluates its cost, and accepts
     or rejects; the recorded sample is the post-step state, so consecutive
-    records are either equal or one parameter apart.  Cost evaluations are
-    memoized per state within the chain, so revisits are free; all drawn
-    samples (including repeats) are still emitted.  A failing or non-finite
-    cost raises ``CostFunctionError`` with the decoded strategy.  The chain is
-    fully deterministic given the config seed.
+    records are either equal or one parameter apart.  Every proposal is
+    evaluated, revisits included; a caller whose costs are dear memoizes
+    them.  A failing or non-finite cost raises ``CostFunctionError`` with the
+    decoded strategy.  The chain is fully deterministic given the config seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     current = space.codes(start)  # ValueError unless every value of start is legal
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-    cost_memo: dict[tuple[int, ...], float] = {}
 
     def cost_of(codes: tuple[int, ...]) -> float:
-        if codes not in cost_memo:
-            try:
-                value = float(cost_fn(codes))
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite cost {value!r}")
-            except Exception as exc:
-                raise CostFunctionError(space.strategy(codes), exc) from exc
-            cost_memo[codes] = value
-        return cost_memo[codes]
+        try:
+            value = float(cost_fn(codes))
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite cost {value!r}")
+        except Exception as exc:
+            raise CostFunctionError(space.strategy(codes), exc) from exc
+        return value
 
     cost_current = cost_of(current)
     n_neighbors = space.neighbor_starts[-1]

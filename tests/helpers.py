@@ -60,23 +60,16 @@ def reference_neighbors(space: StrategySpace, strategy: Strategy) -> list[Strate
 def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[tuple[Strategy, float, bool]]:
     """``sampler.run_chain`` over ``Strategy`` values, drawing from ``reference_neighbors``.
 
-    Same stream and memo; each record is (strategy, cost, accepted), which is
-    what a ``run_chain`` record decodes to when ``cost_fn`` sees the decoded strategy.
+    Same stream; each record is (strategy, cost, accepted), which is what a
+    ``run_chain`` record decodes to when ``cost_fn`` sees the decoded strategy.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-    memo: dict[tuple[str, ...], float] = {}
-
-    def cost_of(strategy: Strategy) -> float:
-        if strategy.assignments not in memo:
-            memo[strategy.assignments] = float(cost_fn(strategy))
-        return memo[strategy.assignments]
-
-    current, cost_current = start, cost_of(start)
+    current, cost_current = start, float(cost_fn(start))
     records = []
     for _ in range(n_samples):
         options = reference_neighbors(space, current)
         proposal = options[int(rng.integers(len(options)))]
-        cost_proposal = cost_of(proposal)
+        cost_proposal = float(cost_fn(proposal))
         alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
         accepted = alpha >= 1.0 or rng.random() < alpha
         if accepted:

@@ -1,5 +1,6 @@
 """Synthetic landscape, external subprocess adapter, and manifest handling."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -99,6 +100,18 @@ class TestSynthetic:
             bad.write_text(edited, encoding="utf-8")
             with pytest.raises(ValueError, match=f"{name}.json: landscape keys must be .*, got"):
                 load_landscape(bad)
+
+    @pytest.mark.parametrize("key, value", [("optimum", "10"), ("weights", "12"), ("verdicts", "UN")],
+                             ids=["optimum", "weights", "verdicts"])
+    def test_string_field_rejected_naming_file_and_key(self, tmp_path, key, value):
+        # A JSON string is iterable, so it would load character by character.
+        path = tmp_path / "land.json"
+        save_landscape(make_landscape(), path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data[key] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"land.json: landscape key '{key}' must be a JSON list"):
+            load_landscape(path)
 
     def test_geometric_schedule(self):
         assert geometric_schedule(2.0, 3.0, 3) == (2.0, 6.0, 18.0)

@@ -168,7 +168,7 @@ class TestLearningEpoch:
     def test_dataset_grows_by_sample_count(self):
         state = self.prepared_state()
         policy = EpochPolicy(samples_per_epoch=2, learning_budget=1e9)
-        learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0))
+        learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0), trajectory=Trajectory())
         assert len(state.dataset) == 2
         assert state.oracle is not None
         assert state.epochs == 1
@@ -189,7 +189,7 @@ class TestLearningEpoch:
         state = fresh_state(6)
         policy = EpochPolicy(samples_per_epoch=2, learning_budget=1e9)
         with pytest.raises(ValueError, match="baseline"):
-            learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0))
+            learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0), trajectory=Trajectory())
 
     def test_backend_failure_keeps_measured_points(self):
         class FlakyBackend:
@@ -222,6 +222,35 @@ class TestLearningEpoch:
         assert [tuple(row) for row in X.tolist()] == rows
         assert y.tolist() == [e.cost for e in collects]
         assert state.learning_time_spent == collects[0].virtual_time + collects[1].virtual_time > 0
+
+    def test_one_backend_call_per_distinct_strategy(self):
+        class CountingBackend:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, []
+
+            @property
+            def num_problems(self):
+                return self.inner.num_problems
+
+            def solve(self, index, strategy, budget=None):
+                outcome = self.inner.solve(index, strategy, budget)
+                self.calls.append((strategy, outcome.metric))
+                return outcome
+
+        state = self.prepared_state()
+        policy = EpochPolicy(samples_per_epoch=50, learning_budget=1e9)
+        backend = CountingBackend(landscape_backend())
+        trajectory = Trajectory()
+        learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=trajectory)
+        # 50 steps over 4 strategies revisit them; only the 3 non-default ones are run, once each
+        strategies = [strategy for strategy, _ in backend.calls]
+        assert 1 <= len(strategies) <= 3
+        assert len(set(strategies)) == len(strategies)
+        assert default_strategy(SPACE2) not in strategies
+        collects = trajectory.phase_events("collect")
+        assert [Strategy(e.strategy) for e in collects] == strategies
+        assert state.learning_time_spent == sum(metric for _, metric in backend.calls)
+        assert len(state.dataset) == 50
 
     def test_collect_charges_the_capped_budget_when_aborted(self):
         # p0 off its optimum costs 21x the baseline, past the 10x budget; p1 off costs 1.5x.
@@ -261,7 +290,7 @@ class TestStrategize:
         costs = {v.assignments: 1.0 for v in all_strategies(SPACE2)}
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=50)
-        rule_strategize(state, SamplerConfig(seed=0), policy)
+        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
         assert state.strategy == default_strategy(SPACE2)
 
     def test_single_sample_retains_current_strategy(self):
@@ -271,7 +300,7 @@ class TestStrategize:
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=1)
         before = state.strategy
-        rule_strategize(state, SamplerConfig(seed=0), policy)
+        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
         assert state.strategy == before
 
     def test_unique_minimum_is_found(self):
@@ -280,14 +309,14 @@ class TestStrategize:
         costs = {("1", "1"): 3.0, ("1", "0"): 2.0, ("0", "1"): 1.5, ("0", "0"): 0.25}
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=100)
-        rule_strategize(state, SamplerConfig(seed=0), policy)
+        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
         assert state.strategy == Strategy(("0", "0"))
 
     def test_untrained_oracle_rejected(self):
         state = fresh_state(4)
         policy = EpochPolicy(strategize_samples=10)
         with pytest.raises(UntrainedOracleError):
-            rule_strategize(state, SamplerConfig(seed=0), policy)
+            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
 
     def index_split_oracle(self, space):
         """Costs reversed between indices 1 and 3, so the forest tests the index, and only at 2.0."""
@@ -328,7 +357,7 @@ class TestStrategize:
         policy = EpochPolicy(strategize_samples=40)
         for index in (3, 5):
             state.index = index
-            rule_strategize(state, SamplerConfig(seed=0), policy)
+            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
         assert len(predicted) == len(set(predicted)) > 1
 
     def test_refit_predicts_from_the_new_oracle(self):
@@ -337,10 +366,10 @@ class TestStrategize:
         costs = {("1", "1"): 400.0, ("1", "0"): 300.0, ("0", "1"): 200.0, ("0", "0"): 100.0}
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=20, learning_budget=1e9, strategize_samples=50)
-        rule_strategize(state, SamplerConfig(seed=0), policy)
+        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
         backend = landscape_backend()
         state.baseline = backend.solve(2, state.strategy).metric
-        learning_epoch(state, backend, policy, SamplerConfig(seed=0))
+        learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=Trajectory())
         trajectory = Trajectory()
         rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
         refit = {v: predict(state.oracle, encode_features(SPACE2.codes(v), 2)) for v in all_strategies(SPACE2)}

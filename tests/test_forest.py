@@ -469,6 +469,13 @@ class TestAdaptiveDepth:
             fit_adaptive(data, 2, init_depth=4, depth_cap=2)
         assert fit_adaptive(data, 2, init_depth=2, depth_cap=2).trained_depth == 2
 
+    def test_initial_depth_defaults_to_a_third_of_the_width_within_the_cap(self):
+        rng = np.random.default_rng(5)
+        data = make_dataset(rng.integers(0, 4, size=(60, 7)), rng.normal(size=60))
+        assert fit_adaptive(data, 2, score_threshold=0.0).trained_depth == 3  # ceil(7 / 3)
+        assert fit_adaptive(data, 2, score_threshold=0.0, depth_cap=2).trained_depth == 2
+        assert fit_adaptive(data, 2, score_threshold=1.1).trained_depth == 7
+
     def test_depth_cap_defaults_to_feature_width(self):
         forest = fit_adaptive(XOR_DATA, n_trees=1, init_depth=1,
                               score_threshold=1.1, seed=0, bootstrap=False)

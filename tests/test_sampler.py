@@ -137,7 +137,8 @@ class TestRunChain:
         second = run_chain(small_space, cost_fn, start, 200, SamplerConfig(seed=9))
         assert first == second
 
-    def test_memoizes_cost_calls(self):
+    def test_evaluates_the_start_and_every_step(self):
+        # The chain keeps no memo: a caller whose costs are expensive keeps its own.
         space = binary_space(2)
         calls = []
 
@@ -145,9 +146,11 @@ class TestRunChain:
             calls.append(v)
             return 1.0
 
-        run_chain(space, cost_fn, default_strategy(space), 200, SamplerConfig(seed=2))
-        assert len(calls) == len(set(calls))  # one backend call per distinct strategy
-        assert len(calls) <= 4
+        start = default_strategy(space)
+        records = run_chain(space, cost_fn, start, 200, SamplerConfig(seed=2))
+        assert len(calls) == 200 + 1
+        assert calls[0] == space.codes(start)
+        assert calls[1:] == [r.codes for r in records]  # constant cost: every proposal is accepted
 
     def test_cost_failure_carries_strategy(self):
         space = binary_space(1)
