@@ -1,6 +1,8 @@
 """Synthetic landscape, external subprocess adapter, and manifest handling."""
 
 import json
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -249,6 +251,44 @@ class TestExternalAdapter:
         backend = ExternalBackend(adapter_for(), one_param_space, parse_manifest(f"1\t{p1}\n2\t{p2}\n"))
         assert backend.solve(1, Strategy(("1",))) == SolveOutcome(Verdict.UNSAT, 10.0)
         assert backend.solve(2, Strategy(("1",)), budget=50.0) == SolveOutcome(Verdict.SAT, 20.0)
+
+    @pytest.mark.parametrize(
+        "budget_flag,budget,budget_words",
+        [
+            ("--conflicts {budget}", None, []),
+            ("--conflicts {budget}", 100.0, ["--conflicts", "100"]),
+            ("--conflicts {budget}", 55.5, ["--conflicts", "55.5"]),
+            ("'--limit={budget}'", 55.5, ["--limit=55.5"]),
+            (None, 100.0, []),
+        ],
+        ids=["unbudgeted", "whole_budget", "fractional_budget", "quoted_flag", "no_budget_flag"],
+    )
+    def test_exact_argv_launched(self, tmp_path, monkeypatch, one_param_space, budget_flag, budget, budget_words):
+        # An echo solver prints the words it was given; a quoted template word and a
+        # locator holding a space and a quote must each arrive as one word, unchanged.
+        echo = tmp_path / "echo_solver.py"
+        echo.write_text("import json, sys\nprint(json.dumps(sys.argv[1:]))\nprint('c conflicts: 7')\n"
+                        "sys.exit(10)\n", encoding="utf-8")
+        stdouts = []
+        real_run = subprocess.run
+
+        def recording_run(*args, **kwargs):
+            proc = real_run(*args, **kwargs)
+            stdouts.append(proc.stdout)
+            return proc
+
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        config = SolverAdapterConfig(
+            command=f"{shlex.quote(sys.executable)} {shlex.quote(str(echo))} "
+                    "\"two words\" {problem} --chrono={chrono}",
+            budget_flag=budget_flag,
+        )
+        locator = str(tmp_path / "it's a dir" / "p.cnf")
+        backend = ExternalBackend(config, one_param_space, parse_manifest(f"1\t{locator}\n"))
+        assert backend.solve(1, Strategy(("0",)), budget=budget) == SolveOutcome(Verdict.SAT, 7.0)
+        assert len(stdouts) == 1
+        argv = json.loads(stdouts[0].splitlines()[0])
+        assert argv == ["two words", locator, "--chrono=0"] + budget_words
 
 
 class TestAdapterConfigFile:
