@@ -4,7 +4,8 @@ Problem payloads are opaque to the engine; only a backend interprets them.
 Two backends ship here, and each one's ``solve`` does all of its work:
 ``SyntheticBackend`` evaluates a deterministic landscape for experiments and
 tests, and ``ExternalBackend`` launches a DIMACS-convention solver process on
-a manifest's locators.  Under a budget, either reports a run whose metric
+a manifest: the tuple of locators ``load_manifest`` reads, problem ``i`` being
+``locators[i - 1]``.  Under a budget, either reports a run whose metric
 exceeds it as ABORTED.
 """
 
@@ -18,7 +19,7 @@ import re
 import shlex
 import string
 import subprocess
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -85,10 +86,10 @@ class SolverAdapterConfig:
     budget_flag: str | None = None
 
 
-def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> None:
-    """Check that the command and the budget flag split into shell words, that the
-    command references {problem} and each parameter, and the flag {budget}, exactly once,
-    and that no two exit codes are equal."""
+def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> tuple[list[str], list[str]]:
+    """Split the command and the budget flag into shell words and return both (the flag's
+    are empty when it is unset), after checking that the command references {problem} and
+    each parameter, and the flag {budget}, exactly once, and that no two exit codes are equal."""
     codes = {name: getattr(config, name) for name in ("exit_sat", "exit_unsat", "exit_aborted")}
     for (a, code), (b, other) in itertools.combinations(codes.items(), 2):
         if code == other:
@@ -96,9 +97,10 @@ def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> None
     checks = [("command", config.command, ("problem",) + space.names)]
     if config.budget_flag:
         checks.append(("budget_flag", config.budget_flag, ("budget",)))
+    split: dict[str, list[str]] = {}
     for key, template, expected in checks:
         try:
-            words = shlex.split(template)
+            words = split[key] = shlex.split(template)
         except ValueError as exc:
             raise ValueError(f"{key} {template!r} does not split into shell words: {exc}") from None
         named = [f for word in words for _, f, _, _ in string.Formatter().parse(word) if f]
@@ -109,6 +111,7 @@ def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> None
             n = named.count(name)
             if n != 1:
                 raise ValueError(f"{key} must reference {{{name}}} exactly once, found {n}")
+    return split["command"], split.get("budget_flag", [])
 
 
 def _parse_metric(config: SolverAdapterConfig, stdout: str) -> float | None:
@@ -216,11 +219,19 @@ def load_landscape(path: str | Path) -> SyntheticLandscape:
     expected = [f.name for f in fields(SyntheticLandscape)]
     if sorted(data) != sorted(expected):
         raise ValueError(f"{path}: landscape keys must be {expected}, got {list(data)}")
+    verdicts = [v.value for v in Verdict]
+    number = "a JSON number", lambda v: type(v) in (int, float)  # JSON true is a bool, not a number
+    elements = {"optimum": ("a JSON string", lambda v: type(v) is str), "weights": number,
+                "base_metrics": number, "verdicts": (f"one of {verdicts}", verdicts.__contains__)}
     for key in expected:
         if not isinstance(data[key], list):
             raise ValueError(f"{path}: landscape key {key!r} must be a JSON list, got {data[key]!r}")
+        kind, legal = elements[key]
+        for position, value in enumerate(data[key]):
+            if not legal(value):
+                raise ValueError(f"{path}: landscape key {key!r} at position {position} must be {kind}, got {value!r}")
     return SyntheticLandscape(
-        optimum=tuple(str(v) for v in data["optimum"]),
+        optimum=tuple(data["optimum"]),
         weights=tuple(float(w) for w in data["weights"]),
         base_metrics=tuple(float(b) for b in data["base_metrics"]),
         verdicts=tuple(Verdict(v) for v in data["verdicts"]),
@@ -235,76 +246,25 @@ class ManifestError(ValueError):
     pass
 
 
-@dataclass
-class ManifestEntry:
-    index: int
-    locator: str
-    metadata: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class ProblemManifest:
-    """Ordered problem locators with contiguous indices starting at 1."""
-
-    entries: list[ManifestEntry]
-
-    def __post_init__(self) -> None:
-        for position, entry in enumerate(self.entries, start=1):
-            if entry.index != position:
-                raise ManifestError(
-                    f"non-contiguous indices: expected {position}, got {entry.index}"
-                )
-            if not entry.locator:
-                raise ManifestError(f"entry {entry.index} has no locator")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def _entry(self, index: int) -> ManifestEntry:
-        if not 1 <= index <= len(self.entries):
-            raise IndexError(f"index {index} out of range 1..{len(self.entries)}")
-        return self.entries[index - 1]
-
-    def locator(self, index: int) -> str:
-        return self._entry(index).locator
-
-    def metadata(self, index: int) -> dict[str, str]:
-        return self._entry(index).metadata
-
-
-def parse_manifest(text: str) -> ProblemManifest:
-    """One entry per line: ``index<TAB>locator<TAB>key=value,...`` (metadata optional)."""
-    entries: list[ManifestEntry] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+def parse_manifest(text: str) -> tuple[str, ...]:
+    """Return the locators of ``index<TAB>locator`` lines whose indices run 1, 2, ... in file order."""
+    locators: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = line.split("\t")
-        if len(cells) < 2:
+        if len(cells) != 2:
             raise ManifestError(f"line {lineno}: expected index<TAB>locator, got {line!r}")
-        try:
-            index = int(cells[0])
-        except ValueError:
-            raise ManifestError(f"line {lineno}: bad index {cells[0]!r}") from None
+        if cells[0].strip() != str(len(locators) + 1):
+            raise ManifestError(f"line {lineno}: expected index {len(locators) + 1}, got {cells[0]!r}")
         locator = cells[1].strip()
         if not locator:
             raise ManifestError(f"line {lineno}: missing locator")
-        metadata: dict[str, str] = {}
-        if len(cells) >= 3 and cells[2].strip():
-            for item in cells[2].split(","):
-                if "=" not in item:
-                    raise ManifestError(f"line {lineno}: bad metadata item {item!r}")
-                key, value = (part.strip() for part in item.split("=", 1))
-                if not key:
-                    raise ManifestError(f"line {lineno}: metadata item {item!r} has no key")
-                if key in metadata:
-                    raise ManifestError(f"line {lineno}: repeated metadata key {key!r}")
-                metadata[key] = value
-        entries.append(ManifestEntry(index, locator, metadata))
-    return ProblemManifest(entries)
+        locators.append(locator)
+    return tuple(locators)
 
 
-def load_manifest(path: str | Path) -> ProblemManifest:
+def load_manifest(path: str | Path) -> tuple[str, ...]:
     return parse_manifest(Path(path).read_text(encoding="utf-8"))
 
 
@@ -334,22 +294,22 @@ class SyntheticBackend:
 
 
 class ExternalBackend:
-    """Backend that launches an external solver process per solve, on the manifest's locators.
+    """Backend that launches an external solver process per solve on ``locators[index - 1]``.
 
-    The adapter config is checked by ``validate_template`` once, here.
+    ``validate_template`` checks the adapter config and splits its templates into shell words once, here.
     """
 
-    def __init__(self, config: SolverAdapterConfig, space: StrategySpace, manifest: ProblemManifest):
-        validate_template(config, space)
+    def __init__(self, config: SolverAdapterConfig, space: StrategySpace, locators: tuple[str, ...]):
+        self._command_words, self._budget_words = validate_template(config, space)
         self.config = config
         self.space = space
-        self.manifest = manifest
+        self.locators = locators
         self._verdicts = {config.exit_sat: Verdict.SAT, config.exit_unsat: Verdict.UNSAT,
                           config.exit_aborted: Verdict.ABORTED}
 
     @property
     def num_problems(self) -> int:
-        return len(self.manifest)
+        return len(self.locators)
 
     def solve(self, index: int, strategy: Strategy, budget: float | None = None) -> SolveOutcome:
         """Launch the command on the problem's locator, map its exit code, and parse the metric.
@@ -360,14 +320,15 @@ class ExternalBackend:
         decisive verdict.
         """
         config = self.config
-        problem = self.manifest.locator(index)
+        if not 1 <= index <= len(self.locators):  # a negative index must not pick a problem from the end
+            raise IndexError(f"index {index} out of range 1..{len(self.locators)}")
         self.space.codes(strategy)  # ValueError unless every value of strategy is legal
-        mapping = {"problem": problem, **dict(zip(self.space.names, strategy.assignments))}
-        # Split before substituting, so that each substituted value is exactly one argument.
-        args = [word.format(**mapping) for word in shlex.split(config.command)]
-        if budget is not None and config.budget_flag:
+        mapping = {"problem": self.locators[index - 1], **dict(zip(self.space.names, strategy.assignments))}
+        # The templates were split before substituting, so each substituted value is exactly one argument.
+        args = [word.format(**mapping) for word in self._command_words]
+        if budget is not None and self._budget_words:
             budget_value = int(budget) if float(budget).is_integer() else budget
-            args += [word.format(budget=budget_value) for word in shlex.split(config.budget_flag)]
+            args += [word.format(budget=budget_value) for word in self._budget_words]
         logger.debug("launching %s", " ".join(args))
         try:
             proc = subprocess.run(args, capture_output=True, text=True)

@@ -98,10 +98,10 @@ def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
                         help="strategy space CSV (name,default,alternatives)")
     problems = parser.add_mutually_exclusive_group(required=True)
     problems.add_argument("--manifest", dest="manifest_path",
-                          help="problem manifest (index<TAB>locator<TAB>key=value,...)")
+                          help="problem manifest (index<TAB>locator lines)")
     problems.add_argument("--landscape", dest="landscape_path", help="synthetic landscape JSON")
     parser.add_argument("--adapter", dest="adapter_path",
-                        help="solver adapter config (key=value lines); required with --manifest")
+                        help="solver adapter config (key=value lines); required with, and only with, --manifest")
     parser.add_argument("--samples-per-epoch", type=_positive_int, default=100)
     parser.add_argument("--strategize-samples", type=_positive_int, default=500)
     parser.add_argument("--trees", type=_positive_int, default=50)
@@ -132,6 +132,8 @@ def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
 def _run_config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfig:
     if ns.manifest_path and not ns.adapter_path:
         parser.error("--manifest requires --adapter")
+    if ns.adapter_path and not ns.manifest_path:
+        parser.error("--adapter is read only with --manifest")
     return RunConfig(**vars(ns))
 
 

@@ -14,8 +14,9 @@ The scalar cost of a strategy on a problem is the raw backend metric divided
 by the metric of ``run()``'s solve of that problem, so the in-force strategy
 costs exactly 1.  Collection runs get a metric budget of a fixed
 ``ABORT_MULTIPLIER`` (10) times that baseline; a run that exhausts it enters
-the dataset at cost 10 with the aborted flag set, so the oracle still learns
-that the region is bad.
+the dataset at cost 10, so the oracle still learns that the region is bad.
+Only ``collect_cost``'s ``CostRecord.aborted`` marks the abort; neither the
+dataset nor the trajectory records it.
 
 Time is accounted on a virtual clock by default: every backend call reports a
 deterministic effort metric which the engine treats as time, so runs replay

@@ -17,7 +17,6 @@ from stratlearn.backends import (
     SyntheticLandscape,
     Verdict,
     geometric_schedule,
-    parse_manifest,
 )
 from stratlearn.forest import _TREE_STREAM, RandomForest
 from stratlearn.sampler import acceptance_probability
@@ -142,7 +141,7 @@ def backend_for(verdicts, metrics=None) -> SyntheticBackend:
 
 def one_problem_backend(config: SolverAdapterConfig, space: StrategySpace, problem) -> ExternalBackend:
     """An ``ExternalBackend`` whose manifest holds ``problem`` alone, as index 1."""
-    return ExternalBackend(config, space, parse_manifest(f"1\t{problem}\n"))
+    return ExternalBackend(config, space, (str(problem),))
 
 
 # Reference tree grower: one node at a time, recursively, with the split rule

@@ -75,6 +75,13 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--space", "s.csv", "--manifest", "m.tsv"])
 
+    def test_adapter_requires_manifest(self, capsys):
+        # Without a manifest the adapter file would never be read.
+        with pytest.raises(SystemExit) as exit_info:
+            parse_args(["--space", "s.csv", "--landscape", "l.json", "--adapter", "a.cfg"])
+        assert exit_info.value.code == 2
+        assert "--adapter is read only with --manifest" in capsys.readouterr().err
+
     def test_manifest_and_landscape_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             parse_args(["--space", "s.csv", "--manifest", "m.tsv", "--landscape", "l.json"])
@@ -199,7 +206,7 @@ class TestManifestRun:
                 f"verdict={verdict}\nconflicts={conflicts}\n", encoding="utf-8")
         manifest_path = tmp_path / "manifest.tsv"
         manifest_path.write_text(
-            "".join(f"{i}\t{tmp_path}/p{i}.problem\tk={i * 10},s=10\n" for i in (1, 2, 3)),
+            "".join(f"{i}\t{tmp_path}/p{i}.problem\n" for i in (1, 2, 3)),
             encoding="utf-8")
         adapter_path = tmp_path / "adapter.cfg"
         adapter_path.write_text(
