@@ -408,5 +408,13 @@ class TestManifest:
             parse_manifest(f"# problems\n1\ta.cnf\n{line}\n")
         assert str(excinfo.value) == f"line 3: expected index<TAB>locator, got {line!r}"
 
+    def test_indices_outside_one_to_n_rejected(self, monkeypatch, one_param_space):
+        # The manifest is a plain tuple, so the backend holding it owns the 1..n check.
+        monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("launched a solver"))
+        backend = ExternalBackend(adapter_for(), one_param_space, parse_manifest("1\ta.cnf\n2\tb.cnf\n"))
+        for index in (-1, 0, 3):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                backend.solve(index, Strategy(("1",)))
+
     def test_comments_ignored(self):
         assert parse_manifest("# problems\n1\ta.cnf\n") == ("a.cnf",)
