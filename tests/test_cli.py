@@ -1,6 +1,7 @@
 """Argument parsing, trajectory emission, and ablation grids."""
 
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -159,6 +160,33 @@ class TestEmitTrajectory:
         execute(config)
         execute(dataclasses.replace(config, out=str(tmp_path / "b.tsv")))
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+class TestRecordFormats:
+    """The bytes of every record format, pinned by sha256.
+
+    A learning run writes the trajectory file (events, ``solved`` lines and
+    the summary record) and prints the summary line; a time-limited run
+    prints a second one.  The paths are relative because ``#meta`` records
+    the space path.  A change meant to move a format updates its digest and
+    says why.
+    """
+
+    TRAJECTORY = "4c73a5745538cc5ad0b851bfb0b20b34cbee006ce56a3812c0e89bd7d7b8d26e"
+    STDOUT = "b108346f303c1396f75ebfa8780d1d145c3d33204c64bb3686e4accf9cf79779"
+    LANDSCAPE = "a6e9ab3499068cd17c4aa8c7c64127af21fce0500d4308031899ad5caa06f7cc"
+
+    def test_every_record_format_is_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("space.csv").write_text(serialize_space(builtin_space("kissat_small")), encoding="utf-8")
+        save_landscape(convergence_landscape(12), "land.json")
+        run_flags = ["--space", "space.csv", "--landscape", "land.json", "--seed", "3", "--virtual-clock"]
+        assert main(run_flags + ["--budget-seconds", "20000", "--out", "run.tsv"]) == 0
+        assert main(run_flags + ["--time-limit", "5"]) == 0
+        digests = [hashlib.sha256(data).hexdigest() for data in (
+            Path("run.tsv").read_bytes(), capsys.readouterr().out.encode(), Path("land.json").read_bytes(),
+        )]
+        assert digests == [self.TRAJECTORY, self.STDOUT, self.LANDSCAPE]
 
 
 class TestExecute:
