@@ -19,8 +19,9 @@ import re
 import shlex
 import string
 import subprocess
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 from .space import Strategy, StrategySpace
@@ -94,6 +95,10 @@ def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> tupl
     for (a, code), (b, other) in itertools.combinations(codes.items(), 2):
         if code == other:
             raise ValueError(f"{a} and {b} are both {code}; each verdict needs its own exit code")
+    try:
+        re.compile(config.metric_pattern, re.MULTILINE)
+    except re.error as exc:
+        raise ValueError(f"metric_pattern {config.metric_pattern!r} is not a valid regex: {exc}") from None
     checks = [("command", config.command, ("problem",) + space.names)]
     if config.budget_flag:
         checks.append(("budget_flag", config.budget_flag, ("budget",)))
@@ -188,6 +193,8 @@ class SyntheticLandscape:
         return len(self.verdicts)
 
     def metric(self, index: int, strategy: Strategy) -> float:
+        if not 1 <= index <= self.num_problems:  # a negative index must not pick a problem from the end
+            raise IndexError(f"index {index} out of range 1..{self.num_problems}")
         if self.weights and len(strategy.assignments) != len(self.weights):
             raise ValueError("strategy length does not match landscape weights")
         penalty = 1.0 + sum(
@@ -204,13 +211,9 @@ def geometric_schedule(first: float, growth: float, n: int) -> tuple[float, ...]
 
 
 def save_landscape(landscape: SyntheticLandscape, path: str | Path) -> None:
-    data = {
-        "optimum": list(landscape.optimum),
-        "weights": list(landscape.weights),
-        "base_metrics": list(landscape.base_metrics),
-        "verdicts": [v.value for v in landscape.verdicts],
-    }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    """Write the landscape's fields as JSON lists, each ``Verdict`` as its value."""
+    text = json.dumps(asdict(landscape), indent=2, default=attrgetter("value"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_landscape(path: str | Path) -> SyntheticLandscape:
@@ -220,22 +223,20 @@ def load_landscape(path: str | Path) -> SyntheticLandscape:
     if sorted(data) != sorted(expected):
         raise ValueError(f"{path}: landscape keys must be {expected}, got {list(data)}")
     verdicts = [v.value for v in Verdict]
-    number = "a JSON number", lambda v: type(v) in (int, float)  # JSON true is a bool, not a number
-    elements = {"optimum": ("a JSON string", lambda v: type(v) is str), "weights": number,
-                "base_metrics": number, "verdicts": (f"one of {verdicts}", verdicts.__contains__)}
+    # Per key: what each element must be, the check, and the converter to the field's element type.
+    number = "a JSON number", lambda v: type(v) in (int, float), float  # JSON true is a bool, not a number
+    elements = {"optimum": ("a JSON string", lambda v: type(v) is str, str), "weights": number,
+                "base_metrics": number, "verdicts": (f"one of {verdicts}", verdicts.__contains__, Verdict)}
+    converted = {}
     for key in expected:
         if not isinstance(data[key], list):
             raise ValueError(f"{path}: landscape key {key!r} must be a JSON list, got {data[key]!r}")
-        kind, legal = elements[key]
+        kind, legal, convert = elements[key]
         for position, value in enumerate(data[key]):
             if not legal(value):
                 raise ValueError(f"{path}: landscape key {key!r} at position {position} must be {kind}, got {value!r}")
-    return SyntheticLandscape(
-        optimum=tuple(data["optimum"]),
-        weights=tuple(float(w) for w in data["weights"]),
-        base_metrics=tuple(float(b) for b in data["base_metrics"]),
-        verdicts=tuple(Verdict(v) for v in data["verdicts"]),
-    )
+        converted[key] = tuple(map(convert, data[key]))
+    return SyntheticLandscape(**converted)
 
 
 # --------------------------------------------------------------------------
@@ -284,9 +285,7 @@ class SyntheticBackend:
 
     def solve(self, index: int, strategy: Strategy, budget: float | None = None) -> SolveOutcome:
         landscape = self.landscape
-        if not 1 <= index <= landscape.num_problems:
-            raise IndexError(f"index {index} out of range 1..{landscape.num_problems}")
-        metric = landscape.metric(index, strategy)
+        metric = landscape.metric(index, strategy)  # IndexError unless 1 <= index <= num_problems
         verdict = landscape.verdicts[index - 1]
         if budget is not None and metric > budget:
             verdict = Verdict.ABORTED

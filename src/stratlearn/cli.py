@@ -29,6 +29,7 @@ from .engine import (
     RunResult,
     RunSummary,
     Trajectory,
+    TrajectoryEvent,
     run,
     summarize,
 )
@@ -37,7 +38,6 @@ from .space import Strategy, load_space
 logger = logging.getLogger(__name__)
 
 TRAJECTORY_FORMAT = "stratlearn-trajectory v1"
-_FIELDS = ("phase", "index", "strategy", "verdict", "raw_metric", "cost", "virtual_time", "cumulative_time")
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,15 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
 
 
 def _cell(value) -> str:
+    """One cell of a trajectory or grid file: a strategy joined with ';', None as '-', a float by repr, else str."""
+    if isinstance(value, tuple):
+        return ";".join(value)
     return "-" if value is None else (str(value) if not isinstance(value, float) else repr(value))
+
+
+def _summary_items(summary: RunSummary) -> list[tuple[str, object]]:
+    """``RunSummary``'s fields in order but ``solved_times``, which a trajectory writes as ``solved`` lines."""
+    return [(f.name, getattr(summary, f.name)) for f in dataclasses.fields(summary) if f.name != "solved_times"]
 
 
 def emit_trajectory(
@@ -200,40 +208,21 @@ def emit_trajectory(
 ) -> RunSummary:
     """Write the event log plus a summary; returns the summary.
 
-    The summary carries epoch count, learning time, the cumulative time at
+    Each event is one row of ``TrajectoryEvent``'s fields in order.  The
+    summary carries epoch count, learning time, the cumulative time at
     which each index was solved, and the largest solved index.
     """
     summary = summarize(trajectory, outcome)
+    names = [f.name for f in dataclasses.fields(TrajectoryEvent)]
     lines = [f"#{TRAJECTORY_FORMAT}"]
     if meta:
         lines.append("#meta\t" + "\t".join(f"{k}={v}" for k, v in sorted(meta.items())))
-    lines.append("#fields\t" + "\t".join(_FIELDS))
+    lines.append("#fields\t" + "\t".join(names))
     for event in trajectory:
-        lines.append(
-            "\t".join(
-                (
-                    event.phase,
-                    str(event.index),
-                    ";".join(event.strategy),
-                    _cell(event.verdict),
-                    _cell(event.raw_metric),
-                    _cell(event.cost),
-                    repr(event.virtual_time),
-                    repr(event.cumulative_time),
-                )
-            )
-        )
+        lines.append("\t".join(_cell(getattr(event, name)) for name in names))
     for index, cumulative in summary.solved_times:
         lines.append(f"solved\t{index}\t{cumulative!r}")
-    lines.append(
-        "summary"
-        f"\toutcome={summary.outcome}"
-        f"\tlargest_solved_index={_cell(summary.largest_solved_index)}"
-        f"\tepochs={summary.epochs}"
-        f"\tlearning_time={summary.learning_time!r}"
-        f"\tsolving_time={summary.solving_time!r}"
-        f"\tcumulative_time={summary.cumulative_time!r}"
-    )
+    lines.append("summary" + "".join(f"\t{name}={_cell(value)}" for name, value in _summary_items(summary)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return summary
 
@@ -319,11 +308,8 @@ def main(argv=None) -> int:
         return _ablate(argv[1:])
     config = parse_args(argv)
     result, summary = execute(config)
-    print(
-        f"outcome={summary.outcome} largest_solved_index={summary.largest_solved_index} "
-        f"epochs={summary.epochs} learning_time={summary.learning_time:.6g} "
-        f"solving_time={summary.solving_time:.6g} cumulative_time={summary.cumulative_time:.6g}"
-    )
+    print(" ".join(f"{name}={value:.6g}" if isinstance(value, float) else f"{name}={value}"
+                   for name, value in _summary_items(summary)))
     if config.out:
         print(f"trajectory written to {config.out}")
     return 0

@@ -222,15 +222,30 @@ def apply_solve(state: EngineState, outcome) -> Outcome | None:
 
 
 def should_learn(state: EngineState, policy: EpochPolicy, t_current: float) -> bool:
-    """Budget check: time already spent plus the estimated epoch cost must fit.
+    """Admit an epoch on the problem just solved; nothing else decides it.
 
-    ``t_current`` is the solve time of the current problem under the current
-    strategy; the estimate is ``samples_per_epoch`` reruns of it.  A collection
-    call is charged up to ``ABORT_MULTIPLIER`` times the baseline, so an
-    admitted epoch can overrun the budget (ROADMAP.md item 11).
+    No budget admits none.  Otherwise time already spent plus the estimated
+    epoch cost must fit the budget, and the baseline (``state.baseline``,
+    the metric of that solve) must be above zero, since it is an epoch's
+    unit of cost; each refusal is logged.  ``t_current`` is the solve time
+    of the current problem under the current strategy; the estimate is
+    ``samples_per_epoch`` reruns of it.  A collection call is charged up to
+    ``ABORT_MULTIPLIER`` times the baseline, so an admitted epoch can
+    overrun the budget (ROADMAP.md item 11).
     """
-    estimate = state.learning_time_spent + policy.samples_per_epoch * t_current
-    return policy.learning_budget > 0 and estimate <= policy.learning_budget
+    if not policy.learning_budget > 0:
+        return False
+    estimate = policy.samples_per_epoch * t_current
+    if state.learning_time_spent + estimate > policy.learning_budget:
+        logger.info(
+            "epoch refused at problem %d: spent %.6g + estimate %.6g exceeds budget %.6g",
+            state.index, state.learning_time_spent, estimate, policy.learning_budget,
+        )
+        return False
+    if state.baseline == 0:
+        logger.info("skipping epoch at problem %d: zero-effort baseline", state.index)
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -442,9 +457,9 @@ def run(
     """Drive the rules from ``default_strategy(space)`` until Success, Failure, or the time limit.
 
     Each solve goes to ``apply_solve``, which alone picks the base rule.  When
-    Next applies, the engine may run one learning epoch on the problem it
-    just solved (budget permitting), advances the index and, once the oracle
-    exists, switches the strategy via its predictions at the new index.
+    Next applies, the engine runs one learning epoch on the problem it just
+    solved if ``should_learn`` admits one, advances the index and, once the
+    oracle exists, switches the strategy via its predictions at the new index.
     Collection and strategize chains both reseed ``sampler_config``.  All
     random streams derive from ``seed`` through fixed labeled splits, so
     identical inputs replay identical trajectories in virtual-clock mode.
@@ -478,18 +493,9 @@ def run(
             break
 
         if should_learn(state, policy, duration):
-            if outcome.metric > 0:
-                learning_epoch(
-                    state, backend, policy, sampler_config,
-                    forest_config=forest_config, seed=seed, trajectory=trajectory,
-                )
-            else:
-                logger.info("skipping epoch at problem %d: zero-effort baseline", state.index)
-        elif policy.learning_budget > 0:
-            logger.info(
-                "epoch refused at problem %d: spent %.6g + estimate %.6g exceeds budget %.6g",
-                state.index, state.learning_time_spent,
-                policy.samples_per_epoch * duration, policy.learning_budget,
+            learning_epoch(
+                state, backend, policy, sampler_config,
+                forest_config=forest_config, seed=seed, trajectory=trajectory,
             )
 
         state.index += 1

@@ -69,6 +69,12 @@ class TestSynthetic:
         with pytest.raises(IndexError, match="out of range"):
             SyntheticBackend(make_landscape()).solve(4, Strategy(("0", "0")))
 
+    @pytest.mark.parametrize("index", [0, -1, 4])
+    def test_metric_refuses_indices_outside_the_problems(self, index):
+        # Read from the end, 0 and -1 would price problems 3 and 2.
+        with pytest.raises(IndexError, match=rf"^index {index} out of range 1\.\.3$"):
+            make_landscape().metric(index, Strategy(("0", "0")))
+
     def test_verdict_schedule_respected(self):
         assert SyntheticBackend(make_landscape()).solve(3, Strategy(("0", "0"))).verdict is Verdict.SAT
 
@@ -367,8 +373,12 @@ class TestAdapterConfigFile:
              r"budget_flag references unknown fields \['problem'\]"),
             # exit_aborted defaults to 0, so every run that exits 0 would read as SAT.
             ("exit_sat = 0", "exit_sat and exit_aborted are both 0"),
+            # Unchecked, every solve would raise a bare re.error.
+            ("metric_pattern = ^c conflicts: ([0-9.]+",
+             r"metric_pattern '\^c conflicts: \(\[0-9\.\]\+' is not a valid regex: missing \), unterminated subpattern"),
         ],
-        ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field", "shared_exit_code"],
+        ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field", "shared_exit_code",
+             "unbalanced_paren"],
     )
     def test_bad_template_fails_at_construction(self, tmp_path, one_param_space, line, message):
         # Unchecked, each would surface only at the first (budgeted) solve, mid-run.

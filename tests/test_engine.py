@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import logging
 import math
 import os
 import subprocess
@@ -128,22 +129,45 @@ class TestBaseRules:
 
 
 class TestShouldLearn:
-    def test_fits_within_budget(self):
+    def solved_state(self, baseline=1.0):
         state = fresh_state(2)
+        state.baseline = baseline  # run() records the solve's metric before asking
+        return state
+
+    def test_fits_within_budget(self):
+        state = self.solved_state()
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
         assert should_learn(state, policy, t_current=1.0)  # 0 + 100*1 <= 150
 
     def test_over_budget(self):
-        state = fresh_state(2)
+        state = self.solved_state()
         state.learning_time_spent = 100.0
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
         assert not should_learn(state, policy, t_current=1.0)  # 200 > 150
 
-    def test_zero_budget_never_learns(self):
-        state = fresh_state(2)
+    def test_zero_budget_never_learns(self, caplog):
+        state = self.solved_state()
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=0.0)
-        assert not should_learn(state, policy, t_current=1.0)
-        assert not should_learn(state, policy, t_current=0.0)  # 0 + 100*0 <= 0, yet no budget
+        with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
+            assert not should_learn(state, policy, t_current=1.0)
+            assert not should_learn(state, policy, t_current=0.0)  # 0 + 100*0 <= 0, yet no budget
+        assert caplog.messages == []  # a run without learning logs no refusals
+
+    def test_zero_effort_baseline_admits_no_epoch(self, caplog):
+        # Costs are normalized by the baseline, so a zero baseline prices nothing.
+        state = self.solved_state(baseline=0.0)
+        policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
+        with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
+            assert not should_learn(state, policy, t_current=0.0)  # 0 + 100*0 fits the budget
+        assert caplog.messages == ["skipping epoch at problem 1: zero-effort baseline"]
+
+    def test_refusal_logs_the_budget_arithmetic(self, caplog):
+        state = self.solved_state()
+        state.learning_time_spent = 100.0
+        policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
+        with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
+            assert not should_learn(state, policy, t_current=1.0)
+        assert caplog.messages == ["epoch refused at problem 1: spent 100 + estimate 100 exceeds budget 150"]
 
 
 def landscape_backend():
