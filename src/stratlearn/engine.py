@@ -18,10 +18,12 @@ the dataset at cost 10, so the oracle still learns that the region is bad.
 Only ``collect_cost``'s ``CostRecord.aborted`` marks the abort; neither the
 dataset nor the trajectory records it.
 
-Time is accounted on a virtual clock by default: every backend call reports a
-deterministic effort metric which the engine treats as time, so runs replay
-bit-identically under a fixed seed.  A wall-clock mode exists for production
-runs at the price of determinism.
+``run()`` accounts time on a virtual clock by default: every backend call
+reports a deterministic effort metric which the engine treats as time, so runs
+replay bit-identically under a fixed seed.  Its wall-clock mode, the CLI's
+default, gives up determinism and times base solves in seconds, but still
+charges collection runs in metric units against a learning budget in seconds
+(ROADMAP.md item 3).
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class Outcome(Enum):
 
 class InapplicableRuleError(RuntimeError):
     """A transition rule was applied in a configuration that does not admit it."""
-
-
-class UntrainedOracleError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,8 @@ class ForestConfig:
             raise ValueError("score_threshold must not be NaN")
         if self.init_depth is not None and self.depth_cap is not None and self.init_depth > self.depth_cap:
             raise ValueError(f"init_depth {self.init_depth} exceeds depth_cap {self.depth_cap}")
-        if self.init_depth is not None and self.fixed_depth is not None:
-            raise ValueError("init_depth and fixed_depth are exclusive")
+        if self.fixed_depth is not None and (self.init_depth is not None or self.depth_cap is not None):
+            raise ValueError("fixed_depth is exclusive with init_depth and depth_cap")
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ class Trajectory:
 
 @dataclass
 class EngineState:
-    """Mutable run configuration: current index and strategy, dataset, oracle and its prediction memo."""
+    """Mutable run configuration: index, strategy, dataset, oracle and its prediction table (see rule_strategize)."""
 
     space: StrategySpace
     num_problems: int
@@ -182,7 +180,7 @@ class EngineState:
     dataset: Dataset
     index: int = 1
     oracle: RandomForest | None = None
-    predictions: dict[int, dict[tuple[int, ...], float]] = field(default_factory=dict)  # see rule_strategize
+    predictions: dict[tuple[int, ...], float] = field(default_factory=dict)
     learning_time_spent: float = 0.0
     epochs: int = 0
     baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
@@ -375,19 +373,18 @@ def rule_strategize(
     steps over the oracle's predictions; ties keep the earliest candidate, so a
     constant oracle never moves the strategy.
 
-    Predictions are memoized in ``state.predictions`` for as long as the
-    oracle lives, by the index's cell, then by codes.  A tree reads the index
-    feature only in tests ``index > t``, so the cell, the number of the
-    forest's index thresholds below the index, fixes the path through every
-    tree: indices in one cell share their leaves and predictions exactly.
+    Guard: a trained oracle whose index thresholds all lie strictly below the
+    index, else InapplicableRuleError with nothing changed.  A tree reads the
+    index only in tests ``index > t``, which then all go right, so
+    ``state.predictions`` is one exact table per oracle, keyed by codes.
+    ``run()`` strategizes only above every index the oracle was trained on.
     """
     _require_live(state)
-    if state.oracle is None:
-        raise UntrainedOracleError("strategize requires a trained oracle")
-    oracle = state.oracle
-    index = state.index
-    cell = np.count_nonzero(oracle.threshold[oracle.feature == oracle.feature_width - 1] < index)
-    memo = state.predictions.setdefault(cell, {})
+    oracle, index, memo = state.oracle, state.index, state.predictions
+    if oracle is None or not (oracle.threshold[oracle.feature == oracle.feature_width - 1] < index).all():
+        raise InapplicableRuleError(
+            f"strategize at index {index} needs a trained oracle with every index threshold below it"
+        )
 
     def predicted_cost(codes: tuple[int, ...]) -> float:
         if codes not in memo:

@@ -34,7 +34,6 @@ from stratlearn.engine import (
     InapplicableRuleError,
     Outcome,
     Trajectory,
-    UntrainedOracleError,
     apply_solve,
     initial_state,
     learning_epoch,
@@ -339,7 +338,7 @@ class TestStrategize:
     def test_untrained_oracle_rejected(self):
         state = fresh_state(4)
         policy = EpochPolicy(strategize_samples=10)
-        with pytest.raises(UntrainedOracleError):
+        with pytest.raises(InapplicableRuleError, match="trained oracle"):
             rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
 
     def index_split_oracle(self, space):
@@ -353,24 +352,26 @@ class TestStrategize:
         assert set(oracle.threshold[oracle.feature == space.k]) == {2.0}
         return oracle
 
-    def test_memo_is_exact_across_index_cells(self):
-        # Indices 1 and 2 lie below the threshold 2.0 (cell 0), 3 and 4 above it
-        # (cell 1); each choice must match an unmemoized scan of every strategy.
+    def test_index_at_or_below_a_threshold_is_refused(self):
+        # A row at index 2 equals the threshold 2.0 and goes left, so 2 is refused like 1.
         state = fresh_state(4)
-        state.oracle = oracle = self.index_split_oracle(SPACE2)
+        state.oracle = self.index_split_oracle(SPACE2)
         policy = EpochPolicy(strategize_samples=50)
         trajectory = Trajectory()
-        for index in (1, 3, 2, 4):
+        state.index = 3
+        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+        before = (state.strategy, dict(state.predictions), list(trajectory.events))
+        for index in (1, 2):
             state.index = index
-            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
-            costs = {v: predict(oracle, encode_features(SPACE2.codes(v), index)) for v in all_strategies(SPACE2)}
-            assert state.strategy == min(costs, key=costs.get)
-            assert trajectory.events[-1].cost == costs[state.strategy]
+            with pytest.raises(InapplicableRuleError, match="index threshold"):
+                rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+            assert (state.strategy, state.predictions, trajectory.events) == before
 
-    def test_one_predict_per_code_tuple_in_a_cell(self, monkeypatch):
+    def test_indices_above_every_threshold_share_one_table(self, monkeypatch):
         space = binary_space(5)
         state = fresh_state(6, space)
-        state.oracle = self.index_split_oracle(space)
+        state.oracle = oracle = self.index_split_oracle(space)
+        table = state.predictions
         predicted = []
 
         def counting_predict(forest, features):
@@ -381,8 +382,13 @@ class TestStrategize:
         policy = EpochPolicy(strategize_samples=40)
         for index in (3, 5):
             state.index = index
-            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
-        assert len(predicted) == len(set(predicted)) > 1
+            trajectory = Trajectory()
+            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+            costs = {v: predict(oracle, encode_features(space.codes(v), index)) for v in all_strategies(space)}
+            assert state.strategy == min(costs, key=costs.get)
+            assert trajectory.events[-1].cost == costs[state.strategy]
+        assert state.predictions is table
+        assert len(predicted) == len(set(predicted)) == len(table) > 1
 
     def test_refit_predicts_from_the_new_oracle(self):
         state = fresh_state(6)
@@ -631,8 +637,9 @@ class TestPolicyValidation:
         assert ForestConfig(init_depth=2, depth_cap=2).depth_cap == 2
 
     def test_forest_initial_and_fixed_depth_exclusive(self):
-        with pytest.raises(ValueError, match="exclusive"):
-            ForestConfig(init_depth=2, fixed_depth=4)
+        for depth in ({"init_depth": 2}, {"depth_cap": 2}):
+            with pytest.raises(ValueError, match="exclusive"):
+                ForestConfig(fixed_depth=4, **depth)
 
     def test_sample_count_positive(self):
         with pytest.raises(ValueError):
