@@ -18,12 +18,10 @@ the dataset at cost 10, so the oracle still learns that the region is bad.
 Only ``collect_cost``'s ``CostRecord.aborted`` marks the abort; neither the
 dataset nor the trajectory records it.
 
-``run()`` accounts time on a virtual clock by default: every backend call
-reports a deterministic effort metric which the engine treats as time, so runs
-replay bit-identically under a fixed seed.  Its wall-clock mode, the CLI's
-default, gives up determinism and times base solves in seconds, but still
-charges collection runs in metric units against a learning budget in seconds
-(ROADMAP.md item 3).
+A run's ``Trajectory`` is its only clock.  The virtual clock, ``run()``'s
+default, charges a backend call its effort metric and compute nothing, so runs
+replay bit-identically; the wall clock, the CLI's default, charges every event,
+fit and strategize chain its seconds.  Budget and time limit use its unit.
 """
 
 from __future__ import annotations
@@ -71,9 +69,9 @@ class EpochPolicy:
     """How much learning a run may do.
 
     ``samples_per_epoch`` is the chain length of one collection burst,
-    ``learning_budget`` the (virtual) time ``should_learn`` admits epochs
-    within, by an estimate, and ``strategize_samples`` the candidate count
-    when switching strategies.
+    ``learning_budget`` the learning time, in the run clock's unit (effort or
+    seconds), that ``should_learn`` admits epochs within, by an estimate, and
+    ``strategize_samples`` the candidate count when switching strategies.
     """
 
     samples_per_epoch: int = 100
@@ -106,8 +104,8 @@ class ForestConfig:
             raise ValueError("init_depth must be at least 1")
         if self.depth_cap is not None and self.depth_cap < 1:
             raise ValueError("depth_cap must be at least 1")
-        if self.fixed_depth is not None and self.fixed_depth < 0:
-            raise ValueError("fixed_depth must be nonnegative")
+        if self.fixed_depth is not None and self.fixed_depth < 1:
+            raise ValueError("fixed_depth must be at least 1")
         if math.isnan(self.score_threshold):
             raise ValueError("score_threshold must not be NaN")
         if self.init_depth is not None and self.depth_cap is not None and self.init_depth > self.depth_cap:
@@ -129,11 +127,19 @@ class TrajectoryEvent:
 
 
 class Trajectory:
-    """Ordered event log of one run; cumulative time is nondecreasing."""
+    """Ordered event log of one run, its only clock, and its ``learning_time`` (non-solve events, in order).
 
-    def __init__(self) -> None:
+    An event takes its effort ``charge`` on the virtual clock, and on the wall
+    clock the seconds since ``started``, the ``perf_counter`` reading its phase began at.
+    """
+
+    def __init__(self, clock: str = "virtual") -> None:
+        if clock not in ("virtual", "wall"):
+            raise ValueError(f"unknown clock mode {clock!r}")
+        self.clock = clock
         self.events: list[TrajectoryEvent] = []
-        self._cumulative = 0.0
+        self.cumulative_time = 0.0
+        self.learning_time = 0  # an int, like sum()'s start: a run without learning reports 0
 
     def record(
         self,
@@ -144,21 +150,26 @@ class Trajectory:
         verdict: str | None = None,
         raw_metric: float | None = None,
         cost: float | None = None,
-        virtual_time: float = 0.0,
+        charge: float = 0.0,
+        started: float | None = None,
     ) -> TrajectoryEvent:
-        if virtual_time < 0:
+        if self.clock == "virtual":
+            duration = charge
+        elif started is None:
+            raise ValueError(f"a {phase} event on the wall clock needs the perf_counter reading its phase began at")
+        else:
+            duration = time.perf_counter() - started
+        if duration < 0:
             raise ValueError("event times must be nonnegative")
-        self._cumulative += virtual_time
+        self.cumulative_time += duration
+        if phase != "solve":
+            self.learning_time += duration
         event = TrajectoryEvent(
             phase, index, strategy.assignments, verdict, raw_metric, cost,
-            virtual_time, self._cumulative,
+            duration, self.cumulative_time,
         )
         self.events.append(event)
         return event
-
-    @property
-    def cumulative_time(self) -> float:
-        return self._cumulative
 
     def phase_events(self, phase: str) -> list[TrajectoryEvent]:
         return [e for e in self.events if e.phase == phase]
@@ -181,7 +192,6 @@ class EngineState:
     index: int = 1
     oracle: RandomForest | None = None
     predictions: dict[tuple[int, ...], float] = field(default_factory=dict)
-    learning_time_spent: float = 0.0
     epochs: int = 0
     baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
     terminal: Outcome | None = None
@@ -219,25 +229,25 @@ def apply_solve(state: EngineState, outcome) -> Outcome | None:
     return state.terminal
 
 
-def should_learn(state: EngineState, policy: EpochPolicy, t_current: float) -> bool:
+def should_learn(state: EngineState, policy: EpochPolicy, t_current: float, trajectory: Trajectory) -> bool:
     """Admit an epoch on the problem just solved; nothing else decides it.
 
-    No budget admits none.  Otherwise time already spent plus the estimated
-    epoch cost must fit the budget, and the baseline (``state.baseline``,
-    the metric of that solve) must be above zero, since it is an epoch's
-    unit of cost; each refusal is logged.  ``t_current`` is the solve time
-    of the current problem under the current strategy; the estimate is
-    ``samples_per_epoch`` reruns of it.  A collection call is charged up to
-    ``ABORT_MULTIPLIER`` times the baseline, so an admitted epoch can
-    overrun the budget (ROADMAP.md item 11).
+    No budget admits none.  Otherwise the trajectory's learning time plus
+    the estimated epoch cost must fit the budget, and the baseline
+    (``state.baseline``, the metric of that solve) must be above zero, since
+    it is an epoch's unit of cost; each refusal is logged.  The estimate is
+    ``samples_per_epoch`` reruns of ``t_current``, the solve's time, all in
+    the trajectory clock's unit.  A collection call is charged up to
+    ``ABORT_MULTIPLIER`` times the baseline, so an admitted epoch can overrun
+    the budget (ROADMAP.md item 11).
     """
     if not policy.learning_budget > 0:
         return False
     estimate = policy.samples_per_epoch * t_current
-    if state.learning_time_spent + estimate > policy.learning_budget:
+    if trajectory.learning_time + estimate > policy.learning_budget:
         logger.info(
             "epoch refused at problem %d: spent %.6g + estimate %.6g exceeds budget %.6g",
-            state.index, state.learning_time_spent, estimate, policy.learning_budget,
+            state.index, trajectory.learning_time, estimate, policy.learning_budget,
         )
         return False
     if state.baseline == 0:
@@ -290,16 +300,14 @@ def learning_epoch(
     Costs are normalized by ``state.baseline``, which ``run()`` records from
     the solve just made.  The chain starts at the engine's current strategy,
     whose cost on the current problem is 1 by construction, so it costs no
-    extra backend call.
-    The backend runs once per distinct strategy: the epoch's memo keeps each
-    cost in call order, and a revisit makes no call, charge or event.  A call
-    is charged as it returns (the capped budget, ``ABORT_MULTIPLIER`` times
-    the baseline, if it aborted, else its raw metric) to
-    ``state.learning_time_spent`` and recorded as a ``collect`` event.  A
-    finished chain adds its samples to the dataset.  A backend failure
-    mid-chain (``CostFunctionError``) adds the memo's points instead and is
-    re-raised with no refit; ``run()`` does not catch it, so the whole run
-    ends (ROADMAP.md item 3 is to make it end only the epoch).
+    extra backend call.  The backend runs once per distinct strategy: the
+    epoch's memo keeps each cost in call order, and a revisit makes no call,
+    charge or event.  Each call is a ``collect`` event, charged on the virtual
+    clock its raw metric, or the capped budget (``ABORT_MULTIPLIER`` times the
+    baseline) if it aborted.  The ``train`` event times the dataset append
+    and the fit.  A backend failure mid-chain (``CostFunctionError``) adds the
+    memo's points instead and is re-raised with no refit; ``run()`` does not
+    catch it, so the whole run ends (ROADMAP.md item 3c is to end the epoch).
     """
     _require_live(state)
     index = state.index
@@ -320,12 +328,11 @@ def learning_epoch(
             return 1.0
         if codes not in measured:
             strategy = space.strategy(codes)
+            started = time.perf_counter()
             record = collect_cost(backend, index, strategy, baseline)
-            charge = baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric
-            state.learning_time_spent += charge
             trajectory.record(
-                "collect", index, strategy,
-                raw_metric=record.raw_metric, cost=record.cost, virtual_time=charge,
+                "collect", index, strategy, raw_metric=record.raw_metric, cost=record.cost,
+                charge=baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric, started=started,
             )
             measured[codes] = record.cost
         return measured[codes]
@@ -337,6 +344,7 @@ def learning_epoch(
             state.dataset.append(DataPoint(encode_features(codes, index), cost))
         raise
 
+    started = time.perf_counter()
     for sample in samples:
         state.dataset.append(DataPoint(encode_features(sample.codes, index), sample.cost))
 
@@ -350,7 +358,7 @@ def learning_epoch(
         )
     state.oracle, state.predictions = oracle, {}
     state.epochs += 1
-    trajectory.record("train", index, state.strategy, cost=oracle.training_score)
+    trajectory.record("train", index, state.strategy, cost=oracle.training_score, started=started)
     logger.debug(
         "epoch %d on problem %d: %d backend calls, dataset size %d, score %.3f at depth %d",
         state.epochs, index, len(measured), len(state.dataset),
@@ -391,6 +399,7 @@ def rule_strategize(
             memo[codes] = predict(oracle, encode_features(codes, index))
         return memo[codes]
 
+    started = time.perf_counter()
     best = state.space.codes(state.strategy)
     best_cost = predicted_cost(best)
     if policy.strategize_samples > 1:
@@ -402,7 +411,7 @@ def rule_strategize(
             if record.cost < best_cost:
                 best, best_cost = record.codes, record.cost
     state.strategy = state.space.strategy(best)
-    trajectory.record("strategize", index, state.strategy, cost=best_cost)
+    trajectory.record("strategize", index, state.strategy, cost=best_cost, started=started)
     return state
 
 
@@ -426,14 +435,11 @@ class RunSummary:
 
 def summarize(trajectory: Trajectory, outcome: Outcome) -> RunSummary:
     solves = trajectory.phase_events("solve")
-    learning = sum(
-        e.virtual_time for e in trajectory if e.phase in ("collect", "train", "strategize")
-    )
     return RunSummary(
         outcome=outcome.value,
         largest_solved_index=max((e.index for e in solves), default=None),
         epochs=len(trajectory.phase_events("train")),
-        learning_time=learning,
+        learning_time=trajectory.learning_time,
         solving_time=sum(e.virtual_time for e in solves),
         cumulative_time=trajectory.cumulative_time,
         solved_times=tuple((e.index, e.cumulative_time) for e in solves),
@@ -459,37 +465,31 @@ def run(
     oracle exists, switches the strategy via its predictions at the new index.
     Collection and strategize chains both reseed ``sampler_config``.  All
     random streams derive from ``seed`` through fixed labeled splits, so
-    identical inputs replay identical trajectories in virtual-clock mode.
+    identical inputs replay identical trajectories on the virtual clock.  The
+    time limit is read before each solve from the ``clock``'s cumulative time.
     """
-    if clock not in ("virtual", "wall"):
-        raise ValueError(f"unknown clock mode {clock!r}")
+    trajectory = Trajectory(clock)
     if sampler_config is None:
         sampler_config = SamplerConfig(seed=seed)
     state = initial_state(space, backend.num_problems)
-    trajectory = Trajectory()
-    wall_start = time.perf_counter()
-
-    def elapsed() -> float:
-        return trajectory.cumulative_time if clock == "virtual" else time.perf_counter() - wall_start
 
     while state.terminal is None:
-        if time_limit is not None and elapsed() >= time_limit:
+        if time_limit is not None and trajectory.cumulative_time >= time_limit:
             logger.info("time limit reached before problem %d", state.index)
             return RunResult(Outcome.TIME_LIMIT, state, trajectory)
 
-        solve_started = time.perf_counter()
+        started = time.perf_counter()
         outcome = backend.solve(state.index, state.strategy)
-        duration = outcome.metric if clock == "virtual" else time.perf_counter() - solve_started
-        trajectory.record(
+        solve = trajectory.record(
             "solve", state.index, state.strategy,
-            verdict=outcome.verdict.value, raw_metric=outcome.metric, virtual_time=duration,
+            verdict=outcome.verdict.value, raw_metric=outcome.metric, charge=outcome.metric, started=started,
         )
         state.baseline = outcome.metric
 
         if apply_solve(state, outcome) is not None:
             break
 
-        if should_learn(state, policy, duration):
+        if should_learn(state, policy, solve.virtual_time, trajectory):
             learning_epoch(
                 state, backend, policy, sampler_config,
                 forest_config=forest_config, seed=seed, trajectory=trajectory,

@@ -143,7 +143,7 @@ class TestEmitTrajectory:
         strategy = Strategy(("1",))
         for index, metric in ((1, 5.0), (2, 7.5), (3, 2.5)):
             trajectory.record("solve", index, strategy, verdict="UNSAT",
-                              raw_metric=metric, virtual_time=metric)
+                              raw_metric=metric, charge=metric)
         path = tmp_path / "t.tsv"
         summary = emit_trajectory(trajectory, path, outcome=Outcome.FAILURE)
         assert summary.solved_times == ((1, 5.0), (2, 12.5), (3, 15.0))

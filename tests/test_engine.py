@@ -133,23 +133,29 @@ class TestShouldLearn:
         state.baseline = baseline  # run() records the solve's metric before asking
         return state
 
+    def spent(self, learning_time):
+        # A trajectory whose learning total is one collection charge.
+        trajectory = Trajectory()
+        trajectory.record("collect", 1, default_strategy(SPACE2), charge=learning_time)
+        assert trajectory.learning_time == learning_time
+        return trajectory
+
     def test_fits_within_budget(self):
         state = self.solved_state()
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
-        assert should_learn(state, policy, t_current=1.0)  # 0 + 100*1 <= 150
+        assert should_learn(state, policy, 1.0, Trajectory())  # 0 + 100*1 <= 150
 
     def test_over_budget(self):
         state = self.solved_state()
-        state.learning_time_spent = 100.0
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
-        assert not should_learn(state, policy, t_current=1.0)  # 200 > 150
+        assert not should_learn(state, policy, 1.0, self.spent(100.0))  # 200 > 150
 
     def test_zero_budget_never_learns(self, caplog):
         state = self.solved_state()
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=0.0)
         with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
-            assert not should_learn(state, policy, t_current=1.0)
-            assert not should_learn(state, policy, t_current=0.0)  # 0 + 100*0 <= 0, yet no budget
+            assert not should_learn(state, policy, 1.0, Trajectory())
+            assert not should_learn(state, policy, 0.0, Trajectory())  # 0 + 100*0 <= 0, yet no budget
         assert caplog.messages == []  # a run without learning logs no refusals
 
     def test_zero_effort_baseline_admits_no_epoch(self, caplog):
@@ -157,15 +163,14 @@ class TestShouldLearn:
         state = self.solved_state(baseline=0.0)
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
         with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
-            assert not should_learn(state, policy, t_current=0.0)  # 0 + 100*0 fits the budget
+            assert not should_learn(state, policy, 0.0, Trajectory())  # 0 + 100*0 fits the budget
         assert caplog.messages == ["skipping epoch at problem 1: zero-effort baseline"]
 
     def test_refusal_logs_the_budget_arithmetic(self, caplog):
         state = self.solved_state()
-        state.learning_time_spent = 100.0
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
         with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
-            assert not should_learn(state, policy, t_current=1.0)
+            assert not should_learn(state, policy, 1.0, self.spent(100.0))
         assert caplog.messages == ["epoch refused at problem 1: spent 100 + estimate 100 exceeds budget 150"]
 
 
@@ -191,11 +196,12 @@ class TestLearningEpoch:
     def test_dataset_grows_by_sample_count(self):
         state = self.prepared_state()
         policy = EpochPolicy(samples_per_epoch=2, learning_budget=1e9)
-        learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0), trajectory=Trajectory())
+        trajectory = Trajectory()
+        learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0), trajectory=trajectory)
         assert len(state.dataset) == 2
         assert state.oracle is not None
         assert state.epochs == 1
-        assert state.learning_time_spent > 0
+        assert trajectory.learning_time > 0
 
     def test_collect_events_bounded_by_samples(self):
         state = self.prepared_state()
@@ -244,7 +250,7 @@ class TestLearningEpoch:
         rows = [encode_features(SPACE2.codes(Strategy(e.strategy)), e.index) for e in collects]
         assert [tuple(row) for row in X.tolist()] == rows
         assert y.tolist() == [e.cost for e in collects]
-        assert state.learning_time_spent == collects[0].virtual_time + collects[1].virtual_time > 0
+        assert trajectory.learning_time == collects[0].virtual_time + collects[1].virtual_time > 0
 
     def test_one_backend_call_per_distinct_strategy(self):
         class CountingBackend:
@@ -272,7 +278,7 @@ class TestLearningEpoch:
         assert default_strategy(SPACE2) not in strategies
         collects = trajectory.phase_events("collect")
         assert [Strategy(e.strategy) for e in collects] == strategies
-        assert state.learning_time_spent == sum(metric for _, metric in backend.calls)
+        assert trajectory.learning_time == sum(metric for _, metric in backend.calls)
         assert len(state.dataset) == 50
 
     def test_collect_charges_the_capped_budget_when_aborted(self):
@@ -296,7 +302,7 @@ class TestLearningEpoch:
             else:
                 assert event.virtual_time == event.raw_metric
             spent += event.virtual_time
-        assert state.learning_time_spent == spent
+        assert trajectory.learning_time == spent
 
 
 class TestStrategize:
@@ -664,7 +670,8 @@ class TestPolicyValidation:
             ("trees", 0, "trees must be at least 1"),
             ("init_depth", 0, "init_depth must be at least 1"),
             ("depth_cap", 0, "depth_cap must be at least 1"),
-            ("fixed_depth", -1, "fixed_depth must be nonnegative"),
+            ("fixed_depth", -1, "fixed_depth must be at least 1"),
+            ("fixed_depth", 0, "fixed_depth must be at least 1"),
             ("score_threshold", math.nan, "score_threshold must not be NaN"),
         ],
     )
@@ -673,5 +680,5 @@ class TestPolicyValidation:
         # epoch's collection runs spend solver calls on it.
         with pytest.raises(ValueError, match=message):
             ForestConfig(**{field: value})
-        legal = 0.5 if field == "score_threshold" else value + 1  # NaN + 1 is NaN
+        legal = 0.5 if field == "score_threshold" else 1  # each count's least legal value
         assert getattr(ForestConfig(**{field: legal}), field) == legal

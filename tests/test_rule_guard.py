@@ -6,7 +6,10 @@ So the body of ``run`` may name no ``Verdict`` and may compare no problem
 count (``num_problems`` or ``n``) against the index; either would be the
 choice growing back.  Likewise ``engine.should_learn`` alone admits an
 epoch, so ``run`` may name neither the learning budget nor the epoch's
-sample count that its estimate reads.
+sample count that its estimate reads.  And a run's ``Trajectory`` is its
+only clock, so no function outside its methods compares the clock mode
+against ``"virtual"`` or ``"wall"``; such a comparison would be a second
+clock picking a unit.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 ENGINE = Path(__file__).resolve().parents[1] / "src" / "stratlearn" / "engine.py"
 PROBLEM_COUNTS = {"num_problems", "n"}
 ADMISSION_INPUTS = {"learning_budget", "samples_per_epoch"}
+CLOCK_MODES = {"virtual", "wall"}
 
 
 def engine_function(name: str) -> ast.FunctionDef:
@@ -32,6 +36,34 @@ def named(node: ast.AST) -> set[str]:
         elif isinstance(child, ast.Attribute):
             found.add(child.attr)
     return found
+
+
+def engine_functions() -> dict[str, ast.FunctionDef]:
+    """Every function in the engine by qualified name: module functions and class methods."""
+    tree = ast.parse(ENGINE.read_text(encoding="utf-8"))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    found[f"{node.name}.{method.name}"] = method
+    return found
+
+
+def clock_mode_comparisons(function: ast.FunctionDef) -> list[int]:
+    """Line numbers of comparisons in ``function`` with a clock mode's name as an operand, or inside one."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(constant, ast.Constant) and constant.value in CLOCK_MODES
+            for operand in (node.left, *node.comparators)
+            for constant in ast.walk(operand)
+        )
+    })
 
 
 def verdict_references(function: ast.FunctionDef) -> list[int]:
@@ -79,3 +111,18 @@ def test_the_scan_sees_the_guard():
 def test_the_scan_sees_the_admission():
     # Guards the guard: the name scan must see both inputs in should_learn, which admits epochs.
     assert named(engine_function("should_learn")) >= ADMISSION_INPUTS
+
+
+def test_only_the_trajectory_compares_clock_modes():
+    compared = {
+        name: lines for name, function in engine_functions().items()
+        if not name.startswith("Trajectory.") and (lines := clock_mode_comparisons(function))
+    }
+    assert compared == {}
+
+
+def test_the_scan_sees_the_clock():
+    # Guards the guard: the trajectory picks each event's unit, so the scan must flag it there.
+    functions = engine_functions()
+    assert clock_mode_comparisons(functions["Trajectory.record"])
+    assert clock_mode_comparisons(functions["Trajectory.__init__"])
