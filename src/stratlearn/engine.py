@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .backends import Verdict
-from .forest import DataPoint, Dataset, RandomForest, fit_adaptive, fit_forest, predict
+from .forest import DataPoint, Dataset, Grid, RandomForest, fit_adaptive, fit_forest, predict
 from .sampler import CostFunctionError, SamplerConfig, run_chain
 from .space import Strategy, StrategySpace, default_strategy, encode_features
 
@@ -47,6 +47,7 @@ _TRAIN_STREAM = 12
 _STRATEGIZE_STREAM = 13
 
 ABORT_MULTIPLIER = 10.0
+TABLE_CAP = 1 << 16  # the largest space whose every strategy rule_strategize predicts at once
 
 
 def _substream_seed(seed: int, stream: int, step: int) -> int:
@@ -183,7 +184,8 @@ class Trajectory:
 
 @dataclass
 class EngineState:
-    """Mutable run configuration: index, strategy, dataset, oracle and its prediction table (see rule_strategize)."""
+    """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a dict during
+    the oracle's first chain, then a list of every rank's unless over ``TABLE_CAP`` (see rule_strategize)."""
 
     space: StrategySpace
     num_problems: int
@@ -191,7 +193,7 @@ class EngineState:
     dataset: Dataset
     index: int = 1
     oracle: RandomForest | None = None
-    predictions: dict[tuple[int, ...], float] = field(default_factory=dict)
+    predictions: dict[int, float] | list[float] = field(default_factory=dict)
     epochs: int = 0
     baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
     terminal: Outcome | None = None
@@ -239,7 +241,9 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float, traj
     ``samples_per_epoch`` reruns of ``t_current``, the solve's time, all in
     the trajectory clock's unit.  A collection call is charged up to
     ``ABORT_MULTIPLIER`` times the baseline, so an admitted epoch can overrun
-    the budget (ROADMAP.md item 11).
+    the budget (ROADMAP.md item 11).  On the wall clock the estimate also
+    leaves out the ``train`` event's dataset append and fit: with a fast
+    solver on ``kissat_small``, epochs took 16 to 36 times their estimate.
     """
     if not policy.learning_budget > 0:
         return False
@@ -319,34 +323,34 @@ def learning_epoch(
         sampler_config, seed=_substream_seed(seed, _COLLECT_STREAM, state.epochs)
     )
     space = state.space
-    in_force = space.codes(state.strategy)
-    measured: dict[tuple[int, ...], float] = {}  # in call order
+    in_force = space.rank(space.codes(state.strategy))
+    measured: dict[int, float] = {}  # by rank, in call order
 
-    def cost_fn(codes: tuple[int, ...]) -> float:
+    def cost_fn(rank: int) -> float:
         # The in-force strategy's run *is* the baseline run; skip the redundant call.
-        if codes == in_force:
+        if rank == in_force:
             return 1.0
-        if codes not in measured:
-            strategy = space.strategy(codes)
+        if rank not in measured:
+            strategy = space.strategy(space.unrank(rank))
             started = time.perf_counter()
             record = collect_cost(backend, index, strategy, baseline)
             trajectory.record(
                 "collect", index, strategy, raw_metric=record.raw_metric, cost=record.cost,
                 charge=baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric, started=started,
             )
-            measured[codes] = record.cost
-        return measured[codes]
+            measured[rank] = record.cost
+        return measured[rank]
 
     try:
         samples = run_chain(space, cost_fn, state.strategy, policy.samples_per_epoch, chain_config)
     except CostFunctionError:
-        for codes, cost in measured.items():
-            state.dataset.append(DataPoint(encode_features(codes, index), cost))
+        for rank, cost in measured.items():
+            state.dataset.append(DataPoint(encode_features(space.unrank(rank), index), cost))
         raise
 
     started = time.perf_counter()
     for sample in samples:
-        state.dataset.append(DataPoint(encode_features(sample.codes, index), sample.cost))
+        state.dataset.append(DataPoint(encode_features(space.unrank(sample.rank), index), sample.cost))
 
     forest_seed = _substream_seed(seed, _TRAIN_STREAM, state.epochs)
     if forest_config.fixed_depth is not None:
@@ -384,33 +388,41 @@ def rule_strategize(
     Guard: a trained oracle whose index thresholds all lie strictly below the
     index, else InapplicableRuleError with nothing changed.  A tree reads the
     index only in tests ``index > t``, which then all go right, so
-    ``state.predictions`` is one exact table per oracle, keyed by codes.
+    ``state.predictions`` is one exact table per oracle, keyed by rank: the
+    oracle's first chain fills it one single-row ``predict`` at a time, and
+    its second strategize all at once, one ``predict`` of every strategy's
+    row as a ``Grid``, unless the space has over ``TABLE_CAP`` strategies.
     ``run()`` strategizes only above every index the oracle was trained on.
     """
     _require_live(state)
-    oracle, index, memo = state.oracle, state.index, state.predictions
+    oracle, index, space, memo = state.oracle, state.index, state.space, state.predictions
     if oracle is None or not (oracle.threshold[oracle.feature == oracle.feature_width - 1] < index).all():
         raise InapplicableRuleError(
             f"strategize at index {index} needs a trained oracle with every index threshold below it"
         )
 
-    def predicted_cost(codes: tuple[int, ...]) -> float:
-        if codes not in memo:
-            memo[codes] = predict(oracle, encode_features(codes, index))
-        return memo[codes]
-
     started = time.perf_counter()
-    best = state.space.codes(state.strategy)
+    if isinstance(memo, dict) and memo and math.prod(space.sizes) <= TABLE_CAP:
+        memo = state.predictions = predict(oracle, Grid(space.sizes, index))
+    if isinstance(memo, list):
+        predicted_cost = memo.__getitem__
+    else:
+        def predicted_cost(rank: int) -> float:
+            if rank not in memo:
+                memo[rank] = predict(oracle, encode_features(space.unrank(rank), index))
+            return memo[rank]
+
+    best = space.rank(space.codes(state.strategy))
     best_cost = predicted_cost(best)
     if policy.strategize_samples > 1:
         chain_config = dataclasses.replace(
             sampler_config, seed=_substream_seed(seed, _STRATEGIZE_STREAM, index)
         )
-        chain = run_chain(state.space, predicted_cost, state.strategy, policy.strategize_samples - 1, chain_config)
+        chain = run_chain(space, predicted_cost, state.strategy, policy.strategize_samples - 1, chain_config)
         for record in chain:
             if record.cost < best_cost:
-                best, best_cost = record.codes, record.cost
-    state.strategy = state.space.strategy(best)
+                best, best_cost = record.rank, record.cost
+    state.strategy = space.strategy(space.unrank(best))
     trajectory.record("strategize", index, state.strategy, cost=best_cost, started=started)
     return state
 

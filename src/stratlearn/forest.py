@@ -19,9 +19,10 @@ their shared value exactly.
 A forest is the grower's node arrays as they stand (see ``RandomForest``):
 tree t's root is node t, and a split's children are a pair, right after
 left.  One vectorized walk, ``levels`` steps long, predicts one row or
-many, and one reduction gives the trees' shared value exactly when all
-agree (constant targets score 1.0), else their sum in tree order divided by
-their number.
+many; a ``Grid`` of every code combination is instead picked leaf by leaf
+over its axes, which gives the walk's results for far less work.  One
+reduction gives the trees' shared value exactly when all agree (constant
+targets score 1.0), else their sum in tree order divided by their number.
 
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +92,13 @@ class Dataset:
         return self._arrays
 
 
+class Grid(NamedTuple):
+    """Every row of ordinal codes below ``sizes``, the last code fastest, each followed by ``index``."""
+
+    sizes: tuple[int, ...]
+    index: int
+
+
 @dataclass(eq=False)
 class RandomForest:
     """Ensemble of regression trees in one set of parallel node arrays; the
@@ -113,15 +121,17 @@ class RandomForest:
     trained_depth: int
     training_score: float
 
-    def predict(self, X: np.ndarray | Sequence[float]) -> np.ndarray:
-        """Mean over the trees for each row of ``X``, or for ``X`` itself if it is one row."""
+    def predict(self, X: np.ndarray | Sequence[float] | Grid) -> np.ndarray:
+        """Mean over the trees for each row of ``X``, for ``X`` itself if it is one row, or for each row of a Grid."""
+        if isinstance(X, Grid):
+            return self._predict_grid(X)
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.feature_width:
             raise ValueError(f"feature width {X.shape[-1]} does not match forest width {self.feature_width}")
         if X.ndim == 1:  # read as X[feature]
             rows, nodes = (), self.roots
         else:  # read as X.T[feature, row]; nodes[t, r] is row r's node in tree t
-            X, rows, nodes = X.T, (np.arange(X.shape[0]),), self.roots[:, None]
+            X, rows, nodes = X.T, (np.arange(X.shape[0]),), np.repeat(self.roots[:, None], X.shape[0], axis=1)
         for _ in range(self.levels):
             go_right = X[(self.feature[nodes], *rows)] > self.threshold[nodes]
             # Children come in pairs, so right is left + 1; a leaf's NaN threshold
@@ -133,6 +143,29 @@ class RandomForest:
         first = values[0]
         mean = np.add.accumulate(values, axis=0)[-1] / values.shape[0]
         return np.where((values == first).all(axis=0), first, mean)
+
+    def _predict_grid(self, grid: Grid) -> np.ndarray:
+        """``predict`` of a grid's rows, bit for bit, without building them: each tree's values are picked by
+        ``np.where`` over the grid's axes, so a subtree's array spans only the axes it splits on."""
+        k = len(grid.sizes)
+        if k + 1 != self.feature_width:
+            raise ValueError(f"grid width {k + 1} does not match forest width {self.feature_width}")
+        axes = [np.arange(n).reshape([-1 if d == p else 1 for d in range(k)]) for p, n in enumerate(grid.sizes)]
+        axes.append(grid.index)
+        feature, threshold, left, value = (a.tolist() for a in (self.feature, self.threshold, self.left, self.value))
+
+        def subtree(node: int):
+            if feature[node] < 0:
+                return value[node]
+            return np.where(axes[feature[node]] > threshold[node], subtree(left[node] + 1), subtree(left[node]))
+
+        trees = (np.broadcast_to(subtree(root), grid.sizes).reshape(-1) for root in self.roots.tolist())
+        first = next(trees)
+        total, agree = first.copy(), np.ones(first.shape, dtype=bool)
+        for values in trees:  # predict's reduction, one tree at a time
+            total += values
+            agree &= values == first
+        return np.where(agree, first, total / len(self.roots))
 
 
 class _ForestGrower:
@@ -253,9 +286,9 @@ def fit_forest(
     return _grown_forest(_ForestGrower(data, n_trees, seed, bootstrap), data, max_depth)
 
 
-def predict(forest: RandomForest, features: Sequence[float]) -> float:
-    """Mean of the individual tree predictions for one feature vector."""
-    return float(forest.predict(features))
+def predict(forest: RandomForest, features) -> float | list[float]:
+    """Mean tree prediction for one feature vector, or their list for a matrix or Grid: Python floats, not numpy's."""
+    return forest.predict(features).tolist()
 
 
 def r2_score(forest: RandomForest, data: Dataset) -> float:

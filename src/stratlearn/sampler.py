@@ -1,11 +1,11 @@
 """Metropolis-Hastings random walks over strategy spaces.
 
-A chain's state is a strategy's tuple of ordinal codes.  The proposal kernel
-moves to a uniformly drawn neighbor of the current state, one that differs
-from it in exactly one parameter.  Every state has sum(domain size - 1)
-neighbors, even with mixed domain sizes, so the neighbor graph is regular
-and the kernel exactly symmetric: the chain's stationary distribution is
-proportional to exp(-beta * cost).
+A chain's state is a strategy's rank, one integer (see ``space``).  The
+proposal kernel moves to a uniformly drawn neighbor of the current state,
+one that differs from it in exactly one parameter.  Every state has
+sum(domain size - 1) neighbors, even with mixed domain sizes, so the
+neighbor graph is regular and the kernel exactly symmetric: the chain's
+stationary distribution is proportional to exp(-beta * cost).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ class SamplerConfig:
 
 
 class ChainRecord(NamedTuple):
-    """Chain state (ordinal codes) after one propose/accept step."""
+    """Chain state (a strategy's rank) after one propose/accept step."""
 
-    codes: tuple[int, ...]
+    rank: int
     cost: float
     accepted: bool
 
@@ -66,7 +66,7 @@ def acceptance_probability(cost_current: float, cost_proposed: float, beta: floa
 
 def run_chain(
     space: StrategySpace,
-    cost_fn: Callable[[tuple[int, ...]], float],
+    cost_fn: Callable[[int], float],
     start: Strategy,
     n_samples: int,
     config: SamplerConfig,
@@ -74,9 +74,9 @@ def run_chain(
     """Draw ``n_samples`` chain states starting from ``start``.
 
     ``start`` is encoded, and so validated, once; from then on the chain walks
-    code tuples, and ``cost_fn`` receives code tuples.  Each step draws a
-    neighbor index, builds that one neighbor, evaluates its cost, and accepts
-    or rejects; the recorded sample is the post-step state, so consecutive
+    ranks, and ``cost_fn`` receives ranks.  Each step draws a neighbor index,
+    moves the rank to that one neighbor, evaluates its cost, and accepts or
+    rejects; the recorded sample is the post-step state, so consecutive
     records are either equal or one parameter apart.  Every proposal is
     evaluated, revisits included; a caller whose costs are dear memoizes
     them.  A failing or non-finite cost raises ``CostFunctionError`` with the
@@ -84,20 +84,20 @@ def run_chain(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    current = space.codes(start)  # ValueError unless every value of start is legal
+    current = space.rank(space.codes(start))  # ValueError unless every value of start is legal
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
 
-    def cost_of(codes: tuple[int, ...]) -> float:
+    def cost_of(rank: int) -> float:
         try:
-            value = float(cost_fn(codes))
+            value = float(cost_fn(rank))
             if not math.isfinite(value):
                 raise ValueError(f"non-finite cost {value!r}")
         except Exception as exc:
-            raise CostFunctionError(space.strategy(codes), exc) from exc
+            raise CostFunctionError(space.strategy(space.unrank(rank)), exc) from exc
         return value
 
     cost_current = cost_of(current)
-    n_neighbors = space.neighbor_starts[-1]
+    n_neighbors = len(space.moves)
     records: list[ChainRecord] = []
     for _ in range(n_samples):
         proposal = neighbors(space, current, int(rng.integers(n_neighbors)))

@@ -2,17 +2,18 @@
 
 A strategy space is the cartesian product of per-parameter value domains;
 a strategy assigns one value to every parameter.  Only a solver adapter gives
-the string values meaning; chains walk a strategy's ordinal codes instead
-(each value's position in its domain, default 0).
+the string values meaning.  A strategy's ordinal codes are each value's
+position in its domain (default 0), and its rank is the mixed-radix number
+those codes spell, the last position fastest; chains walk ranks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 _HEADER = ("name", "default", "alternatives")
@@ -110,9 +111,27 @@ class StrategySpace:
         return Strategy(tuple([d.values[c] for d, c in zip(self.domains, codes)]))
 
     @cached_property
-    def neighbor_starts(self) -> tuple[int, ...]:
-        """Index of each position's first Hamming-1 neighbour, then the neighbour count."""
-        return tuple(accumulate((d.size - 1 for d in self.domains), initial=0))
+    def sizes(self) -> tuple[int, ...]:
+        """Each domain's value count: the radix of its position in a rank."""
+        return tuple(d.size for d in self.domains)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Each position's weight in a rank, the product of the sizes after it."""
+        return tuple(accumulate(reversed(self.sizes[1:]), mul, initial=1))[::-1]
+
+    def rank(self, codes: tuple[int, ...]) -> int:
+        """The mixed-radix rank of the (unchecked) ``codes``: sum of code times stride."""
+        return sum(c * s for c, s in zip(codes, self.strides))
+
+    def unrank(self, rank: int) -> tuple[int, ...]:
+        """The ordinal codes of ``rank``; the inverse of ``rank``."""
+        return tuple([rank // s % n for s, n in zip(self.strides, self.sizes)])
+
+    @cached_property
+    def moves(self) -> tuple[tuple[int, int, int], ...]:
+        """(stride, size, r) of each neighbour index: its position's stride and size, and its other code's place."""
+        return tuple((s, n, r) for s, n in zip(self.strides, self.sizes) for r in range(n - 1))
 
 
 def parse_space(table_text: str) -> StrategySpace:
@@ -183,20 +202,17 @@ def default_strategy(space: StrategySpace) -> Strategy:
     return Strategy(tuple(d.default_value for d in space.domains))
 
 
-def neighbors(space: StrategySpace, codes: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Hamming-1 neighbour ``j`` of the (unchecked) ``codes``, for ``0 <= j < space.neighbor_starts[-1]``.
+def neighbors(space: StrategySpace, rank: int, j: int) -> int:
+    """The rank of Hamming-1 neighbour ``j`` of the (unchecked) ``rank``, for ``0 <= j < len(space.moves)``.
 
     Neighbours are numbered by position in domain order, then by each
-    position's other codes ascending: bisect ``space.neighbor_starts`` for the
-    changed position ``p``, then give ``p`` its ``r``-th other code,
-    ``r = j - neighbor_starts[p]``.  An index outside the range is not checked.
+    position's other codes ascending.  Move ``j`` gives its position the
+    ``r``-th code other than the old one, ``rank // stride % size``, and shifts
+    the rank by the change times the stride.  An index outside the range is not checked.
     """
-    starts = space.neighbor_starts
-    p = bisect_right(starts, j) - 1
-    r = j - starts[p]
-    changed = list(codes)
-    changed[p] = r + (r >= changed[p])
-    return tuple(changed)
+    stride, size, r = space.moves[j]
+    old = rank // stride % size
+    return rank + (r + (r >= old) - old) * stride
 
 
 def encode_features(codes: tuple[int, ...], index: int) -> tuple[int, ...]:

@@ -40,8 +40,16 @@ def all_strategies(space: StrategySpace) -> list[Strategy]:
     ]
 
 
+def rank_of(space: StrategySpace, strategy: Strategy) -> int:
+    return space.rank(space.codes(strategy))
+
+
+def decode(space: StrategySpace, rank: int) -> Strategy:
+    return space.strategy(space.unrank(rank))
+
+
 def reference_neighbors(space: StrategySpace, strategy: Strategy) -> list[Strategy]:
-    """The eager Hamming-1 enumeration that ``space.neighbors`` must match index for index.
+    """The eager Hamming-1 enumeration that ``space.neighbors``, decoded, must match index for index.
 
     Positions in domain order, then each position's other values in
     (default, alternatives...) order.
@@ -60,7 +68,7 @@ def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[tuple[
     """``sampler.run_chain`` over ``Strategy`` values, drawing from ``reference_neighbors``.
 
     Same stream; each record is (strategy, cost, accepted), which is what a
-    ``run_chain`` record decodes to when ``cost_fn`` sees the decoded strategy.
+    ``run_chain`` record decodes to when ``cost_fn`` sees the decoded rank.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     current, cost_current = start, float(cost_fn(start))

@@ -7,6 +7,7 @@ import dataclasses
 import math
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -129,14 +130,17 @@ def test_criterion_03_mcmc_stationarity():
         }
         steps = 100_000
         for space, cost_table in [(binary_space(2), binary_costs), (mixed, mixed_costs)]:
+            # The chain walks ranks: key the table by rank, and decode each visited rank once.
+            ranks = {space.rank(space.codes(Strategy(key))): key for key in cost_table}
             records = run_chain(
-                space, lambda v: cost_table[space.strategy(v).assignments], default_strategy(space),
-                steps, SamplerConfig(beta=1.0, seed=0),
+                space, lambda v: cost_table[ranks[v]], default_strategy(space), steps,
+                SamplerConfig(beta=1.0, seed=0),
             )
             z = sum(math.exp(-c) for c in cost_table.values())
+            visits = Counter(record.rank for record in records)
             counts = {key: 0 for key in cost_table}
-            for record in records:
-                counts[space.strategy(record.codes).assignments] += 1
+            for rank, n in visits.items():
+                counts[space.strategy(space.unrank(rank)).assignments] += n
             for key, cost in cost_table.items():
                 expected = math.exp(-cost) / z
                 assert counts[key] / steps == pytest.approx(expected, abs=0.02)

@@ -9,14 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import (
+    CONV_BUDGET,
     DEMO,
     all_strategies,
     backend_for,
     binary_space,
     convergence_landscape,
+    space_from,
     verdicts_from_bits,
 )
 from stratlearn import engine
@@ -42,7 +45,7 @@ from stratlearn.engine import (
     should_learn,
     summarize,
 )
-from stratlearn.forest import DataPoint, Dataset, fit_forest, predict
+from stratlearn.forest import DataPoint, Dataset, Grid, fit_forest, predict
 from stratlearn.sampler import CostFunctionError, SamplerConfig
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
@@ -377,24 +380,30 @@ class TestStrategize:
         space = binary_space(5)
         state = fresh_state(6, space)
         state.oracle = oracle = self.index_split_oracle(space)
-        table = state.predictions
+        lazy = state.predictions
         predicted = []
 
         def counting_predict(forest, features):
-            predicted.append(tuple(features[:-1]))
+            predicted.append(features)
             return predict(forest, features)
 
         monkeypatch.setattr(engine, "predict", counting_predict)
         policy = EpochPolicy(strategize_samples=40)
-        for index in (3, 5):
+        tables = []
+        for index in (3, 5, 4):
             state.index = index
             trajectory = Trajectory()
             rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
             costs = {v: predict(oracle, encode_features(space.codes(v), index)) for v in all_strategies(space)}
             assert state.strategy == min(costs, key=costs.get)
             assert trajectory.events[-1].cost == costs[state.strategy]
-        assert state.predictions is table
-        assert len(predicted) == len(set(predicted)) == len(table) > 1
+            tables.append(state.predictions)
+            if index == 3:  # the first chain predicts each strategy it meets once, one row at a time
+                assert tables[0] is lazy
+                assert len(predicted) == len(set(predicted)) == len(lazy) > 1
+        # The second strategize predicts every rank in one call, and the third reuses that table.
+        assert tables[1] is tables[2] == [costs[v] for v in all_strategies(space)]
+        assert predicted[len(lazy):] == [Grid(space.sizes, 5)]
 
     def test_refit_predicts_from_the_new_oracle(self):
         state = fresh_state(6)
@@ -411,6 +420,109 @@ class TestStrategize:
         refit = {v: predict(state.oracle, encode_features(SPACE2.codes(v), 2)) for v in all_strategies(SPACE2)}
         assert state.strategy == min(refit, key=refit.get)
         assert trajectory.events[-1].cost == refit[state.strategy]
+
+
+class TestPredictionTable:
+    """The table an oracle's second strategize fills equals the lazy single-row predictions exactly."""
+
+    @staticmethod
+    def random_oracle(space, index, n_points=200, trees=5, seed=0, levels=None):
+        """A forest on random strategies at ``index``; ``levels`` rounds the costs into ties."""
+        rng = np.random.default_rng(seed)
+        costs = rng.uniform(0.0, 4.0, n_points)
+        if levels is not None:
+            costs = np.floor(costs * levels / 4.0)
+        data = Dataset(
+            DataPoint(encode_features(space.unrank(int(r)), index), float(c))
+            for r, c in zip(rng.integers(math.prod(space.sizes), size=n_points), costs)
+        )
+        return fit_forest(data, n_trees=trees, max_depth=8, seed=seed)
+
+    @staticmethod
+    def strategize(state, samples=2):
+        rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=samples),
+                        trajectory=Trajectory())
+
+    def filled_table(self, space, oracle, index):
+        state = fresh_state(index + 1, space)
+        state.oracle, state.index = oracle, index
+        for _ in range(2):
+            self.strategize(state)
+        assert isinstance(state.predictions, list)
+        return state.predictions
+
+    def test_every_entry_equals_its_single_row_prediction_exactly(self):
+        ternary = space_from([(f"t{i}", "0", ("1", "2")) for i in range(7)])
+        small = builtin_space("kissat_small")
+        cases = [  # (space, oracle, index, whether the costs are tie-heavy)
+            (binary_space(5), TestStrategize().index_split_oracle(binary_space(5)), 3, False),
+            (small, self.random_oracle(small, 1, trees=50), 4, False),
+            (small, self.random_oracle(small, 1, levels=2), 2, True),
+            (ternary, self.random_oracle(ternary, 2, trees=20, levels=3, seed=1), 3, True),
+        ]
+        for space, oracle, index, tied in cases:
+            table = self.filled_table(space, oracle, index)
+            assert len(table) == math.prod(space.sizes)
+            assert all(type(cost) is float for cost in table)
+            single = [predict(oracle, encode_features(space.unrank(r), index)) for r in range(len(table))]
+            assert [cost.hex() for cost in table] == [cost.hex() for cost in single]
+            assert (len(set(table)) < len(table) / 2) == tied
+
+    @pytest.mark.parametrize("space", [
+        builtin_space("kissat_large"),
+        space_from([(f"t{i}", "0", ("1", "2")) for i in range(7)]),
+    ], ids=["8192", "2187"])
+    def test_lazy_first_chain_then_one_grid_predict_then_none(self, space, monkeypatch):
+        state = fresh_state(3, space)
+        state.oracle, state.index = self.random_oracle(space, 1), 2
+        calls = []
+
+        def counting_predict(forest, features):
+            calls.append(features)
+            return predict(forest, features)
+
+        monkeypatch.setattr(engine, "predict", counting_predict)
+        self.strategize(state, samples=50)
+        assert calls and all(len(row) == space.k + 1 and not isinstance(row, Grid) for row in calls)
+        assert len(calls) == len(set(calls)) == len(state.predictions)
+        calls.clear()
+        self.strategize(state, samples=50)
+        assert calls == [Grid(space.sizes, 2)]
+        assert len(state.predictions) == math.prod(space.sizes)
+        calls.clear()
+        for index in (2, 3):
+            state.index = index
+            self.strategize(state, samples=50)
+        assert calls == []
+
+    def test_space_above_the_cap_stays_lazy(self, monkeypatch):
+        space = binary_space(5)
+        state = fresh_state(4, space)
+        state.oracle, state.index = self.random_oracle(space, 1), 2
+        monkeypatch.setattr(engine, "TABLE_CAP", 31)
+        rows = []
+
+        def counting_predict(forest, features):
+            rows.append(features)
+            return predict(forest, features)
+
+        monkeypatch.setattr(engine, "predict", counting_predict)
+        for _ in range(3):
+            self.strategize(state, samples=40)
+        assert isinstance(state.predictions, dict)
+        assert rows and not any(isinstance(row, Grid) for row in rows)
+        assert len(rows) == len(set(rows)) == len(state.predictions)
+
+    def test_every_strategize_event_costs_a_python_float(self):
+        for seed in range(3):
+            backend = SyntheticBackend(convergence_landscape(12))
+            policy = EpochPolicy(samples_per_epoch=20, learning_budget=CONV_BUDGET, strategize_samples=50)
+            result = run(backend, policy, space=_small_space(), seed=seed, forest_config=ForestConfig(trees=5))
+            trajectory = result.trajectory
+            strategizes = trajectory.phase_events("strategize")
+            # More chains than oracles: some oracle served a second chain, from its table.
+            assert len(strategizes) > len(trajectory.phase_events("train"))
+            assert all(type(event.cost) is float for event in strategizes)
 
 
 class TestRun:

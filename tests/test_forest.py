@@ -1,6 +1,7 @@
 """Regression trees, forests, scoring conventions, adaptive depth."""
 
 import dataclasses
+import itertools
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from helpers import bootstrap_rows, joined, node_records, reference_records, ref
 from stratlearn.forest import (
     DataPoint,
     Dataset,
+    Grid,
     _ForestGrower,
     _grown_forest,
     fit_adaptive,
@@ -290,6 +292,7 @@ class TestOnePredictor:
                     # Nine trees: a pairwise sum over them would round differently.
                     forest = fit_forest(data, n_trees=9, max_depth=depth, seed=case,
                                         bootstrap=bootstrap)
+                    assert forest.predict(probe).shape == (len(probe),)  # also with no split at all
                     for row, together in zip(probe, forest.predict(probe)):
                         leaves = [float(forest.value[route(forest, row, root)]) for root in forest.roots]
                         single = predict(forest, tuple(row))
@@ -301,6 +304,21 @@ class TestOnePredictor:
                     assert np.all(flat.predict(probe) == 0.1)
                     assert all(predict(flat, tuple(row)) == 0.1 for row in probe)
                     assert flat.training_score == 1.0
+
+    def test_grid_equals_the_walk_on_its_rows_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for case in range(40):
+            data = tied_dataset(rng)
+            width = data.feature_width
+            sizes = tuple(int(n) for n in rng.integers(1, 6, width - 1))
+            forest = fit_forest(data, n_trees=int(rng.integers(1, 12)), max_depth=int(rng.integers(0, 8)),
+                                seed=case, bootstrap=bool(case % 2))
+            for index in (-1, 0, 2, 29, 31):  # the last feature: below, between and above its thresholds
+                rows = [(*codes, index) for codes in itertools.product(*(range(n) for n in sizes))]
+                walk = forest.predict(np.array(rows, dtype=float).reshape(len(rows), width))
+                grid = predict(forest, Grid(sizes, index))
+                assert [type(v) for v in grid] == [float] * len(rows)
+                assert [v.hex() for v in grid] == [float(v).hex() for v in walk]
 
     def test_walk_length_is_the_depth_grown(self):
         rng = np.random.default_rng(8)
@@ -387,6 +405,9 @@ class TestForest:
                 forest.predict(rows)
         with pytest.raises(ValueError, match="width"):
             predict(forest, (0, 1, 2))
+        for sizes in ((2, 2), ()):
+            with pytest.raises(ValueError, match="width"):
+                forest.predict(Grid(sizes, 0))
         with pytest.raises(ValueError, match="width"):
             r2_score(forest, make_dataset(wide, [0.0, 1.0, 2.0]))
 

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_strategies, binary_space, reference_neighbors, reference_run_chain, space_from
+from helpers import (
+    all_strategies,
+    binary_space,
+    decode,
+    rank_of,
+    reference_neighbors,
+    reference_run_chain,
+    space_from,
+)
 from stratlearn.sampler import (
     ChainRecord,
     CostFunctionError,
@@ -69,7 +77,7 @@ class TestPropose:
     def test_single_binary_domain_is_deterministic(self):
         space = binary_space(1)
         (record,) = run_chain(space, lambda v: 1.0, default_strategy(space), 1, SamplerConfig(seed=0))
-        assert space.strategy(record.codes) == Strategy(("0",))
+        assert decode(space, record.rank) == Strategy(("0",))
 
     def test_uniform_over_compact_neighborhood(self, small_space):
         draws = 100_000
@@ -77,14 +85,14 @@ class TestPropose:
             small_space, lambda v: 1.0, default_strategy(small_space), draws, SamplerConfig(seed=42)
         )
         counts = [0] * 9
-        options: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        previous = small_space.codes(default_strategy(small_space))
+        options: dict[int, list[int]] = {}
+        previous = rank_of(small_space, default_strategy(small_space))
         for record in records:
             if previous not in options:
-                reference = reference_neighbors(small_space, small_space.strategy(previous))
-                options[previous] = [small_space.codes(v) for v in reference]
-            counts[options[previous].index(record.codes)] += 1
-            previous = record.codes
+                reference = reference_neighbors(small_space, decode(small_space, previous))
+                options[previous] = [rank_of(small_space, v) for v in reference]
+            counts[options[previous].index(record.rank)] += 1
+            previous = record.rank
         for count in counts:
             assert count / draws == pytest.approx(1 / 9, abs=0.01)
 
@@ -92,7 +100,7 @@ class TestPropose:
         # Every strategy has the same neighbor count, also on the mixed-size
         # kissat_small domains: sum(domain size - 1), the range a chain draws from.
         for space, expected in [(binary_space(3), 3), (builtin_space("kissat_small"), 9)]:
-            assert space.neighbor_starts[-1] == expected
+            assert len(space.moves) == expected
             for v in all_strategies(space):
                 assert len(reference_neighbors(space, v)) == expected
 
@@ -108,9 +116,9 @@ class TestRunChain:
         space = binary_space(1)
         costs = {("1",): 10.0, ("0",): 0.0}
         records = run_chain(
-            space, lambda v: costs[space.strategy(v).assignments], Strategy(("1",)), 1, SamplerConfig(seed=0)
+            space, lambda v: costs[decode(space, v).assignments], Strategy(("1",)), 1, SamplerConfig(seed=0)
         )
-        assert space.strategy(records[0].codes) == Strategy(("0",))
+        assert decode(space, records[0].rank) == Strategy(("0",))
         assert records[0].accepted and records[0].cost == 0.0
 
     def test_consecutive_states_equal_or_neighbors(self, small_space):
@@ -124,13 +132,14 @@ class TestRunChain:
         records = run_chain(small_space, cost_fn, start, 300, SamplerConfig(seed=5))
         previous = small_space.codes(start)
         for record in records:
-            if record.codes != previous:
-                assert sum(a != b for a, b in zip(record.codes, previous)) == 1
-            previous = record.codes
+            codes = small_space.unrank(record.rank)
+            if codes != previous:
+                assert sum(a != b for a, b in zip(codes, previous)) == 1
+            previous = codes
 
     def test_deterministic_replay(self, small_space):
         def cost_fn(v):
-            return sum(a != b for a, b in zip(v, (1, 1, 1, 1, 2, 6)))
+            return sum(a != b for a, b in zip(small_space.unrank(v), (1, 1, 1, 1, 2, 6)))
 
         start = default_strategy(small_space)
         first = run_chain(small_space, cost_fn, start, 200, SamplerConfig(seed=9))
@@ -149,14 +158,14 @@ class TestRunChain:
         start = default_strategy(space)
         records = run_chain(space, cost_fn, start, 200, SamplerConfig(seed=2))
         assert len(calls) == 200 + 1
-        assert calls[0] == space.codes(start)
-        assert calls[1:] == [r.codes for r in records]  # constant cost: every proposal is accepted
+        assert calls[0] == rank_of(space, start)
+        assert calls[1:] == [r.rank for r in records]  # constant cost: every proposal is accepted
 
     def test_cost_failure_carries_strategy(self):
         space = binary_space(1)
 
         def cost_fn(v):
-            if space.strategy(v) == Strategy(("0",)):
+            if decode(space, v) == Strategy(("0",)):
                 raise RuntimeError("boom")
             return 1.0
 
@@ -191,16 +200,16 @@ class TestRunChain:
         # the Hamming-1 graph is regular (every state has 3 neighbours here), so
         # the kernel is symmetric; sanity-check the pull toward low cost dominates
         space = space_from([("a", "1", ("0", "2")), ("b", "1", ("0",))])
-        best = space.codes(Strategy(("2", "0")))
+        best = rank_of(space, Strategy(("2", "0")))
         records = run_chain(
             space, lambda v: 0.0 if v == best else 2.0, default_strategy(space), 20_000, SamplerConfig(seed=3)
         )
-        best_share = sum(r.codes == best for r in records) / len(records)
+        best_share = sum(r.rank == best for r in records) / len(records)
         assert best_share > 0.5
 
 
 class TestChainPinned:
-    """The code-tuple chain must draw the same stream, and so decode to the same chain, as the
+    """The rank chain must draw the same stream, and so decode to the same chain, as the
     eager reference over ``Strategy`` values."""
 
     @staticmethod
@@ -216,8 +225,8 @@ class TestChainPinned:
         start = default_strategy(space)
         for seed in range(5):
             config = SamplerConfig(beta=beta, seed=seed)
-            records = run_chain(space, lambda v: self.rugged_cost(space.strategy(v)), start, 300, config)
-            decoded = [(space.strategy(r.codes), r.cost, r.accepted) for r in records]
+            records = run_chain(space, lambda v: self.rugged_cost(decode(space, v)), start, 300, config)
+            decoded = [(decode(space, r.rank), r.cost, r.accepted) for r in records]
             assert decoded == reference_run_chain(space, self.rugged_cost, start, 300, config)
             accepted = sum(r.accepted for r in records)
             assert 0 < accepted < len(records)
@@ -229,6 +238,6 @@ class TestConfig:
             SamplerConfig(beta=0.0)
 
     def test_records_are_frozen(self):
-        record = ChainRecord((0,), 1.0, True)
+        record = ChainRecord(0, 1.0, True)
         with pytest.raises(AttributeError):
             record.cost = 2.0

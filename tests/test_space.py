@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_strategies, binary_space, reference_neighbors, space_from
+from helpers import all_strategies, binary_space, decode, rank_of, reference_neighbors, space_from
 from stratlearn.sampler import SamplerConfig, run_chain
 from stratlearn.space import (
     ParameterDomain,
@@ -83,32 +83,52 @@ class TestDefaults:
         assert default_strategy(large_space).assignments == expected
 
 
-def all_neighbors(space, codes):
-    """Neighbour ``j`` of ``codes`` for every ``j`` a chain can draw."""
-    return [neighbors(space, codes, j) for j in range(space.neighbor_starts[-1])]
+class TestRanks:
+    """A rank is the mixed-radix number a strategy's codes spell, the last position fastest."""
+
+    @pytest.mark.parametrize(
+        "space", [builtin_space("kissat_small"), binary_space(5)], ids=["kissat_small", "binary_5"]
+    )
+    def test_rank_and_unrank_round_trip_on_every_strategy(self, space):
+        strategies = all_strategies(space)  # itertools.product order: the last position fastest
+        assert [rank_of(space, v) for v in strategies] == list(range(len(strategies)))
+        for v in strategies:
+            codes = space.codes(v)
+            assert space.unrank(space.rank(codes)) == codes
+            assert decode(space, rank_of(space, v)) == v
+
+    def test_strides_and_sizes(self, small_space):
+        assert small_space.sizes == (2, 2, 3, 3, 2, 3)
+        assert small_space.strides == (108, 54, 18, 6, 3, 1)
+
+
+def all_neighbors(space, rank):
+    """Neighbour ``j`` of ``rank`` for every ``j`` a chain can draw."""
+    return [neighbors(space, rank, j) for j in range(len(space.moves))]
 
 
 class TestNeighbors:
-    """``neighbors`` builds one neighbour by index; over every index, decoded, it must equal the eager enumeration."""
+    """``neighbors`` moves a rank to one neighbour by index; over every index, decoded, it must equal the eager
+    enumeration."""
 
     def test_wide_default_has_13_neighbors(self, large_space):
-        assert len(all_neighbors(large_space, large_space.codes(default_strategy(large_space)))) == 13
+        assert len(all_neighbors(large_space, rank_of(large_space, default_strategy(large_space)))) == 13
 
     def test_compact_default_has_9_neighbors(self, small_space):
-        assert len(all_neighbors(small_space, small_space.codes(default_strategy(small_space)))) == 9
+        assert len(all_neighbors(small_space, rank_of(small_space, default_strategy(small_space)))) == 9
 
     def test_single_binary_domain(self):
         space = binary_space(1)
-        (only,) = all_neighbors(space, space.codes(default_strategy(space)))
-        assert space.strategy(only) == Strategy(("0",))
+        (only,) = all_neighbors(space, rank_of(space, default_strategy(space)))
+        assert decode(space, only) == Strategy(("0",))
 
     def test_count_formula_on_every_strategy(self, small_space):
         expected = sum(d.size - 1 for d in small_space.domains)
         for v in all_strategies(small_space):
             codes = small_space.codes(v)
-            found = set(all_neighbors(small_space, codes))
+            found = set(all_neighbors(small_space, small_space.rank(codes)))
             assert len(found) == expected
-            assert all(sum(a != b for a, b in zip(w, codes)) == 1 for w in found)
+            assert all(sum(a != b for a, b in zip(small_space.unrank(w), codes)) == 1 for w in found)
 
     @pytest.mark.parametrize(
         "space",
@@ -122,22 +142,22 @@ class TestNeighbors:
     def test_every_strategy_and_index_equals_the_reference(self, space):
         for v in all_strategies(space):
             expected = reference_neighbors(space, v)
-            assert [space.strategy(c) for c in all_neighbors(space, space.codes(v))] == expected
+            assert [decode(space, w) for w in all_neighbors(space, rank_of(space, v))] == expected
 
     def test_symmetry_exhaustive(self):
         space = space_from([("a", "1", ("0", "2")), ("b", "x", ("y",)), ("c", "0", ("1", "2", "3"))])
         assert len(all_strategies(space)) <= 256
-        universe = [space.codes(v) for v in all_strategies(space)]
+        universe = [rank_of(space, v) for v in all_strategies(space)]
         table = {v: set(all_neighbors(space, v)) for v in universe}
         for v in universe:
             for w in universe:
                 assert (w in table[v]) == (v in table[w])
 
     def test_deterministic_order(self, small_space):
-        v = small_space.codes(default_strategy(small_space))
+        v = rank_of(small_space, default_strategy(small_space))
         assert all_neighbors(small_space, v) == all_neighbors(small_space, v)
         first = neighbors(small_space, v, 0)
-        assert small_space.strategy(first).assignments == ("0", "1", "1", "1", "2", "6")
+        assert decode(small_space, first).assignments == ("0", "1", "1", "1", "2", "6")
 
 
 class TestCodeTable:
@@ -166,7 +186,7 @@ class TestCodeTable:
 
         used, untouched = fresh(), fresh()
         v = default_strategy(used)
-        used.strategy(neighbors(used, used.codes(v), 0))
+        decode(used, neighbors(used, rank_of(used, v), 0))
         assert used.domains[0].codes == {"1": 0, "0": 1}
         assert used == untouched and hash(used) == hash(untouched)
         for a, b in zip(used.domains, untouched.domains):
@@ -231,8 +251,8 @@ def test_parse_serialize_round_trip(space):
 def test_neighbor_count_formula(space, index):
     start = default_strategy(space)
     v = space.codes(start)
-    assert space.neighbor_starts[-1] == sum(d.size - 1 for d in space.domains)
-    assert [space.strategy(c) for c in all_neighbors(space, v)] == reference_neighbors(space, start)
+    assert len(space.moves) == sum(d.size - 1 for d in space.domains)
+    assert [decode(space, w) for w in all_neighbors(space, space.rank(v))] == reference_neighbors(space, start)
     # encoding stays within the ordinal ranges
     code = encode_features(v, index)
     assert code[-1] == index and all(c == 0 for c in code[:-1])
