@@ -184,8 +184,9 @@ class Trajectory:
 
 @dataclass
 class EngineState:
-    """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a dict during
-    the oracle's first chain, then a list of every rank's unless over ``TABLE_CAP`` (see rule_strategize)."""
+    """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a list of
+    every rank's from the oracle's first strategize on, or a dict of those met if over ``TABLE_CAP``
+    strategies (see rule_strategize); ``{}`` before that strategize."""
 
     space: StrategySpace
     num_problems: int
@@ -389,9 +390,10 @@ def rule_strategize(
     index, else InapplicableRuleError with nothing changed.  A tree reads the
     index only in tests ``index > t``, which then all go right, so
     ``state.predictions`` is one exact table per oracle, keyed by rank: the
-    oracle's first chain fills it one single-row ``predict`` at a time, and
-    its second strategize all at once, one ``predict`` of every strategy's
-    row as a ``Grid``, unless the space has over ``TABLE_CAP`` strategies.
+    oracle's first strategize fills it with one ``predict`` of every
+    strategy's row as a ``Grid``, and later ones only read it.  A space of
+    over ``TABLE_CAP`` strategies instead fills a dict one single-row
+    ``predict`` at a time, as its chains meet each strategy.
     ``run()`` strategizes only above every index the oracle was trained on.
     """
     _require_live(state)
@@ -402,7 +404,7 @@ def rule_strategize(
         )
 
     started = time.perf_counter()
-    if isinstance(memo, dict) and memo and math.prod(space.sizes) <= TABLE_CAP:
+    if isinstance(memo, dict) and math.prod(space.sizes) <= TABLE_CAP:
         memo = state.predictions = predict(oracle, Grid(space.sizes, index))
     if isinstance(memo, list):
         predicted_cost = memo.__getitem__

@@ -19,10 +19,12 @@ their shared value exactly.
 A forest is the grower's node arrays as they stand (see ``RandomForest``):
 tree t's root is node t, and a split's children are a pair, right after
 left.  One vectorized walk, ``levels`` steps long, predicts one row or
-many; a ``Grid`` of every code combination is instead picked leaf by leaf
-over its axes, which gives the walk's results for far less work.  One
-reduction gives the trees' shared value exactly when all agree (constant
-targets score 1.0), else their sum in tree order divided by their number.
+many.  A ``Grid`` of every code combination is instead filled leaf by leaf:
+each reachable leaf of a tree owns a box of codes, one range per axis, and
+writes its value into that box, which gives the walk's results for far
+less work.  One reduction gives the trees' shared value exactly when all
+agree (constant targets score 1.0), else their sum in tree order divided by
+their number.
 
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
@@ -145,27 +147,47 @@ class RandomForest:
         return np.where((values == first).all(axis=0), first, mean)
 
     def _predict_grid(self, grid: Grid) -> np.ndarray:
-        """``predict`` of a grid's rows, bit for bit, without building them: each tree's values are picked by
-        ``np.where`` over the grid's axes, so a subtree's array spans only the axes it splits on."""
+        """``predict`` of a grid's rows, bit for bit, without building them: each tree's reachable leaves
+        are walked, each with its half-open box of codes per axis, and each leaf's value fills its box.
+        Beside the result it keeps the first tree's table, one buffer that each later tree reuses, and
+        an agreement mask: never one table per tree."""
         k = len(grid.sizes)
         if k + 1 != self.feature_width:
             raise ValueError(f"grid width {k + 1} does not match forest width {self.feature_width}")
-        axes = [np.arange(n).reshape([-1 if d == p else 1 for d in range(k)]) for p, n in enumerate(grid.sizes)]
-        axes.append(grid.index)
-        feature, threshold, left, value = (a.tolist() for a in (self.feature, self.threshold, self.left, self.value))
+        # Memoryviews read one node at a time, without a Python object per node of the forest.
+        feature, threshold, left, value = (
+            memoryview(a) for a in (self.feature, self.threshold, self.left, self.value)
+        )
 
-        def subtree(node: int):
-            if feature[node] < 0:
-                return value[node]
-            return np.where(axes[feature[node]] > threshold[node], subtree(left[node] + 1), subtree(left[node]))
+        def fill(out: np.ndarray, node: int, box: list[slice]) -> None:
+            while feature[node] == k:  # the index is one value: one side of each index split
+                node = left[node] + (grid.index > threshold[node])
+            f = feature[node]
+            if f < 0:
+                out[tuple(box)] = value[node]
+                return
+            # An integer code goes right when above the threshold, so at or above floor + 1.
+            whole = box[f]
+            cut = min(max(math.floor(threshold[node]) + 1, whole.start), whole.stop)
+            if cut > whole.start:
+                box[f] = slice(whole.start, cut)
+                fill(out, left[node], box)
+            if cut < whole.stop:
+                box[f] = slice(cut, whole.stop)
+                fill(out, left[node] + 1, box)
+            box[f] = whole
 
-        trees = (np.broadcast_to(subtree(root), grid.sizes).reshape(-1) for root in self.roots.tolist())
-        first = next(trees)
-        total, agree = first.copy(), np.ones(first.shape, dtype=bool)
-        for values in trees:  # predict's reduction, one tree at a time
-            total += values
-            agree &= values == first
-        return np.where(agree, first, total / len(self.roots))
+        roots = self.roots.tolist()
+        first, tree = np.empty(grid.sizes), np.empty(grid.sizes)
+        fill(first, roots[0], [slice(0, n) for n in grid.sizes])
+        total, agree = first.copy(), np.ones(grid.sizes, dtype=bool)
+        for root in roots[1:]:  # predict's reduction, one tree at a time
+            fill(tree, root, [slice(0, n) for n in grid.sizes])
+            total += tree
+            agree &= tree == first
+        total /= len(roots)
+        np.copyto(total, first, where=agree)
+        return total.reshape(-1)
 
 
 class _ForestGrower:

@@ -369,7 +369,7 @@ class TestStrategize:
         trajectory = Trajectory()
         state.index = 3
         rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
-        before = (state.strategy, dict(state.predictions), list(trajectory.events))
+        before = (state.strategy, list(state.predictions), list(trajectory.events))
         for index in (1, 2):
             state.index = index
             with pytest.raises(InapplicableRuleError, match="index threshold"):
@@ -380,7 +380,6 @@ class TestStrategize:
         space = binary_space(5)
         state = fresh_state(6, space)
         state.oracle = oracle = self.index_split_oracle(space)
-        lazy = state.predictions
         predicted = []
 
         def counting_predict(forest, features):
@@ -398,12 +397,9 @@ class TestStrategize:
             assert state.strategy == min(costs, key=costs.get)
             assert trajectory.events[-1].cost == costs[state.strategy]
             tables.append(state.predictions)
-            if index == 3:  # the first chain predicts each strategy it meets once, one row at a time
-                assert tables[0] is lazy
-                assert len(predicted) == len(set(predicted)) == len(lazy) > 1
-        # The second strategize predicts every rank in one call, and the third reuses that table.
-        assert tables[1] is tables[2] == [costs[v] for v in all_strategies(space)]
-        assert predicted[len(lazy):] == [Grid(space.sizes, 5)]
+        # The first strategize predicts every rank in one call, at its own index; the others reuse that table.
+        assert tables[0] is tables[1] is tables[2] == [costs[v] for v in all_strategies(space)]
+        assert predicted == [Grid(space.sizes, 3)]
 
     def test_refit_predicts_from_the_new_oracle(self):
         state = fresh_state(6)
@@ -423,7 +419,8 @@ class TestStrategize:
 
 
 class TestPredictionTable:
-    """The table an oracle's second strategize fills equals the lazy single-row predictions exactly."""
+    """The table an oracle's first strategize fills with one ``Grid`` predict equals the single-row
+    predictions exactly; only a space over ``TABLE_CAP`` strategies predicts one row at a time."""
 
     @staticmethod
     def random_oracle(space, index, n_points=200, trees=5, seed=0, levels=None):
@@ -446,8 +443,7 @@ class TestPredictionTable:
     def filled_table(self, space, oracle, index):
         state = fresh_state(index + 1, space)
         state.oracle, state.index = oracle, index
-        for _ in range(2):
-            self.strategize(state)
+        self.strategize(state)
         assert isinstance(state.predictions, list)
         return state.predictions
 
@@ -472,7 +468,7 @@ class TestPredictionTable:
         builtin_space("kissat_large"),
         space_from([(f"t{i}", "0", ("1", "2")) for i in range(7)]),
     ], ids=["8192", "2187"])
-    def test_lazy_first_chain_then_one_grid_predict_then_none(self, space, monkeypatch):
+    def test_one_grid_predict_at_the_first_strategize_then_none(self, space, monkeypatch):
         state = fresh_state(3, space)
         state.oracle, state.index = self.random_oracle(space, 1), 2
         calls = []
@@ -483,11 +479,9 @@ class TestPredictionTable:
 
         monkeypatch.setattr(engine, "predict", counting_predict)
         self.strategize(state, samples=50)
-        assert calls and all(len(row) == space.k + 1 and not isinstance(row, Grid) for row in calls)
-        assert len(calls) == len(set(calls)) == len(state.predictions)
-        calls.clear()
-        self.strategize(state, samples=50)
+        # No single-row call: the one call predicts every rank.
         assert calls == [Grid(space.sizes, 2)]
+        assert isinstance(state.predictions, list)
         assert len(state.predictions) == math.prod(space.sizes)
         calls.clear()
         for index in (2, 3):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from stratlearn.forest import (
     DataPoint,
     Dataset,
     Grid,
+    RandomForest,
     _ForestGrower,
     _grown_forest,
     fit_adaptive,
@@ -127,6 +129,30 @@ def sequential_mean(values):
     for v in values[1:]:
         total += v
     return values[0] if all(v == values[0] for v in values) else total / len(values)
+
+
+def hand_forest(width, *trees):
+    """A forest of hand-written trees: a leaf is its value, a split ``(feature, threshold, left, right)``."""
+    feature, threshold, left, value, pending, depth = [], [], [], [], [], 0
+
+    def add(tree, level):
+        node = len(value)
+        feature.append(-1), threshold.append(np.nan), left.append(node), value.append(0.0)
+        pending.append((node, tree, level))
+
+    for tree in trees:
+        add(tree, 0)
+    while pending:
+        node, tree, level = pending.pop(0)
+        if isinstance(tree, tuple):
+            feature[node], threshold[node], left[node] = tree[0], tree[1], len(value)
+            add(tree[2], level + 1)
+            add(tree[3], level + 1)
+            depth = max(depth, level + 1)
+        else:
+            value[node] = tree
+    return RandomForest(np.array(feature), np.array(threshold), np.array(left), np.array(value),
+                        np.arange(len(trees)), depth, width, depth, 0.0)
 
 
 XOR_DATA = make_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 1.0, 1.0, 0.0])
@@ -319,6 +345,49 @@ class TestOnePredictor:
                 grid = predict(forest, Grid(sizes, index))
                 assert [type(v) for v in grid] == [float] * len(rows)
                 assert [v.hex() for v in grid] == [float(v).hex() for v in walk]
+
+    def test_grid_boxes_at_the_edges_equal_the_walk_bit_for_bit(self):
+        """Hand-built trees put thresholds below code 0, above the last code and exactly on a
+        code, split the index on both sides of each grid index, and split size-1 axes; the
+        last case is a grid with no option axes, only the index."""
+        cases = [  # (sizes, trees); the last feature is the index
+            ((3, 4), [
+                (0, -0.5, 9.0, (1, 1.0, (0, 1.0, 0.25, 0.5), (0, 7.5, 2.0, 3.0))),
+                (1, 3.0, (0, -3.0, 1.0, (0, 2.0, 0.1, 0.7)), (2, 2.0, 4.0, 8.0)),
+                (2, 2.0, (1, 0.0, 0.3, 0.6), (0, 0.0, (1, 2.0, 1.0, 5.0), 2.0)),
+                (0, 1.0, 0.75, (1, 1.5, 0.75, 0.2)),
+            ]),
+            ((1, 3, 1), [
+                (0, 0.0, (1, 1.0, (2, -0.5, 0.5, 1.5), 2.5), 3.5),
+                (2, 0.0, (3, 1.0, 0.25, (0, 0.5, 0.125, 4.0)), 6.0),
+                (0, -0.5, 1.0, (2, 0.5, 0.75, 0.5)),
+            ]),
+            ((), [(0, 2.0, 0.5, (0, 3.0, 1.5, 2.5)), (0, 1.0, 0.25, 0.75), 0.5]),
+        ]
+        for sizes, trees in cases:
+            forests = [hand_forest(len(sizes) + 1, *trees[:n]) for n in range(1, len(trees) + 1)]
+            for forest, index in itertools.product(forests, (0, 1, 2, 3, 4)):
+                rows = [(*codes, index) for codes in itertools.product(*(range(n) for n in sizes))]
+                walk = forest.predict(np.array(rows, dtype=float))
+                grid = predict(forest, Grid(sizes, index))
+                assert [v.hex() for v in grid] == [float(v).hex() for v in walk]
+
+    def test_grid_fill_keeps_no_table_per_tree(self, large_space):
+        """A 50-tree grid fill peaks at a few tables of the space's size, not one per tree (3.3 MB here)."""
+        rng = np.random.default_rng(12)
+        rows = np.column_stack([rng.integers(0, n, 300) for n in large_space.sizes] + [rng.integers(1, 4, 300)])
+        data = make_dataset(rows, rng.uniform(0.0, 4.0, 300))
+        forest = fit_forest(data, n_trees=50, max_depth=8, seed=3)
+        grid = Grid(large_space.sizes, 4)
+        table_bytes = 8 * len(predict(forest, grid))
+        tracemalloc.start()
+        try:
+            predict(forest, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_bytes == 64 * 1024
+        assert peak < 8 * table_bytes
 
     def test_walk_length_is_the_depth_grown(self):
         rng = np.random.default_rng(8)
