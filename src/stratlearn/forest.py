@@ -242,7 +242,7 @@ class _ForestGrower:
         """Split every live leaf at its best (feature, threshold), one level deeper."""
         rows, leaf, n_leaves = self.rows, self.leaf, self.live.shape[0]
         y, y_sq = self.y[rows], self.y[rows] ** 2
-        best, threshold = np.full(n_leaves, np.inf), np.zeros(n_leaves)
+        best, threshold, at = np.full(n_leaves, np.inf), np.zeros(n_leaves), np.arange(n_leaves)
         feature, cut = np.zeros((2, n_leaves), dtype=np.intp)
         for f, (codes, values) in enumerate(zip(self.codes, self.values)):
             width = values.shape[0]
@@ -259,14 +259,14 @@ class _ForestGrower:
             # A cut leaves rows on both sides.  One at a code absent from the leaf repeats the
             # cut at the code below exactly, so the first minimum lies between present codes.
             sse[(n_left == 0) | (n_right == 0)] = np.inf
-            j = np.argmin(sse, axis=1)[:, None]
-            low = np.take_along_axis(sse, j, axis=1)[:, 0]
+            j = np.argmin(sse, axis=1)
+            low = sse[at, j]
             # First minimum over cuts; a later feature must be strictly lower.
             take = low < best
             # The midpoint to the next code present, the first whose cumulative count is higher.
-            above = np.argmax(n_left > np.take_along_axis(n_left, j, axis=1), axis=1)
-            best[take], feature[take], cut[take] = low[take], f, j[take, 0]
-            threshold[take] = (values[j[take, 0]] + values[above[take]]) / 2.0
+            above = np.argmax(n_left > n_left[at, j][:, None], axis=1)
+            best[take], feature[take], cut[take] = low[take], f, j[take]
+            threshold[take] = (values[j[take]] + values[above[take]]) / 2.0
 
         # Leaves without a legal cut stop growing; with none left, every tree is fully grown.
         found = best < np.inf

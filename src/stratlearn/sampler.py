@@ -6,10 +6,14 @@ one that differs from it in exactly one parameter.  Every state has
 sum(domain size - 1) neighbors, even with mixed domain sizes, so the
 neighbor graph is regular and the kernel exactly symmetric: the chain's
 stationary distribution is proportional to exp(-beta * cost).
+
+A chain draws ``default_rng(SeedSequence([seed]))``'s exact stream, decoded in
+plain Python from blocks of the same PCG64's raw output (see ``_draws``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -64,6 +68,45 @@ def acceptance_probability(cost_current: float, cost_proposed: float, beta: floa
     return math.exp(beta * (cost_current - cost_proposed))
 
 
+_BLOCK = 256  # raw PCG64 outputs decoded per refill
+
+
+def _draws(seed: int) -> tuple[Callable[[int], int], Callable[[], float]]:
+    """``integers(n)`` and ``random()`` of ``default_rng(SeedSequence([seed]))``, bit for bit.
+
+    As numpy does, from blocks of the same PCG64's raw output: ``integers(1)``
+    draws nothing; a 32-bit word is an output's low half, its high half is kept
+    as the next word, and ``random()`` (an output's top 53 bits over 2**53)
+    neither uses nor clears it.  Lemire's method maps a word to ``range(n)``,
+    drawing again in its rejection zone.  ``n >= 2**32`` is rejected.
+    """
+    bitgen = np.random.PCG64(np.random.SeedSequence([seed]))
+    raw = itertools.chain.from_iterable(iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None))
+    kept = None
+
+    def integers(n: int) -> int:
+        nonlocal kept
+        if n == 1:
+            return 0
+        if not 1 < n < 1 << 32:
+            raise ValueError(f"integers({n}) needs 1 <= n < 2**32")
+        threshold = ((1 << 32) - n) % n
+        while True:
+            if kept is None:
+                word = next(raw)
+                word, kept = word & 0xFFFFFFFF, word >> 32
+            else:
+                word, kept = kept, None
+            m = word * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def random() -> float:
+        return (next(raw) >> 11) * 2.0**-53
+
+    return integers, random
+
+
 def run_chain(
     space: StrategySpace,
     cost_fn: Callable[[int], float],
@@ -80,12 +123,13 @@ def run_chain(
     records are either equal or one parameter apart.  Every proposal is
     evaluated, revisits included; a caller whose costs are dear memoizes
     them.  A failing or non-finite cost raises ``CostFunctionError`` with the
-    decoded strategy.  The chain is fully deterministic given the config seed.
+    decoded strategy.  The chain is fully deterministic given the config seed:
+    its draws are ``default_rng(SeedSequence([seed]))``'s, from raw blocks.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     current = space.rank(space.codes(start))  # ValueError unless every value of start is legal
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+    integers, random = _draws(config.seed)
 
     def cost_of(rank: int) -> float:
         try:
@@ -100,13 +144,13 @@ def run_chain(
     n_neighbors = len(space.moves)
     records: list[ChainRecord] = []
     for _ in range(n_samples):
-        proposal = neighbors(space, current, int(rng.integers(n_neighbors)))
+        proposal = neighbors(space, current, integers(n_neighbors))
         cost_proposal = cost_of(proposal)
         # Only an uphill move needs the formula and a draw; exp of a tiny rise may round to 1.0.
         accepted = cost_proposal <= cost_current
         if not accepted:
             alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
-            accepted = alpha >= 1.0 or rng.random() < alpha
+            accepted = alpha >= 1.0 or random() < alpha
         if accepted:
             current, cost_current = proposal, cost_proposal
         records.append(ChainRecord(current, cost_current, accepted))

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,9 +18,11 @@ from helpers import (
     space_from,
 )
 from stratlearn.sampler import (
+    _BLOCK,
     ChainRecord,
     CostFunctionError,
     SamplerConfig,
+    _draws,
     acceptance_probability,
     run_chain,
 )
@@ -230,6 +232,67 @@ class TestChainPinned:
             assert decoded == reference_run_chain(space, self.rugged_cost, start, 300, config)
             accepted = sum(r.accepted for r in records)
             assert 0 < accepted < len(records)
+
+
+class TestDraws:
+    """``_draws`` gives ``default_rng(SeedSequence([seed]))``'s stream draw for draw."""
+
+    # 2**31 + 11 puts about half of all words in Lemire's rejection zone, so
+    # draws retry; at 2**31 the zone is empty and half the words' products end
+    # exactly on its edge; 1 must draw nothing at all.
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 2**31, 2**31 + 11, 2**32 - 1])
+    @pytest.mark.parametrize("period", [0, 1, 2, 3, 7])
+    def test_equal_to_the_generator(self, n, period):
+        # random() after every period-th integers(n) (never for 0), well past two block refills.
+        for seed in (0, 1, 5, 2**40 + 3):
+            integers, random = _draws(seed)
+            rng = np.random.default_rng(np.random.SeedSequence([seed]))
+            for i in range(5 * _BLOCK):
+                assert integers(n) == int(rng.integers(n))
+                if period and i % period == 0:
+                    assert random() == rng.random()
+            # Both streams stand at the same raw output and the same kept half.
+            expected = [int(rng.integers(13)), rng.random(), int(rng.integers(13))]
+            assert [integers(13), random(), integers(13)] == expected
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
+    def test_rejects_a_range_outside_32_bits(self, n):
+        integers, _ = _draws(0)
+        with pytest.raises(ValueError):
+            integers(n)
+
+
+# 1-4 parameters of 2-4 values each; binary_space(1) has a single neighbor, so its
+# chains draw integers(1), which must consume no word.
+chain_spaces = st.one_of(
+    st.just(binary_space(1)),
+    st.lists(st.integers(2, 4), min_size=1, max_size=4).map(
+        lambda sizes: space_from([(f"p{i}", "0", tuple(map(str, range(1, k)))) for i, k in enumerate(sizes)])
+    ),
+)
+
+
+class TestChainAgainstReference:
+    @settings(max_examples=100, deadline=1000)
+    @example(binary_space(1), 1.0, 0, 600, 0, 0)
+    @given(
+        chain_spaces,
+        st.floats(min_value=0.05, max_value=20.0),
+        st.integers(min_value=0, max_value=2**63),
+        st.integers(min_value=1, max_value=600),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_decodes_to_the_reference(self, space, beta, seed, n_samples, table_seed, start):
+        # The reference draws from a real Generator; 600 steps cross a block boundary.
+        table = np.random.default_rng(table_seed).uniform(0.0, 3.0, math.prod(space.sizes)).tolist()
+        start = decode(space, start % len(table))
+        config = SamplerConfig(beta=beta, seed=seed)
+        records = run_chain(space, table.__getitem__, start, n_samples, config)
+        decoded = [(decode(space, r.rank), r.cost, r.accepted) for r in records]
+        assert decoded == reference_run_chain(
+            space, lambda v: table[rank_of(space, v)], start, n_samples, config
+        )
 
 
 class TestConfig:
