@@ -138,7 +138,7 @@ def load_adapter_config(path: str | Path) -> SolverAdapterConfig:
     keys = {f.name for f in fields(SolverAdapterConfig)}
     kwargs: dict[str, object] = {}
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -218,10 +218,11 @@ def save_landscape(landscape: SyntheticLandscape, path: str | Path) -> None:
 
 def load_landscape(path: str | Path) -> SyntheticLandscape:
     """Read a file written by ``save_landscape``; its keys must be exactly the landscape's fields."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     expected = [f.name for f in fields(SyntheticLandscape)]
-    if sorted(data) != sorted(expected):
-        raise ValueError(f"{path}: landscape keys must be {expected}, got {list(data)}")
+    if not isinstance(data, dict) or sorted(data) != sorted(expected):
+        got = list(data) if isinstance(data, dict) else f"{data!r}, not a JSON object"
+        raise ValueError(f"{path}: landscape keys must be {expected}, got {got}")
     verdicts = [v.value for v in Verdict]
     # Per key: what each element must be, the check, and the converter to the field's element type.
     number = "a JSON number", lambda v: type(v) in (int, float), float  # JSON true is a bool, not a number
@@ -266,7 +267,7 @@ def parse_manifest(text: str) -> tuple[str, ...]:
 
 
 def load_manifest(path: str | Path) -> tuple[str, ...]:
-    return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    return parse_manifest(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # --------------------------------------------------------------------------

@@ -20,8 +20,8 @@ dataset nor the trajectory records it.
 
 A run's ``Trajectory`` is its only clock.  The virtual clock, ``run()``'s
 default, charges a backend call its effort metric and compute nothing, so runs
-replay bit-identically; the wall clock, the CLI's default, charges every event,
-fit and strategize chain its seconds.  Budget and time limit use its unit.
+replay bit-identically; the wall clock, the CLI's default, charges each event
+the seconds since the previous one ended.  Budget and time limit use its unit.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Trajectory:
     """Ordered event log of one run, its only clock, and its ``learning_time`` (non-solve events, in order).
 
     An event takes its effort ``charge`` on the virtual clock, and on the wall
-    clock the seconds since ``started``, the ``perf_counter`` reading its phase began at.
+    clock the seconds since the previous event or construction: the events partition the wall time.
     """
 
     def __init__(self, clock: str = "virtual") -> None:
@@ -141,6 +141,7 @@ class Trajectory:
         self.events: list[TrajectoryEvent] = []
         self.cumulative_time = 0.0
         self.learning_time = 0  # an int, like sum()'s start: a run without learning reports 0
+        self._ended = time.perf_counter()  # the wall clock's reading at the end of the last event
 
     def record(
         self,
@@ -152,14 +153,12 @@ class Trajectory:
         raw_metric: float | None = None,
         cost: float | None = None,
         charge: float = 0.0,
-        started: float | None = None,
     ) -> TrajectoryEvent:
         if self.clock == "virtual":
             duration = charge
-        elif started is None:
-            raise ValueError(f"a {phase} event on the wall clock needs the perf_counter reading its phase began at")
         else:
-            duration = time.perf_counter() - started
+            now = time.perf_counter()
+            duration, self._ended = now - self._ended, now
         if duration < 0:
             raise ValueError("event times must be nonnegative")
         self.cumulative_time += duration
@@ -243,8 +242,8 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float, traj
     the trajectory clock's unit.  A collection call is charged up to
     ``ABORT_MULTIPLIER`` times the baseline, so an admitted epoch can overrun
     the budget (ROADMAP.md item 11).  On the wall clock the estimate also
-    leaves out the ``train`` event's dataset append and fit: with a fast
-    solver on ``kissat_small``, epochs took 16 to 36 times their estimate.
+    leaves out the epoch's compute (chain steps, append and fit): with a fast
+    solver on ``kissat_small``, epochs took 3 to 22 times their estimate.
     """
     if not policy.learning_budget > 0:
         return False
@@ -309,7 +308,8 @@ def learning_epoch(
     epoch's memo keeps each cost in call order, and a revisit makes no call,
     charge or event.  Each call is a ``collect`` event, charged on the virtual
     clock its raw metric, or the capped budget (``ABORT_MULTIPLIER`` times the
-    baseline) if it aborted.  The ``train`` event times the dataset append
+    baseline) if it aborted, and on the wall clock its seconds and the chain
+    steps before it; the ``train`` event takes the rest, the dataset append
     and the fit.  A backend failure mid-chain (``CostFunctionError``) adds the
     memo's points instead and is re-raised with no refit; ``run()`` does not
     catch it, so the whole run ends (ROADMAP.md item 3c is to end the epoch).
@@ -333,11 +333,10 @@ def learning_epoch(
             return 1.0
         if rank not in measured:
             strategy = space.strategy(space.unrank(rank))
-            started = time.perf_counter()
             record = collect_cost(backend, index, strategy, baseline)
             trajectory.record(
                 "collect", index, strategy, raw_metric=record.raw_metric, cost=record.cost,
-                charge=baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric, started=started,
+                charge=baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric,
             )
             measured[rank] = record.cost
         return measured[rank]
@@ -349,7 +348,6 @@ def learning_epoch(
             state.dataset.append(DataPoint(encode_features(space.unrank(rank), index), cost))
         raise
 
-    started = time.perf_counter()
     for sample in samples:
         state.dataset.append(DataPoint(encode_features(space.unrank(sample.rank), index), sample.cost))
 
@@ -363,7 +361,7 @@ def learning_epoch(
         )
     state.oracle, state.predictions = oracle, {}
     state.epochs += 1
-    trajectory.record("train", index, state.strategy, cost=oracle.training_score, started=started)
+    trajectory.record("train", index, state.strategy, cost=oracle.training_score)
     logger.debug(
         "epoch %d on problem %d: %d backend calls, dataset size %d, score %.3f at depth %d",
         state.epochs, index, len(measured), len(state.dataset),
@@ -403,7 +401,6 @@ def rule_strategize(
             f"strategize at index {index} needs a trained oracle with every index threshold below it"
         )
 
-    started = time.perf_counter()
     if isinstance(memo, dict) and math.prod(space.sizes) <= TABLE_CAP:
         memo = state.predictions = predict(oracle, Grid(space.sizes, index))
     if isinstance(memo, list):
@@ -425,7 +422,7 @@ def rule_strategize(
             if record.cost < best_cost:
                 best, best_cost = record.rank, record.cost
     state.strategy = space.strategy(space.unrank(best))
-    trajectory.record("strategize", index, state.strategy, cost=best_cost, started=started)
+    trajectory.record("strategize", index, state.strategy, cost=best_cost)
     return state
 
 
@@ -492,11 +489,10 @@ def run(
             logger.info("time limit reached before problem %d", state.index)
             return RunResult(Outcome.TIME_LIMIT, state, trajectory)
 
-        started = time.perf_counter()
         outcome = backend.solve(state.index, state.strategy)
         solve = trajectory.record(
             "solve", state.index, state.strategy,
-            verdict=outcome.verdict.value, raw_metric=outcome.metric, charge=outcome.metric, started=started,
+            verdict=outcome.verdict.value, raw_metric=outcome.metric, charge=outcome.metric,
         )
         state.baseline = outcome.metric
 

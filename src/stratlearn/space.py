@@ -185,7 +185,7 @@ def serialize_space(space: StrategySpace) -> str:
 
 
 def load_space(path: str | Path) -> StrategySpace:
-    return parse_space(Path(path).read_text(encoding="utf-8"))
+    return parse_space(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def builtin_space(name: str) -> StrategySpace:

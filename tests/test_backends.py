@@ -28,7 +28,7 @@ from stratlearn.backends import (
     save_landscape,
     validate_template,
 )
-from stratlearn.space import Strategy, parse_space
+from stratlearn.space import Strategy, builtin_space, load_space, parse_space, serialize_space
 
 STUB = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
 
@@ -101,9 +101,11 @@ class TestSynthetic:
         save_landscape(land, path)
         assert load_landscape(path) == land
         # Any other key fails loudly: a file written for a drifting landscape must not simulate another one.
+        # So does any JSON value but an object, even a list of the key names.
         text = path.read_text(encoding="utf-8")
         for name, edited in [("stale", text.replace('"optimum"', '"drift": [], "optimum"')),
-                             ("partial", text.replace('"verdicts"', '"verdict"'))]:
+                             ("partial", text.replace('"verdicts"', '"verdict"')),
+                             ("number", "5"), ("null", "null"), ("names", json.dumps(list(json.loads(text))))]:
             bad = tmp_path / f"{name}.json"
             bad.write_text(edited, encoding="utf-8")
             with pytest.raises(ValueError, match=f"{name}.json: landscape keys must be .*, got"):
@@ -428,3 +430,17 @@ class TestManifest:
 
     def test_comments_ignored(self):
         assert parse_manifest("# problems\n1\ta.cnf\n") == ("a.cnf",)
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_space, serialize_space(builtin_space("kissat_small"))),
+    (load_manifest, "1\ta.cnf\n2\tb.cnf\n"),
+    (load_adapter_config, "command = kissat {problem}\nexit_sat = 10\n"),
+    (load_landscape, json.dumps({"optimum": ["0"], "weights": [1.0], "base_metrics": [5.0], "verdicts": ["SAT"]})),
+], ids=["space", "manifest", "adapter", "landscape"])
+def test_byte_order_mark_is_skipped(tmp_path, load, text):
+    # Spreadsheet "CSV UTF-8" exports start with one.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load(marked) == load(plain)

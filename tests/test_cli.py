@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -267,6 +268,26 @@ class TestWallClock:
         )
         assert result.outcome is Outcome.SUCCESS
         assert all(e.virtual_time >= 0 for e in result.trajectory)
+
+    def test_cli_default_clock_partitions_the_run(self, landscape_files, tmp_path, capsys):
+        # No --virtual-clock: the CLI's default, real perf_counter seconds.
+        space_path, land_path = landscape_files
+        out = tmp_path / "run.tsv"
+        before = time.perf_counter()
+        assert main(["--space", space_path, "--landscape", land_path, "--budget-seconds", "10",
+                     "--samples-per-epoch", "4", "--strategize-samples", "10", "--trees", "3",
+                     "--out", str(out)]) == 0
+        span = time.perf_counter() - before
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "#stratlearn-trajectory v1" and "clock=wall" in lines[1]
+        names = lines[2].split("\t")[1:]
+        events = [dict(zip(names, line.split("\t"), strict=True)) for line in lines[3:]
+                  if not line.startswith(("solved\t", "summary\t"))]
+        summary = dict(cell.split("=", 1) for cell in lines[-1].split("\t")[1:])
+        assert {e["phase"] for e in events} == {"solve", "collect", "train", "strategize"}
+        cumulative = float(summary["cumulative_time"])
+        assert cumulative == sum(float(e["virtual_time"]) for e in events) == float(events[-1]["cumulative_time"])
+        assert 0 < cumulative <= span
 
 
 @pytest.fixture

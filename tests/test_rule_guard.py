@@ -9,13 +9,16 @@ epoch, so ``run`` may name neither the learning budget nor the epoch's
 sample count that its estimate reads.  And a run's ``Trajectory`` is its
 only clock, so no function outside its methods compares the clock mode
 against ``"virtual"`` or ``"wall"``; such a comparison would be a second
-clock picking a unit.
+clock picking a unit.  Nor does any function in the package but its methods
+name the ``time`` module: a reading taken elsewhere would be a second clock
+timing a phase, and the compute before it would be charged to no event.
 """
 
 import ast
 from pathlib import Path
 
-ENGINE = Path(__file__).resolve().parents[1] / "src" / "stratlearn" / "engine.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratlearn"
+ENGINE = PACKAGE / "engine.py"
 PROBLEM_COUNTS = {"num_problems", "n"}
 ADMISSION_INPUTS = {"learning_budget", "samples_per_epoch"}
 CLOCK_MODES = {"virtual", "wall"}
@@ -39,8 +42,11 @@ def named(node: ast.AST) -> set[str]:
 
 
 def engine_functions() -> dict[str, ast.FunctionDef]:
-    """Every function in the engine by qualified name: module functions and class methods."""
-    tree = ast.parse(ENGINE.read_text(encoding="utf-8"))
+    return module_functions(ast.parse(ENGINE.read_text(encoding="utf-8")))
+
+
+def module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Every function in a module by qualified name: module functions and class methods."""
     found = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -49,6 +55,30 @@ def engine_functions() -> dict[str, ast.FunctionDef]:
             for method in node.body:
                 if isinstance(method, ast.FunctionDef):
                     found[f"{node.name}.{method.name}"] = method
+    return found
+
+
+def time_module_names(tree: ast.Module) -> set[str]:
+    """Names a module binds, anywhere in it, to the ``time`` module or to a name imported from it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "time"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def clock_reads() -> dict[str, list[int]]:
+    """Line numbers, by ``module.qualified_name``, where a package function names the ``time`` module."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        clock = time_module_names(tree)
+        for name, function in module_functions(tree).items():
+            if lines := sorted({node.lineno for node in ast.walk(function)
+                                if isinstance(node, ast.Name) and node.id in clock}):
+                found[f"{path.stem}.{name}"] = lines
     return found
 
 
@@ -126,3 +156,12 @@ def test_the_scan_sees_the_clock():
     functions = engine_functions()
     assert clock_mode_comparisons(functions["Trajectory.record"])
     assert clock_mode_comparisons(functions["Trajectory.__init__"])
+
+
+def test_only_the_trajectory_reads_the_time_module():
+    assert {name: lines for name, lines in clock_reads().items() if not name.startswith("engine.Trajectory.")} == {}
+
+
+def test_the_scan_sees_the_clock_read():
+    # Guards the guard: the trajectory times each event, so the scan must flag its record method.
+    assert "engine.Trajectory.record" in clock_reads()

@@ -1,9 +1,9 @@
 """The wall clock, made deterministic: a fake ``perf_counter`` that only known work advances.
 
 ``stratlearn.engine.time`` is replaced by a fake whose reading moves only
-when a backend call, a fit or a prediction advances it by a fixed number of
-seconds.  Each event's time is then known exactly: every duration below is
-a binary fraction, so the float sums are exact too.
+when a backend call, a fit, a prediction or a chain step advances it by a
+fixed number of seconds.  Each event's time is then known exactly: every
+duration below is a binary fraction, so the float sums are exact too.
 """
 
 import pytest
@@ -12,12 +12,13 @@ from helpers import convergence_landscape
 from stratlearn import cli, engine
 from stratlearn.backends import SyntheticBackend, save_landscape
 from stratlearn.engine import EpochPolicy, ForestConfig, Outcome, Trajectory, run, summarize
-from stratlearn.space import builtin_space, default_strategy, serialize_space
+from stratlearn.space import builtin_space, serialize_space
 
 SPACE = builtin_space("kissat_small")
 CALL_S = 1.0  # every backend call, main solve or collection run
 FIT_S = 2.0
 PREDICT_S = 0.03125
+STEP_S = 2.0**-6
 
 
 class FakeTime:
@@ -88,6 +89,22 @@ def test_train_and_strategize_events_carry_their_compute_seconds(fake_time, monk
     assert sum(e.virtual_time for e in strategizes) == len(predictions) * PREDICT_S
 
 
+def test_events_partition_the_run_including_the_chains_own_steps(fake_time, monkeypatch):
+    run_chain = engine.run_chain
+
+    def slow_chain(space, cost_fn, *args):
+        def timed_cost(rank):
+            fake_time.advance(STEP_S)  # the chain's own compute, outside any backend call
+            return cost_fn(rank)
+        return run_chain(space, timed_cost, *args)
+
+    monkeypatch.setattr(engine, "run_chain", slow_chain)
+    start = fake_time.now
+    result = learning_run(fake_time, budget=1e6)
+    assert result.trajectory.phase_events("collect") and result.trajectory.phase_events("strategize")
+    assert result.trajectory.cumulative_time == fake_time.now - start
+
+
 def test_budget_in_seconds_admits_and_refuses_epochs_by_seconds(fake_time):
     budget, estimate = 10.0, 4 * CALL_S  # samples_per_epoch reruns of a CALL_S solve
     result = learning_run(fake_time, budget=budget)
@@ -122,13 +139,6 @@ def test_time_limit_ends_the_cli_run_on_trajectory_time(fake_time, monkeypatch, 
     assert result.trajectory.phase_events("collect")  # learning time counts toward the limit
     for event in result.trajectory.phase_events("solve"):  # each began before the limit
         assert event.cumulative_time - event.virtual_time < 12
-
-
-def test_wall_event_without_a_start_reading_is_refused():
-    trajectory = Trajectory("wall")
-    with pytest.raises(ValueError, match="perf_counter reading"):
-        trajectory.record("train", 1, default_strategy(SPACE))
-    assert len(trajectory) == 0 and trajectory.cumulative_time == 0.0
 
 
 def test_unknown_clock_mode_is_refused():
