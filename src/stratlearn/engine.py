@@ -183,9 +183,11 @@ class Trajectory:
 
 @dataclass
 class EngineState:
-    """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a list of
-    every rank's from the oracle's first strategize on, or a dict of those met if over ``TABLE_CAP``
-    strategies (see rule_strategize); ``{}`` before that strategize."""
+    """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a float64
+    array of every rank's from the oracle's first strategize on, or a dict of those met if over
+    ``TABLE_CAP`` strategies (see rule_strategize); ``{}`` before that strategize.  ``floor`` is the
+    array's minimum, kept only when every entry is finite: a strategize whose in-force strategy predicts
+    it skips its chain, since no candidate can be strictly cheaper.  A refit resets both."""
 
     space: StrategySpace
     num_problems: int
@@ -193,7 +195,8 @@ class EngineState:
     dataset: Dataset
     index: int = 1
     oracle: RandomForest | None = None
-    predictions: dict[int, float] | list[float] = field(default_factory=dict)
+    predictions: dict[int, float] | np.ndarray = field(default_factory=dict)
+    floor: float | None = None
     epochs: int = 0
     baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
     terminal: Outcome | None = None
@@ -359,7 +362,7 @@ def learning_epoch(
             state.dataset, forest_config.trees, forest_config.init_depth,
             forest_config.score_threshold, forest_config.depth_cap, forest_seed,
         )
-    state.oracle, state.predictions = oracle, {}
+    state.oracle, state.predictions, state.floor = oracle, {}, None
     state.epochs += 1
     trajectory.record("train", index, state.strategy, cost=oracle.training_score)
     logger.debug(
@@ -382,14 +385,20 @@ def rule_strategize(
 
     Candidates are the current strategy plus a chain of ``strategize_samples - 1``
     steps over the oracle's predictions; ties keep the earliest candidate, so a
-    constant oracle never moves the strategy.
+    constant oracle never moves the strategy.  Only a candidate strictly below
+    the current strategy's prediction can win, so when that prediction is the
+    table's minimum (``state.floor``, kept only for an all-finite table) the
+    chain is skipped: the current strategy is what it would pick.  A table
+    with a non-finite entry still walks, and a chain that meets the entry
+    still raises ``CostFunctionError``; a lazy dict has no known minimum.
 
     Guard: a trained oracle whose index thresholds all lie strictly below the
     index, else InapplicableRuleError with nothing changed.  A tree reads the
     index only in tests ``index > t``, which then all go right, so
     ``state.predictions`` is one exact table per oracle, keyed by rank: the
     oracle's first strategize fills it with one ``predict`` of every
-    strategy's row as a ``Grid``, and later ones only read it.  A space of
+    strategy's row as a ``Grid``, a float64 array that chains read as Python
+    floats through ``ndarray.item``, and later ones only read it.  A space of
     over ``TABLE_CAP`` strategies instead fills a dict one single-row
     ``predict`` at a time, as its chains meet each strategy.
     ``run()`` strategizes only above every index the oracle was trained on.
@@ -403,8 +412,10 @@ def rule_strategize(
 
     if isinstance(memo, dict) and math.prod(space.sizes) <= TABLE_CAP:
         memo = state.predictions = predict(oracle, Grid(space.sizes, index))
-    if isinstance(memo, list):
-        predicted_cost = memo.__getitem__
+        if np.isfinite(memo).all():
+            state.floor = memo.min().item()
+    if isinstance(memo, np.ndarray):
+        predicted_cost = memo.item
     else:
         def predicted_cost(rank: int) -> float:
             if rank not in memo:
@@ -413,7 +424,7 @@ def rule_strategize(
 
     best = space.rank(space.codes(state.strategy))
     best_cost = predicted_cost(best)
-    if policy.strategize_samples > 1:
+    if policy.strategize_samples > 1 and (state.floor is None or best_cost > state.floor):
         chain_config = dataclasses.replace(
             sampler_config, seed=_substream_seed(seed, _STRATEGIZE_STREAM, index)
         )

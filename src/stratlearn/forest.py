@@ -308,9 +308,11 @@ def fit_forest(
     return _grown_forest(_ForestGrower(data, n_trees, seed, bootstrap), data, max_depth)
 
 
-def predict(forest: RandomForest, features) -> float | list[float]:
-    """Mean tree prediction for one feature vector, or their list for a matrix or Grid: Python floats, not numpy's."""
-    return forest.predict(features).tolist()
+def predict(forest: RandomForest, features) -> float | list[float] | np.ndarray:
+    """Mean tree prediction for one feature vector, or their list for a matrix, as Python floats, not numpy's;
+    a Grid's table stays the float64 array."""
+    predictions = forest.predict(features)
+    return predictions if isinstance(features, Grid) else predictions.tolist()
 
 
 def r2_score(forest: RandomForest, data: Dataset) -> float:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stratlearn.backends import (
     ExternalBackend,
@@ -83,6 +84,40 @@ def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[tuple[
             current, cost_current = proposal, cost_proposal
         records.append((current, cost_current, accepted))
     return records
+
+
+# 1-4 parameters of 2-4 values each; binary_space(1) has a single neighbor, so its
+# chains draw integers(1), which must consume no word.
+chain_spaces = st.one_of(
+    st.just(binary_space(1)),
+    st.lists(st.integers(2, 4), min_size=1, max_size=4).map(
+        lambda sizes: space_from([(f"p{i}", "0", tuple(map(str, range(1, k)))) for i, k in enumerate(sizes)])
+    ),
+)
+
+
+def hand_forest(width, *trees):
+    """A forest of hand-written trees: a leaf is its value, a split ``(feature, threshold, left, right)``."""
+    feature, threshold, left, value, pending, depth = [], [], [], [], [], 0
+
+    def add(tree, level):
+        node = len(value)
+        feature.append(-1), threshold.append(np.nan), left.append(node), value.append(0.0)
+        pending.append((node, tree, level))
+
+    for tree in trees:
+        add(tree, 0)
+    while pending:
+        node, tree, level = pending.pop(0)
+        if isinstance(tree, tuple):
+            feature[node], threshold[node], left[node] = tree[0], tree[1], len(value)
+            add(tree[2], level + 1)
+            add(tree[3], level + 1)
+            depth = max(depth, level + 1)
+        else:
+            value[node] = tree
+    return RandomForest(np.array(feature), np.array(threshold), np.array(left), np.array(value),
+                        np.arange(len(trees)), depth, width, depth, 0.0)
 
 
 def penalty(assignments, optimum, weights) -> float:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CONV_BUDGET,
@@ -18,7 +20,12 @@ from helpers import (
     all_strategies,
     backend_for,
     binary_space,
+    chain_spaces,
     convergence_landscape,
+    decode,
+    hand_forest,
+    rank_of,
+    reference_run_chain,
     space_from,
     verdicts_from_bits,
 )
@@ -46,7 +53,7 @@ from stratlearn.engine import (
     summarize,
 )
 from stratlearn.forest import DataPoint, Dataset, Grid, fit_forest, predict
-from stratlearn.sampler import CostFunctionError, SamplerConfig
+from stratlearn.sampler import CostFunctionError, SamplerConfig, run_chain
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
 SPACE2 = binary_space(2)
@@ -369,12 +376,14 @@ class TestStrategize:
         trajectory = Trajectory()
         state.index = 3
         rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
-        before = (state.strategy, list(state.predictions), list(trajectory.events))
+        table = state.predictions
+        before = (state.strategy, table.tolist(), state.floor, list(trajectory.events))
         for index in (1, 2):
             state.index = index
             with pytest.raises(InapplicableRuleError, match="index threshold"):
                 rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
-            assert (state.strategy, state.predictions, trajectory.events) == before
+            assert state.predictions is table
+            assert (state.strategy, table.tolist(), state.floor, trajectory.events) == before
 
     def test_indices_above_every_threshold_share_one_table(self, monkeypatch):
         space = binary_space(5)
@@ -398,7 +407,8 @@ class TestStrategize:
             assert trajectory.events[-1].cost == costs[state.strategy]
             tables.append(state.predictions)
         # The first strategize predicts every rank in one call, at its own index; the others reuse that table.
-        assert tables[0] is tables[1] is tables[2] == [costs[v] for v in all_strategies(space)]
+        assert tables[0] is tables[1] is tables[2]
+        assert tables[0].tolist() == [costs[v] for v in all_strategies(space)]
         assert predicted == [Grid(space.sizes, 3)]
 
     def test_refit_predicts_from_the_new_oracle(self):
@@ -410,12 +420,14 @@ class TestStrategize:
         rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
         backend = landscape_backend()
         state.baseline = backend.solve(2, state.strategy).metric
+        assert state.floor == 100.0
         learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=Trajectory())
+        assert (state.predictions, state.floor) == ({}, None)
         trajectory = Trajectory()
         rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
         refit = {v: predict(state.oracle, encode_features(SPACE2.codes(v), 2)) for v in all_strategies(SPACE2)}
         assert state.strategy == min(refit, key=refit.get)
-        assert trajectory.events[-1].cost == refit[state.strategy]
+        assert trajectory.events[-1].cost == refit[state.strategy] == state.floor
 
 
 class TestPredictionTable:
@@ -444,7 +456,7 @@ class TestPredictionTable:
         state = fresh_state(index + 1, space)
         state.oracle, state.index = oracle, index
         self.strategize(state)
-        assert isinstance(state.predictions, list)
+        assert isinstance(state.predictions, np.ndarray)
         return state.predictions
 
     def test_every_entry_equals_its_single_row_prediction_exactly(self):
@@ -459,7 +471,7 @@ class TestPredictionTable:
         for space, oracle, index, tied in cases:
             table = self.filled_table(space, oracle, index)
             assert len(table) == math.prod(space.sizes)
-            assert all(type(cost) is float for cost in table)
+            assert table.dtype == np.float64 and table.shape == (len(table),)
             single = [predict(oracle, encode_features(space.unrank(r), index)) for r in range(len(table))]
             assert [cost.hex() for cost in table] == [cost.hex() for cost in single]
             assert (len(set(table)) < len(table) / 2) == tied
@@ -481,7 +493,7 @@ class TestPredictionTable:
         self.strategize(state, samples=50)
         # No single-row call: the one call predicts every rank.
         assert calls == [Grid(space.sizes, 2)]
-        assert isinstance(state.predictions, list)
+        assert isinstance(state.predictions, np.ndarray)
         assert len(state.predictions) == math.prod(space.sizes)
         calls.clear()
         for index in (2, 3):
@@ -514,9 +526,115 @@ class TestPredictionTable:
             result = run(backend, policy, space=_small_space(), seed=seed, forest_config=ForestConfig(trees=5))
             trajectory = result.trajectory
             strategizes = trajectory.phase_events("strategize")
-            # More chains than oracles: some oracle served a second chain, from its table.
+            # More strategizes than oracles: some oracle served a second one, from its table.
             assert len(strategizes) > len(trajectory.phase_events("train"))
             assert all(type(event.cost) is float for event in strategizes)
+
+
+class TestSkippedChain:
+    """A strategize whose in-force strategy predicts its table's minimum runs no chain, and every
+    strategize picks what its full chain and the earliest strict minimum over its records pick."""
+
+    @staticmethod
+    def counted_chains(monkeypatch):
+        chains = []
+
+        def counting_chain(*args):
+            chains.append(args)
+            return run_chain(*args)
+
+        monkeypatch.setattr(engine, "run_chain", counting_chain)
+        return chains
+
+    @staticmethod
+    def reference_pick(space, table, start, samples, config):
+        """The reference chain's earliest strict minimum over the table, the start included."""
+        best, best_cost = start, table[rank_of(space, start)]
+        for strategy, cost, _ in reference_run_chain(
+            space, lambda v: table[rank_of(space, v)], start, samples - 1, config
+        ):
+            if cost < best_cost:
+                best, best_cost = strategy, cost
+        return best, best_cost
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chain_spaces,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=80),
+        st.floats(min_value=0.05, max_value=20.0),
+    )
+    def test_pick_equals_the_full_chain(self, space, data_seed, levels, start, index, seed, samples, beta):
+        # Integer costs in 0..levels at indices below ``index``: few levels leave many strategies tied
+        # at the minimum, so the in-force strategy often starts there, and a walk usually ends there.
+        rng = np.random.default_rng(data_seed)
+        n = math.prod(space.sizes)
+        data = Dataset(
+            DataPoint(encode_features(space.unrank(int(r)), int(i)), float(c))
+            for r, i, c in zip(rng.integers(n, size=30), rng.integers(1, index, size=30),
+                               rng.integers(levels + 1, size=30))
+        )
+        oracle = fit_forest(data, n_trees=int(rng.integers(1, 6)), max_depth=int(rng.integers(1, 6)), seed=seed)
+        state = fresh_state(index + 2, space)
+        state.oracle, state.strategy = oracle, decode(space, start % n)
+        policy = EpochPolicy(strategize_samples=samples)
+        with pytest.MonkeyPatch.context() as patch:
+            chains = self.counted_chains(patch)
+            for state.index in (index, index + 1):  # the first fills the table, the second reads it
+                table = [predict(oracle, encode_features(space.unrank(r), state.index)) for r in range(n)]
+                in_force = state.strategy
+                config = SamplerConfig(beta=beta, seed=engine._substream_seed(
+                    seed, engine._STRATEGIZE_STREAM, state.index))
+                expected = self.reference_pick(space, table, in_force, samples, config)
+                trajectory, walked = Trajectory(), len(chains)
+                rule_strategize(state, SamplerConfig(beta=beta), policy, seed=seed, trajectory=trajectory)
+                cost = trajectory.events[-1].cost
+                assert (state.strategy, cost) == expected and type(cost) is float
+                assert state.floor == min(table)
+                assert len(chains) - walked == (table[rank_of(space, in_force)] > min(table))
+
+    def test_a_table_with_an_inf_entry_still_walks(self, monkeypatch):
+        # The in-force strategy, rank 0, holds the finite minimum; rank 1, its one neighbor, predicts inf.
+        space = binary_space(1)
+        state = fresh_state(3, space)
+        state.oracle, state.index = hand_forest(2, (0, 0.5, 0.25, math.inf)), 2
+        chains = self.counted_chains(monkeypatch)
+        trajectory = Trajectory()
+        with pytest.raises(CostFunctionError, match="non-finite cost inf"):
+            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=2), trajectory=trajectory)
+        assert state.predictions.tolist() == [0.25, math.inf] and state.floor is None
+        assert len(chains) == 1
+        assert state.strategy == default_strategy(space) and len(trajectory) == 0
+
+    def test_a_space_above_the_cap_still_walks(self, monkeypatch):
+        space = binary_space(5)
+        state = fresh_state(4, space)
+        state.oracle = hand_forest(6, 1.0)  # every strategy predicts 1.0, so the in-force one is at the minimum
+        monkeypatch.setattr(engine, "TABLE_CAP", 31)
+        chains = self.counted_chains(monkeypatch)
+        for state.index in (2, 3):
+            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=40), trajectory=Trajectory())
+        assert len(chains) == 2 and state.floor is None
+        assert isinstance(state.predictions, dict) and len(state.predictions) > 1
+        assert state.strategy == default_strategy(space)
+
+    def test_a_single_sample_walks_no_chain(self, monkeypatch):
+        space = binary_space(2)
+        costs = [4.0, 3.0, 2.0, 1.0]  # by rank, the last code fastest
+        oracle = hand_forest(3, (0, 0.5, (1, 0.5, 4.0, 3.0), (1, 0.5, 2.0, 1.0)))
+        chains = self.counted_chains(monkeypatch)
+        for start in (0, 3):  # at the table's maximum, then at its minimum
+            state = fresh_state(3, space)
+            state.oracle, state.index, state.strategy = oracle, 2, decode(space, start)
+            trajectory = Trajectory()
+            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=1), trajectory=trajectory)
+            assert state.predictions.tolist() == costs
+            assert (state.strategy, trajectory.events[-1].cost) == (decode(space, start), costs[start])
+        assert chains == []
 
 
 class TestRun:

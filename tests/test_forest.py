@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import bootstrap_rows, joined, node_records, reference_records, reference_trees
+from helpers import bootstrap_rows, hand_forest, joined, node_records, reference_records, reference_trees
 from stratlearn.forest import (
     DataPoint,
     Dataset,
@@ -129,30 +129,6 @@ def sequential_mean(values):
     for v in values[1:]:
         total += v
     return values[0] if all(v == values[0] for v in values) else total / len(values)
-
-
-def hand_forest(width, *trees):
-    """A forest of hand-written trees: a leaf is its value, a split ``(feature, threshold, left, right)``."""
-    feature, threshold, left, value, pending, depth = [], [], [], [], [], 0
-
-    def add(tree, level):
-        node = len(value)
-        feature.append(-1), threshold.append(np.nan), left.append(node), value.append(0.0)
-        pending.append((node, tree, level))
-
-    for tree in trees:
-        add(tree, 0)
-    while pending:
-        node, tree, level = pending.pop(0)
-        if isinstance(tree, tuple):
-            feature[node], threshold[node], left[node] = tree[0], tree[1], len(value)
-            add(tree[2], level + 1)
-            add(tree[3], level + 1)
-            depth = max(depth, level + 1)
-        else:
-            value[node] = tree
-    return RandomForest(np.array(feature), np.array(threshold), np.array(left), np.array(value),
-                        np.arange(len(trees)), depth, width, depth, 0.0)
 
 
 XOR_DATA = make_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 1.0, 1.0, 0.0])
@@ -343,7 +319,7 @@ class TestOnePredictor:
                 rows = [(*codes, index) for codes in itertools.product(*(range(n) for n in sizes))]
                 walk = forest.predict(np.array(rows, dtype=float).reshape(len(rows), width))
                 grid = predict(forest, Grid(sizes, index))
-                assert [type(v) for v in grid] == [float] * len(rows)
+                assert type(grid) is np.ndarray and grid.dtype == np.float64 and grid.shape == (len(rows),)
                 assert [v.hex() for v in grid] == [float(v).hex() for v in walk]
 
     def test_grid_boxes_at_the_edges_equal_the_walk_bit_for_bit(self):

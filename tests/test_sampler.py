@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_strategies,
     binary_space,
+    chain_spaces,
     decode,
     rank_of,
     reference_neighbors,
@@ -260,16 +261,6 @@ class TestDraws:
         integers, _ = _draws(0)
         with pytest.raises(ValueError):
             integers(n)
-
-
-# 1-4 parameters of 2-4 values each; binary_space(1) has a single neighbor, so its
-# chains draw integers(1), which must consume no word.
-chain_spaces = st.one_of(
-    st.just(binary_space(1)),
-    st.lists(st.integers(2, 4), min_size=1, max_size=4).map(
-        lambda sizes: space_from([(f"p{i}", "0", tuple(map(str, range(1, k)))) for i, k in enumerate(sizes)])
-    ),
-)
 
 
 class TestChainAgainstReference:
