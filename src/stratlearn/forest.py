@@ -6,8 +6,10 @@ squared error of its children.  A feature's codes are its distinct values
 in ascending order, so per-(leaf, code) histograms of count, sum and sum of
 squares hold every cut exactly: the "hist" split search of LightGBM and
 XGBoost, one bin per value.  Bins sum in sample order, and a cut's left
-side sums the bins up to it in code order.  Cuts lie between two codes
-present in the leaf, at the midpoint of their values.  Ties go to the first
+side sums the bins up to it in code order.  A level's pass over each
+feature's rows builds its histograms only; one pass over all of them then
+picks every leaf's cut and feature.  Cuts lie between two codes present
+in the leaf, at the midpoint of their values.  Ties go to the first
 minimum over cuts (the lowest threshold), then to the lowest feature id, so
 each tree is bit for bit what a node-at-a-time grower with these sums
 builds, whatever grows beside it.  A node with a legal split always splits,
@@ -39,6 +41,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .sampler import _integers
 
 _TREE_STREAM = 7  # label for per-tree seed substreams
 _MIN_SPLIT = 2
@@ -196,23 +200,31 @@ class _ForestGrower:
     Data row ``rows[i]`` lies in live leaf ``leaf[i]``, node ``live[leaf[i]]``.
     The rows are the trees' samples end to end, each in draw order, less those
     in leaves that split no further.  All trees' nodes share one set of arrays
-    in order of creation, tree t's root first as node t.
+    in order of creation, tree t's root first as node t.  A level bins the
+    rows feature by feature, then chooses every leaf's split in one pass.
     """
 
     def __init__(self, data: Dataset, n_trees: int, seed: int, bootstrap: bool):
-        """Depth-0 trees, each on a bootstrap resample from its own labeled substream of ``seed``."""
+        """Depth-0 trees, each on a bootstrap resample from its own labeled substream of ``seed``,
+        decoded from raw PCG64 output as ``Generator.integers`` draws it."""
         if n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         X, self.y = data.to_arrays()
         n = self.y.shape[0]
-        self.rows = np.concatenate([
-            np.random.default_rng(np.random.SeedSequence([seed, _TREE_STREAM, t])).integers(0, n, size=n)
-            if bootstrap else np.arange(n)
-            for t in range(n_trees)
-        ])
+        streams = [(seed, _TREE_STREAM, t) for t in range(n_trees)]
+        self.rows = (_integers(n, n, streams) if bootstrap else np.tile(np.arange(n), (n_trees, 1))).reshape(-1)
         # Codes index each column's distinct values, ascending; np.unique would import numpy.ma (1 MB).
-        self.values = [np.array(sorted(set(column.tolist()))) for column in X.T]
-        self.codes = np.reshape([np.searchsorted(v, column) for v, column in zip(self.values, X.T)], X.T.shape)
+        values = [np.array(sorted(set(column.tolist()))) for column in X.T]
+        self.codes = np.reshape([np.searchsorted(v, column) for v, column in zip(values, X.T)], X.T.shape)
+        # A level's histograms lie side by side, a column per (feature, code): column c holds
+        # code position[c] of feature owner[c], of value values[c]; the feature's last is ends[c].
+        self.widths = np.array([v.shape[0] for v in values], dtype=np.intp)
+        self.starts, self.values = np.cumsum(self.widths) - self.widths, np.concatenate([[], *values])
+        self.owner = np.repeat(np.arange(self.widths.shape[0]), self.widths)
+        self.position = np.arange(self.owner.shape[0]) - self.starts[self.owner]
+        self.ends = (self.starts + self.widths - 1)[self.owner]
+        # The columns at each position p >= 1, which step p of a cumulative sum adds to.
+        self.shifts = [np.flatnonzero(self.position == p) for p in range(1, self.widths.max(initial=0))]
         self.feature, self.left = np.zeros((2, 0), dtype=np.intp)
         self.threshold, self.value = np.zeros((2, 0))
         self.roots, self.levels = np.arange(n_trees), 0
@@ -234,44 +246,47 @@ class _ForestGrower:
                 (np.full(n, -1), np.full(n, np.nan), ids, value),
             )
         )
-        live = (count >= _MIN_SPLIT) & (low < high)
+        live = (count >= _MIN_SPLIT) & (low < high) & (self.widths.shape[0] > 0)  # argmin needs a feature
         keep = live[leaf]
         self.live, self.rows, self.leaf = ids[live], rows[keep], (np.cumsum(live) - 1)[leaf[keep]]
 
     def grow_level(self) -> None:
         """Split every live leaf at its best (feature, threshold), one level deeper."""
         rows, leaf, n_leaves = self.rows, self.leaf, self.live.shape[0]
-        y, y_sq = self.y[rows], self.y[rows] ** 2
-        best, threshold, at = np.full(n_leaves, np.inf), np.zeros(n_leaves), np.arange(n_leaves)
-        feature, cut = np.zeros((2, n_leaves), dtype=np.intp)
-        for f, (codes, values) in enumerate(zip(self.codes, self.values)):
-            width = values.shape[0]
-            # (leaf, code) histograms in sample order, summed over codes; cut j sends codes <= j left.
+        y = self.y[rows]
+        y_sq = y**2
+        # (leaf, code) histograms of count, sum and square sum in sample order, feature by feature.
+        hist = np.empty((3, n_leaves, self.owner.shape[0]))
+        for codes, start, width in zip(self.codes, self.starts.tolist(), self.widths.tolist()):
             key = leaf * width + codes[rows]
-            n_left, sum_left, sq_left = (
-                np.cumsum(np.bincount(key, w, n_leaves * width).reshape(n_leaves, width), axis=1)
-                for w in (None, y, y_sq)
-            )
-            n_right = n_left[:, -1:] - n_left
-            sse = (sq_left - sum_left**2 / np.maximum(n_left, 1.0)) + (
-                sq_left[:, -1:] - sq_left - (sum_left[:, -1:] - sum_left) ** 2 / np.maximum(n_right, 1.0)
-            )
-            # A cut leaves rows on both sides.  One at a code absent from the leaf repeats the
-            # cut at the code below exactly, so the first minimum lies between present codes.
-            sse[(n_left == 0) | (n_right == 0)] = np.inf
-            j = np.argmin(sse, axis=1)
-            low = sse[at, j]
-            # First minimum over cuts; a later feature must be strictly lower.
-            take = low < best
-            # The midpoint to the next code present, the first whose cumulative count is higher.
-            above = np.argmax(n_left > n_left[at, j][:, None], axis=1)
-            best[take], feature[take], cut[take] = low[take], f, j[take]
-            threshold[take] = (values[j[take]] + values[above[take]]) / 2.0
+            for stat, w in enumerate((None, y, y_sq)):
+                hist[stat, :, start : start + width] = np.bincount(key, w, n_leaves * width).reshape(n_leaves, width)
+        # Then all at once, summed over codes in np.cumsum's order; cut j sends codes <= j left.
+        for cols in self.shifts:
+            hist[:, :, cols] += hist[:, :, cols - 1]
+        right = hist[:, :, self.ends]  # each feature's totals, less the left of each cut
+        right -= hist
+        (n_left, sum_left, sq_left), (n_right, sum_right, sq_right) = hist, right
+        sse = (sq_left - sum_left**2 / np.maximum(n_left, 1.0)) + (sq_right - sum_right**2 / np.maximum(n_right, 1.0))
+        # A cut leaves rows on both sides.  One at a code absent from the leaf repeats the
+        # cut at the code below exactly, so the first minimum lies between present codes.
+        sse[(n_left == 0) | (n_right == 0)] = np.inf
+        # Each feature's first minimum over cuts, NaN if any cut's SSE is NaN; then the first
+        # feature at the lowest of them, where a NaN never wins.
+        low = np.minimum.reduceat(sse, self.starts, axis=1)
+        at_low = np.where(sse == low[:, self.owner], self.position, self.owner.shape[0])
+        first = np.minimum.reduceat(at_low, self.starts, axis=1)
+        low[np.isnan(low)] = np.inf
+        feature, found = np.argmin(low, axis=1), low.min(axis=1) < np.inf
 
         # Leaves without a legal cut stop growing; with none left, every tree is fully grown.
-        found = best < np.inf
-        parents, feature, cut = self.live[found], feature[found], cut[found]
-        self.feature[parents], self.threshold[parents] = feature, threshold[found]
+        parents, feature = self.live[found], feature[found]
+        cut, n_left = first[found, feature], n_left[found]
+        # The midpoint to the next code present, the first whose cumulative count is higher.
+        column = self.starts[feature] + cut
+        higher = n_left > n_left[np.arange(parents.shape[0]), column][:, None]
+        above = np.argmax(higher & (self.owner == feature[:, None]), axis=1)
+        self.feature[parents], self.threshold[parents] = feature, (self.values[column] + self.values[above]) / 2.0
         self.left[parents] = np.arange(self.value.shape[0], self.value.shape[0] + 2 * parents.shape[0], 2)
         # A tree that splits at this level split at every level before it.
         self.levels += parents.shape[0] > 0

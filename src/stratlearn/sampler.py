@@ -8,7 +8,9 @@ neighbor graph is regular and the kernel exactly symmetric: the chain's
 stationary distribution is proportional to exp(-beta * cost).
 
 A chain draws ``default_rng(SeedSequence([seed]))``'s exact stream, decoded in
-plain Python from blocks of the same PCG64's raw output (see ``_draws``).
+plain Python from blocks of the same PCG64's raw output (see ``_draws``).  A
+forest's bootstrap rows are ``Generator.integers``'s, decoded in arrays (see
+``_integers``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +73,41 @@ def acceptance_probability(cost_current: float, cost_proposed: float, beta: floa
 _BLOCK = 256  # raw PCG64 outputs decoded per refill
 
 
+def _bit_generator(*entropy: int) -> np.random.PCG64:
+    """The PCG64 under ``default_rng(SeedSequence(entropy))``, whose raw output the draws here decode."""
+    return np.random.PCG64(np.random.SeedSequence(entropy))
+
+
+def _integers(n: int, size: int, streams: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row s is ``default_rng(SeedSequence(streams[s])).integers(0, n, size=size)``, bit for bit.
+
+    As numpy fills an array: each raw output gives two 32-bit words, its low
+    half first, and Lemire's method maps a word to ``range(n)`` unless it falls
+    in the rejection zone, masked out here.  ``n = 1`` draws nothing; ``n >=
+    2**32`` is rejected.
+    """
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"integers({n}) needs 1 <= n < 2**32")
+    if n == 1:
+        return np.zeros((len(streams), size), dtype=np.intp)
+    threshold, bitgens = ((1 << 32) - n) % n, [_bit_generator(*entropy) for entropy in streams]
+
+    def decode(sources: list[np.random.PCG64]) -> tuple[np.ndarray, np.ndarray]:
+        """The next words' draws of each bit generator, and which words are accepted."""
+        words = np.stack([bitgen.random_raw(size // 2 + 1) for bitgen in sources]).astype("<u8", copy=False)
+        products = np.multiply(words.view("<u4"), n, dtype=np.uint64)
+        return (products >> 32).astype(np.intp), (products & 0xFFFFFFFF) >= threshold
+
+    draws, accepted = decode(bitgens)
+    for s in np.flatnonzero(~accepted[:, :size].all(axis=1)):  # a word in the rejection zone
+        kept = draws[s, accepted[s]]
+        while kept.shape[0] < size:
+            more, ok = decode([bitgens[s]])
+            kept = np.concatenate([kept, more[0, ok[0]]])
+        draws[s, :size] = kept[:size]
+    return draws[:, :size]
+
+
 def _draws(seed: int) -> tuple[Callable[[int], int], Callable[[], float]]:
     """``integers(n)`` and ``random()`` of ``default_rng(SeedSequence([seed]))``, bit for bit.
 
@@ -80,7 +117,7 @@ def _draws(seed: int) -> tuple[Callable[[int], int], Callable[[], float]]:
     neither uses nor clears it.  Lemire's method maps a word to ``range(n)``,
     drawing again in its rejection zone.  ``n >= 2**32`` is rejected.
     """
-    bitgen = np.random.PCG64(np.random.SeedSequence([seed]))
+    bitgen = _bit_generator(seed)
     raw = itertools.chain.from_iterable(iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None))
     kept = None
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bootstrap_rows, hand_forest, joined, node_records, reference_records, reference_trees
 from stratlearn.forest import (
@@ -131,6 +133,19 @@ def sequential_mean(values):
     return values[0] if all(v == values[0] for v in values) else total / len(values)
 
 
+@st.composite
+def mixed_width_data(draw):
+    """Rows of 0-5 columns of widths 1, 2, 3, 4, 8 or 30 mixed, and tied or lognormal targets."""
+    widths = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 30]), max_size=5))
+    n = draw(st.integers(1, 60))
+    columns = [draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n)) for w in widths]
+    if draw(st.booleans()):
+        y = draw(st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3]), min_size=n, max_size=n))
+    else:
+        y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).lognormal(size=n).tolist()
+    return list(zip(*columns)) if columns else [()] * n, y
+
+
 XOR_DATA = make_dataset([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0, 1.0, 1.0, 0.0])
 
 
@@ -204,6 +219,24 @@ class TestLevelWiseGrowth:
                     assert tree_records(forest, data, case, bootstrap) == [
                         reference_records(root) for root in expected
                     ]
+
+    @settings(max_examples=250, deadline=2000)
+    @given(mixed_width_data(), st.integers(1, 5), st.integers(0, 6), st.booleans(), st.integers(0, 2**32))
+    def test_mixed_widths_equal_the_reference(self, rows_and_targets, n_trees, depth, bootstrap, seed):
+        # Every leaf's cut and feature come from one table of all features' histograms;
+        # ties must still go to the first cut, then to the first feature.
+        data = Dataset(DataPoint(row, target) for row, target in zip(*rows_and_targets))
+        forest = fit_forest(data, n_trees=n_trees, max_depth=depth, seed=seed, bootstrap=bootstrap)
+        expected = reference_trees(data, n_trees, depth, seed=seed, bootstrap=bootstrap)
+        assert tree_records(forest, data, seed, bootstrap) == [reference_records(root) for root in expected]
+
+    def test_overflowing_squares_keep_a_leaf(self):
+        # Squares of about 1e154 sum to inf, so every cut's SSE is NaN and none may win,
+        # although feature 0 separates the targets.  The reference would split on NaN.
+        data = make_dataset([(i // 3, i) for i in range(6)], [3e153] * 3 + [1e154] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            forest = fit_forest(data, n_trees=2, max_depth=3, bootstrap=False)
+        assert forest.levels == 0 and (forest.feature == -1).all()
 
     def test_every_split_is_a_best_legal_cut_in_exact_arithmetic(self):
         """Independent of summation order: each split is a legal cut whose exact SSE is

@@ -12,16 +12,24 @@ against ``"virtual"`` or ``"wall"``; such a comparison would be a second
 clock picking a unit.  Nor does any function in the package but its methods
 name the ``time`` module: a reading taken elsewhere would be a second clock
 timing a phase, and the compute before it would be charged to no event.
+Finally no module in the package calls a ``Generator`` method: NumPy keeps
+no stream of a ``Generator`` method stable across releases, so every draw
+is decoded from a bit generator's raw output, and a run stays a function
+of its seed and its source.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratlearn"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stratlearn"
 ENGINE = PACKAGE / "engine.py"
 PROBLEM_COUNTS = {"num_problems", "n"}
 ADMISSION_INPUTS = {"learning_budget", "samples_per_epoch"}
 CLOCK_MODES = {"virtual", "wall"}
+GENERATOR_METHODS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
 
 
 def engine_function(name: str) -> ast.FunctionDef:
@@ -165,3 +173,22 @@ def test_only_the_trajectory_reads_the_time_module():
 def test_the_scan_sees_the_clock_read():
     # Guards the guard: the trajectory times each event, so the scan must flag its record method.
     assert "engine.Trajectory.record" in clock_reads()
+
+
+def generator_calls(path: Path) -> list[int]:
+    """Line numbers in a module of calls to an attribute named like a ``Generator`` method, or of ``default_rng``."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in GENERATOR_METHODS | {"default_rng"}
+    })
+
+
+def test_no_module_calls_a_generator_method():
+    assert {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := generator_calls(path))} == {}
+
+
+def test_the_scan_sees_a_generator_call():
+    # Guards the guard: the benchmark still permutes its options with Generator.permutation.
+    assert generator_calls(ROOT / "bench" / "workloads.py")

@@ -24,6 +24,7 @@ from stratlearn.sampler import (
     CostFunctionError,
     SamplerConfig,
     _draws,
+    _integers,
     acceptance_probability,
     run_chain,
 )
@@ -261,6 +262,34 @@ class TestDraws:
         integers, _ = _draws(0)
         with pytest.raises(ValueError):
             integers(n)
+
+
+class TestIntegers:
+    """``_integers`` gives ``default_rng(SeedSequence(stream)).integers(0, n, size)`` draw for draw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 700, 5000])
+    def test_bootstrap_rows_equal_the_generator(self, n):
+        # At n = 5000, streams (6, 7, 17), (63, 7, 0) and (77, 7, 17) each reject one of their first 5000 words.
+        for seed in range(200):
+            streams = [(seed, 7, 0), (seed, 7, 17)]
+            drawn = _integers(n, n, streams)
+            for stream, row in zip(streams, drawn):
+                expected = np.random.default_rng(np.random.SeedSequence(stream)).integers(0, n, size=n)
+                assert row.dtype == expected.dtype and row.tolist() == expected.tolist()
+
+    # About half of all words fall in the rejection zone at 2**31 + 11, so a row needs
+    # several rounds of draws; at 2**31 none does.
+    @pytest.mark.parametrize("n", [2**31, 2**31 + 11, 3 * 2**30, 2**32 - 1])
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 1000])
+    def test_rejections_draw_on(self, n, size):
+        streams = [(seed,) for seed in range(5)]
+        for stream, row in zip(streams, _integers(n, size, streams)):
+            assert row.tolist() == np.random.default_rng(np.random.SeedSequence(stream)).integers(0, n, size=size).tolist()
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
+    def test_rejects_a_range_outside_32_bits(self, n):
+        with pytest.raises(ValueError):
+            _integers(n, 3, [(0,)])
 
 
 class TestChainAgainstReference:
