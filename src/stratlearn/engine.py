@@ -186,8 +186,9 @@ class EngineState:
     """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a float64
     array of every rank's from the oracle's first strategize on, or a dict of those met if over
     ``TABLE_CAP`` strategies (see rule_strategize); ``{}`` before that strategize.  ``floor`` is the
-    array's minimum, kept only when every entry is finite: a strategize whose in-force strategy predicts
-    it skips its chain, since no candidate can be strictly cheaper.  A refit resets both."""
+    array's minimum, kept only when every entry is finite: no candidate can be strictly cheaper, so a
+    strategize whose in-force strategy predicts it skips its chain, and any other's chain ends at its
+    first record there.  A refit resets both."""
 
     space: StrategySpace
     num_problems: int
@@ -245,8 +246,8 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float, traj
     the trajectory clock's unit.  A collection call is charged up to
     ``ABORT_MULTIPLIER`` times the baseline, so an admitted epoch can overrun
     the budget (ROADMAP.md item 11).  On the wall clock the estimate also
-    leaves out the epoch's compute (chain steps, append and fit): with a fast
-    solver on ``kissat_small``, epochs took 3 to 22 times their estimate.
+    leaves out the epoch's compute (chain steps, append and fit), so with a
+    fast solver an epoch takes many times its estimate (the same item).
     """
     if not policy.learning_budget > 0:
         return False
@@ -385,15 +386,18 @@ def rule_strategize(
 
     Candidates are the current strategy plus a chain of ``strategize_samples - 1``
     steps over the oracle's predictions; ties keep the earliest candidate, so a
-    constant oracle never moves the strategy.  Only a candidate strictly below
-    the current strategy's prediction can win, so when that prediction is the
-    table's minimum (``state.floor``, kept only for an all-finite table) the
-    chain is skipped: the current strategy is what it would pick.  A table
-    with a non-finite entry still walks, and a chain that meets the entry
-    still raises ``CostFunctionError``; a lazy dict has no known minimum.
+    constant oracle never moves the strategy, and a pick of the current strategy
+    keeps ``state.strategy`` as it is.  Only a candidate strictly below the
+    best so far can win, so none can after one at the table's minimum
+    (``state.floor``, kept only for an all-finite table): the chain is skipped
+    when the current strategy predicts it, and otherwise ends at its first
+    record there (``run_chain``'s ``stop``).  A table with a non-finite entry,
+    or a lazy dict, has no known minimum, so its chain walks every step, and
+    one that meets a non-finite entry raises ``CostFunctionError``.
 
     Guard: a trained oracle whose index thresholds all lie strictly below the
-    index, else InapplicableRuleError with nothing changed.  A tree reads the
+    index (its ``index_bound``, computed once per oracle), else
+    InapplicableRuleError with nothing changed.  A tree reads the
     index only in tests ``index > t``, which then all go right, so
     ``state.predictions`` is one exact table per oracle, keyed by rank: the
     oracle's first strategize fills it with one ``predict`` of every
@@ -405,7 +409,7 @@ def rule_strategize(
     """
     _require_live(state)
     oracle, index, space, memo = state.oracle, state.index, state.space, state.predictions
-    if oracle is None or not (oracle.threshold[oracle.feature == oracle.feature_width - 1] < index).all():
+    if oracle is None or not oracle.index_bound < index:
         raise InapplicableRuleError(
             f"strategize at index {index} needs a trained oracle with every index threshold below it"
         )
@@ -422,17 +426,22 @@ def rule_strategize(
                 memo[rank] = predict(oracle, encode_features(space.unrank(rank), index))
             return memo[rank]
 
-    best = space.rank(space.codes(state.strategy))
+    in_force = best = space.rank(space.codes(state.strategy))
     best_cost = predicted_cost(best)
-    if policy.strategize_samples > 1 and (state.floor is None or best_cost > state.floor):
+    floor = state.floor
+    if policy.strategize_samples > 1 and (floor is None or best_cost > floor):
         chain_config = dataclasses.replace(
             sampler_config, seed=_substream_seed(seed, _STRATEGIZE_STREAM, index)
         )
-        chain = run_chain(space, predicted_cost, state.strategy, policy.strategize_samples - 1, chain_config)
+        chain = run_chain(
+            space, predicted_cost, state.strategy, policy.strategize_samples - 1, chain_config,
+            stop=-math.inf if floor is None else floor,
+        )
         for record in chain:
             if record.cost < best_cost:
                 best, best_cost = record.rank, record.cost
-    state.strategy = space.strategy(space.unrank(best))
+    if best != in_force:
+        state.strategy = space.strategy(space.unrank(best))
     trajectory.record("strategize", index, state.strategy, cost=best_cost)
     return state
 

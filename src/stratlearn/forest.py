@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -126,6 +127,12 @@ class RandomForest:
     feature_width: int
     trained_depth: int
     training_score: float
+
+    @cached_property
+    def index_bound(self) -> float:
+        """The largest threshold a node tests the index (the last feature) at, -inf if none: every tree
+        reads all indices above it alike.  Kept from the first read, so the node arrays must not change."""
+        return self.threshold[self.feature == self.feature_width - 1].max(initial=-math.inf).item()
 
     def predict(self, X: np.ndarray | Sequence[float] | Grid) -> np.ndarray:
         """Mean over the trees for each row of ``X``, for ``X`` itself if it is one row, or for each row of a Grid."""

@@ -150,18 +150,22 @@ def run_chain(
     start: Strategy,
     n_samples: int,
     config: SamplerConfig,
+    *,
+    stop: float = -math.inf,
 ) -> list[ChainRecord]:
-    """Draw ``n_samples`` chain states starting from ``start``.
+    """Draw ``n_samples`` chain states starting from ``start``, or fewer: the chain ends after its first
+    record whose cost is at or below ``stop``, so the records are a prefix of the unstopped chain's.
 
     ``start`` is encoded, and so validated, once; from then on the chain walks
     ranks, and ``cost_fn`` receives ranks.  Each step draws a neighbor index,
     moves the rank to that one neighbor, evaluates its cost, and accepts or
     rejects; the recorded sample is the post-step state, so consecutive
-    records are either equal or one parameter apart.  Every proposal is
-    evaluated, revisits included; a caller whose costs are dear memoizes
-    them.  A failing or non-finite cost raises ``CostFunctionError`` with the
-    decoded strategy.  The chain is fully deterministic given the config seed:
-    its draws are ``default_rng(SeedSequence([seed]))``'s, from raw blocks.
+    records are either equal or one parameter apart.  Until the stop, every
+    proposal is evaluated, revisits included; a caller whose costs are dear
+    memoizes them.  A failing or non-finite cost raises ``CostFunctionError``
+    with the decoded strategy.  The chain is fully deterministic given the
+    config seed: its draws are ``default_rng(SeedSequence([seed]))``'s, from
+    raw blocks.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -191,4 +195,6 @@ def run_chain(
         if accepted:
             current, cost_current = proposal, cost_proposal
         records.append(ChainRecord(current, cost_current, accepted))
+        if cost_current <= stop:
+            break
     return records

@@ -1,6 +1,7 @@
 """Transition rules, epoch policy, strategize, and full runs."""
 
 import dataclasses
+import functools
 import hashlib
 import logging
 import math
@@ -52,7 +53,7 @@ from stratlearn.engine import (
     should_learn,
     summarize,
 )
-from stratlearn.forest import DataPoint, Dataset, Grid, fit_forest, predict
+from stratlearn.forest import DataPoint, Dataset, Grid, RandomForest, fit_forest, predict
 from stratlearn.sampler import CostFunctionError, SamplerConfig, run_chain
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
@@ -385,6 +386,49 @@ class TestStrategize:
             assert state.predictions is table
             assert (state.strategy, table.tolist(), state.floor, trajectory.events) == before
 
+    def test_the_index_guard_is_read_once_per_oracle(self, monkeypatch):
+        bound, reads = RandomForest.index_bound.func, []
+        counted = functools.cached_property(lambda forest: reads.append(forest) or bound(forest))
+        counted.__set_name__(RandomForest, "index_bound")
+        monkeypatch.setattr(RandomForest, "index_bound", counted)
+        state = fresh_state(6)
+        policy = EpochPolicy(strategize_samples=50)
+        oracles = [self.index_split_oracle(SPACE2) for _ in range(2)]
+        for oracle in oracles:  # a refit: a new oracle, and its own guard
+            state.oracle, state.predictions, state.floor = oracle, {}, None
+            for state.index in (3, 1, 5, 2, 4):
+                if state.index <= 2:
+                    with pytest.raises(InapplicableRuleError, match="index threshold"):
+                        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+                else:
+                    rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+            assert oracle.index_bound == 2.0
+        assert reads == oracles
+
+    def test_a_forest_without_an_index_split_is_admitted_at_index_1(self):
+        state = fresh_state(3)
+        state.oracle = hand_forest(3, (0, 0.5, 2.0, 1.0))  # p0's alternative, code 1, is cheaper
+        assert state.oracle.index_bound == -math.inf
+        trajectory = Trajectory()
+        rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=50), trajectory=trajectory)
+        assert state.strategy.assignments[0] == "0" and trajectory.events[-1].cost == 1.0
+
+    def test_a_pick_of_the_in_force_rank_keeps_the_very_strategy(self):
+        costs = {("1", "1"): 3.0, ("1", "0"): 2.0, ("0", "1"): 1.5, ("0", "0"): 0.25}
+        oracle = self.oracle_from_costs(SPACE2, costs, 2)
+        # At the table's minimum (no chain), a single sample (no chain), and a chain that moves.
+        for start, samples, kept in ((("0", "0"), 100, True), (("1", "1"), 1, True), (("1", "0"), 100, False)):
+            state = fresh_state(4)
+            state.index, state.oracle, state.strategy = 2, oracle, Strategy(start)
+            before, trajectory = state.strategy, Trajectory()
+            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=samples),
+                            trajectory=trajectory)
+            assert (state.strategy is before) == kept == (state.strategy == before)
+            picked = state.strategy.assignments
+            assert trajectory.events == [
+                engine.TrajectoryEvent("strategize", 2, picked, None, None, costs[picked], 0.0, 0.0)
+            ]
+
     def test_indices_above_every_threshold_share_one_table(self, monkeypatch):
         space = binary_space(5)
         state = fresh_state(6, space)
@@ -532,33 +576,36 @@ class TestPredictionTable:
 
 
 class TestSkippedChain:
-    """A strategize whose in-force strategy predicts its table's minimum runs no chain, and every
-    strategize picks what its full chain and the earliest strict minimum over its records pick."""
+    """A strategize whose in-force strategy predicts its table's minimum runs no chain, one that walks
+    with a known minimum stops at its first record there, and every strategize picks what its full
+    chain and the earliest strict minimum over its records pick."""
 
     @staticmethod
     def counted_chains(monkeypatch):
+        """Each chain engine.run_chain walks, as (its records, the ranks it evaluated, its keywords)."""
         chains = []
 
-        def counting_chain(*args):
-            chains.append(args)
-            return run_chain(*args)
+        def counting_chain(space, cost_fn, *args, **kwargs):
+            records, evaluated = [], []
+            chains.append((records, evaluated, kwargs))  # before the walk, which may raise
+            records += run_chain(space, lambda rank: evaluated.append(rank) or cost_fn(rank), *args, **kwargs)
+            return records
 
         monkeypatch.setattr(engine, "run_chain", counting_chain)
         return chains
 
     @staticmethod
-    def reference_pick(space, table, start, samples, config):
-        """The reference chain's earliest strict minimum over the table, the start included."""
+    def reference_chain(space, table, start, samples, config):
+        """The reference chain's records over the table, and their earliest strict minimum, the start included."""
+        records = reference_run_chain(space, lambda v: table[rank_of(space, v)], start, samples - 1, config)
         best, best_cost = start, table[rank_of(space, start)]
-        for strategy, cost, _ in reference_run_chain(
-            space, lambda v: table[rank_of(space, v)], start, samples - 1, config
-        ):
+        for strategy, cost, _ in records:
             if cost < best_cost:
                 best, best_cost = strategy, cost
-        return best, best_cost
+        return records, (best, best_cost)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
+    # A fitted forest's cases: space, data seed, cost levels, start, index, seed, samples and beta.
+    fitted_cases = (
         chain_spaces,
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=4),
@@ -568,9 +615,15 @@ class TestSkippedChain:
         st.integers(min_value=2, max_value=80),
         st.floats(min_value=0.05, max_value=20.0),
     )
-    def test_pick_equals_the_full_chain(self, space, data_seed, levels, start, index, seed, samples, beta):
-        # Integer costs in 0..levels at indices below ``index``: few levels leave many strategies tied
-        # at the minimum, so the in-force strategy often starts there, and a walk usually ends there.
+
+    def strategize_twice(self, space, data_seed, levels, start, index, seed, samples, beta):
+        """Strategize at ``index``, which fills the table, then at ``index + 1``, which reads it.  For each,
+        the table, the in-force strategy, the reference chain and pick, the strategy and floor after it,
+        its event and the chains it walked.
+
+        The oracle is fitted on integer costs in 0..levels at indices below ``index``: few levels leave
+        many strategies tied at the minimum, so the in-force strategy often starts there, and a walk
+        usually reaches it."""
         rng = np.random.default_rng(data_seed)
         n = math.prod(space.sizes)
         data = Dataset(
@@ -578,24 +631,46 @@ class TestSkippedChain:
             for r, i, c in zip(rng.integers(n, size=30), rng.integers(1, index, size=30),
                                rng.integers(levels + 1, size=30))
         )
-        oracle = fit_forest(data, n_trees=int(rng.integers(1, 6)), max_depth=int(rng.integers(1, 6)), seed=seed)
         state = fresh_state(index + 2, space)
-        state.oracle, state.strategy = oracle, decode(space, start % n)
-        policy = EpochPolicy(strategize_samples=samples)
+        state.oracle = fit_forest(data, n_trees=int(rng.integers(1, 6)), max_depth=int(rng.integers(1, 6)), seed=seed)
+        state.strategy = decode(space, start % n)
+        steps = []
         with pytest.MonkeyPatch.context() as patch:
             chains = self.counted_chains(patch)
-            for state.index in (index, index + 1):  # the first fills the table, the second reads it
-                table = [predict(oracle, encode_features(space.unrank(r), state.index)) for r in range(n)]
-                in_force = state.strategy
+            for state.index in (index, index + 1):
+                table = [predict(state.oracle, encode_features(space.unrank(r), state.index)) for r in range(n)]
                 config = SamplerConfig(beta=beta, seed=engine._substream_seed(
                     seed, engine._STRATEGIZE_STREAM, state.index))
-                expected = self.reference_pick(space, table, in_force, samples, config)
-                trajectory, walked = Trajectory(), len(chains)
-                rule_strategize(state, SamplerConfig(beta=beta), policy, seed=seed, trajectory=trajectory)
-                cost = trajectory.events[-1].cost
-                assert (state.strategy, cost) == expected and type(cost) is float
-                assert state.floor == min(table)
-                assert len(chains) - walked == (table[rank_of(space, in_force)] > min(table))
+                full, expected = self.reference_chain(space, table, state.strategy, samples, config)
+                in_force, trajectory, walked = state.strategy, Trajectory(), len(chains)
+                rule_strategize(state, SamplerConfig(beta=beta), EpochPolicy(strategize_samples=samples),
+                                seed=seed, trajectory=trajectory)
+                steps.append((table, in_force, full, expected, state.strategy, state.floor,
+                              trajectory.events[-1], chains[walked:]))
+        return steps
+
+    @settings(max_examples=100, deadline=None)
+    @given(*fitted_cases)
+    def test_pick_equals_the_full_chain(self, space, data_seed, levels, start, index, seed, samples, beta):
+        steps = self.strategize_twice(space, data_seed, levels, start, index, seed, samples, beta)
+        for table, in_force, _, expected, strategy, floor, event, walks in steps:
+            assert (strategy, event.cost) == expected and type(event.cost) is float
+            assert floor == min(table)
+            assert len(walks) == (table[rank_of(space, in_force)] > min(table))
+
+    @settings(max_examples=100, deadline=None)
+    @given(*fitted_cases)
+    def test_a_walk_with_a_floor_ends_at_its_first_record_there(
+        self, space, data_seed, levels, start, index, seed, samples, beta
+    ):
+        steps = self.strategize_twice(space, data_seed, levels, start, index, seed, samples, beta)
+        for table, _, full, expected, strategy, floor, event, walks in steps:
+            assert (strategy, event.cost) == expected
+            for records, evaluated, keywords in walks:
+                assert keywords == {"stop": floor} and floor == min(table)
+                cut = next((i + 1 for i, (_, cost, _) in enumerate(full) if cost <= floor), len(full))
+                assert [(decode(space, r.rank), r.cost, r.accepted) for r in records] == full[:cut]
+                assert len(evaluated) == 1 + cut  # the start, then one proposal per record: none after it
 
     def test_a_table_with_an_inf_entry_still_walks(self, monkeypatch):
         # The in-force strategy, rank 0, holds the finite minimum; rank 1, its one neighbor, predicts inf.
@@ -621,6 +696,23 @@ class TestSkippedChain:
         assert len(chains) == 2 and state.floor is None
         assert isinstance(state.predictions, dict) and len(state.predictions) > 1
         assert state.strategy == default_strategy(space)
+
+    @pytest.mark.parametrize("cap", [engine.TABLE_CAP, 15], ids=["inf-entry", "lazy"])
+    def test_without_a_floor_every_step_is_walked(self, cap, monkeypatch):
+        # Every strategy predicts 1.0 but the one four moves from the start, which predicts inf: three
+        # steps never propose it.  With no floor, all three are walked, though the start is at the
+        # finite minimum.  A cap of 15 keeps the 16 strategies' predictions in a lazy dict.
+        space = binary_space(4)
+        state = fresh_state(3, space)
+        state.oracle = hand_forest(5, (0, 0.5, 1.0, (1, 0.5, 1.0, (2, 0.5, 1.0, (3, 0.5, 1.0, math.inf)))))
+        state.index, before = 2, state.strategy
+        monkeypatch.setattr(engine, "TABLE_CAP", cap)
+        chains = self.counted_chains(monkeypatch)
+        rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=4), trajectory=Trajectory())
+        assert state.floor is None and isinstance(state.predictions, dict) == (cap == 15)
+        [(records, evaluated, keywords)] = chains
+        assert keywords == {"stop": -math.inf} and len(records) == 3 and len(evaluated) == 4
+        assert state.strategy is before
 
     def test_a_single_sample_walks_no_chain(self, monkeypatch):
         space = binary_space(2)

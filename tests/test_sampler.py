@@ -314,6 +314,37 @@ class TestChainAgainstReference:
             space, lambda v: table[rank_of(space, v)], start, n_samples, config
         )
 
+    @settings(max_examples=60, deadline=1000)
+    @given(
+        chain_spaces,
+        st.floats(min_value=0.05, max_value=20.0),
+        st.integers(min_value=0, max_value=2**63),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_a_stop_ends_the_chain_at_its_first_record_at_or_below_it(
+        self, space, beta, seed, n_samples, table_seed, start, levels
+    ):
+        # Integer costs in 0..levels, so records often tie with a stop drawn from the table.
+        table = np.random.default_rng(table_seed).integers(levels + 1, size=math.prod(space.sizes)).tolist()
+        start = decode(space, start % len(table))
+        config = SamplerConfig(beta=beta, seed=seed)
+        full = run_chain(space, table.__getitem__, start, n_samples, config)
+        assert [(decode(space, r.rank), r.cost, r.accepted) for r in full] == reference_run_chain(
+            space, lambda v: table[rank_of(space, v)], start, n_samples, config
+        )
+        assert run_chain(space, table.__getitem__, start, n_samples, config, stop=-math.inf) == full
+        for stop in (-1.0, *sorted(set(table)), levels - 0.5, levels + 1.0):
+            evaluated = []
+            stopped = run_chain(
+                space, lambda r: evaluated.append(r) or table[r], start, n_samples, config, stop=stop
+            )
+            cut = next((i + 1 for i, record in enumerate(full) if record.cost <= stop), len(full))
+            assert stopped == full[:cut]
+            assert len(evaluated) == 1 + cut  # the start, then one proposal per record: none after the stop
+
 
 class TestConfig:
     def test_beta_must_be_positive(self):

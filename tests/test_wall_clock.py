@@ -92,11 +92,11 @@ def test_train_and_strategize_events_carry_their_compute_seconds(fake_time, monk
 def test_events_partition_the_run_including_the_chains_own_steps(fake_time, monkeypatch):
     run_chain = engine.run_chain
 
-    def slow_chain(space, cost_fn, *args):
+    def slow_chain(space, cost_fn, *args, **kwargs):
         def timed_cost(rank):
             fake_time.advance(STEP_S)  # the chain's own compute, outside any backend call
             return cost_fn(rank)
-        return run_chain(space, timed_cost, *args)
+        return run_chain(space, timed_cost, *args, **kwargs)
 
     monkeypatch.setattr(engine, "run_chain", slow_chain)
     start = fake_time.now
