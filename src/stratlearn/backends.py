@@ -5,8 +5,9 @@ Two backends ship here, and each one's ``solve`` does all of its work:
 ``SyntheticBackend`` evaluates a deterministic landscape for experiments and
 tests, and ``ExternalBackend`` launches a DIMACS-convention solver process on
 a manifest: the tuple of locators ``load_manifest`` reads, problem ``i`` being
-``locators[i - 1]``.  Under a budget, either reports a run whose metric
-exceeds it as ABORTED.
+``locators[i - 1]``.  Under a budget, only ``SyntheticBackend`` reports a
+run whose metric exceeds it as ABORTED, as a solver that honours its budget
+flag does; ``ExternalBackend`` reports the solver's own verdict.
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ class ExternalBackend:
         """Launch the command on the problem's locator, map its exit code, and parse the metric.
 
         When ``budget`` is given it is passed through ``budget_flag`` if the
-        solver supports one; either way a run whose metric exceeds the budget is
-        reported as ABORTED, so budgeted calls never report metric > budget with a
-        decisive verdict.
+        solver supports one, and an ABORTED run that prints no metric reports
+        the budget.  The verdict is the solver's own, even over budget: the
+        engine's ``collect_cost`` aborts such a run.
         """
         config = self.config
         if not 1 <= index <= len(self.locators):  # a negative index must not pick a problem from the end
@@ -340,12 +341,7 @@ class ExternalBackend:
             raise UnexpectedExitCodeError(f"unexpected exit code {proc.returncode}")
         metric = _parse_metric(config, proc.stdout)
         if metric is None:
-            if verdict is Verdict.ABORTED and budget is not None:
-                metric = float(budget)
-            else:
-                raise MetricParseError(
-                    f"no metric matching {config.metric_pattern!r} in solver output"
-                )
-        if budget is not None and metric > budget:
-            verdict = Verdict.ABORTED
+            if verdict is not Verdict.ABORTED or budget is None:
+                raise MetricParseError(f"no metric matching {config.metric_pattern!r} in solver output")
+            metric = float(budget)
         return SolveOutcome(verdict, metric)

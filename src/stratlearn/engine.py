@@ -12,11 +12,11 @@ cheapest.
 
 The scalar cost of a strategy on a problem is the raw backend metric divided
 by the metric of ``run()``'s solve of that problem, so the in-force strategy
-costs exactly 1.  Collection runs get a metric budget of a fixed
-``ABORT_MULTIPLIER`` (10) times that baseline; a run that exhausts it enters
-the dataset at cost 10, so the oracle still learns that the region is bad.
-Only ``collect_cost``'s ``CostRecord.aborted`` marks the abort; neither the
-dataset nor the trajectory records it.
+costs exactly 1.  ``collect_cost`` alone runs and records a collection run
+under a metric budget of a fixed ``ABORT_MULTIPLIER`` (10) times that
+baseline; a run that exhausts it enters the dataset at cost 10, whatever the
+backend answered, so the oracle still learns that the region is bad.  Only
+its ``CostRecord.aborted`` marks the abort; the trajectory does not.
 
 A run's ``Trajectory`` is its only clock.  The virtual clock, ``run()``'s
 default, charges a backend call its effort metric and compute nothing, so runs
@@ -266,31 +266,31 @@ def should_learn(state: EngineState, policy: EpochPolicy, t_current: float, traj
 
 @dataclass(frozen=True)
 class CostRecord:
-    raw_metric: float
     cost: float
     aborted: bool
 
 
-def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float) -> CostRecord:
-    """Run the backend under a metric budget and return the normalized cost.
+def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float, trajectory: Trajectory) -> CostRecord:
+    """Run the backend under a budget of ``ABORT_MULTIPLIER`` times the baseline and record a ``collect`` event.
 
-    The solver's verdict is discarded: the problem's status is already known
-    from the run that recorded the baseline.
+    A run reported ABORTED or over budget costs ``ABORT_MULTIPLIER`` and is charged the budget on the
+    virtual clock; any other costs its metric over the baseline and is charged its metric.  The verdict
+    is otherwise discarded: the baseline's run already settled the problem's status.
     """
     if not baseline_metric > 0:
         raise ValueError(f"baseline must be positive, got {baseline_metric!r}")
     budget = ABORT_MULTIPLIER * baseline_metric
     outcome = backend.solve(index, strategy, budget=budget)
-    aborted = outcome.verdict is Verdict.ABORTED or outcome.metric > budget
+    metric = float(outcome.metric)
+    aborted = outcome.verdict is Verdict.ABORTED or metric > budget
     if aborted:
-        logger.info(
-            "collect run on problem %d aborted (metric %.6g, budget %.6g); cost capped at %.6g",
-            index, outcome.metric, budget, ABORT_MULTIPLIER,
-        )
-        cost = ABORT_MULTIPLIER
+        logger.info("collect run on problem %d aborted (metric %.6g, budget %.6g); cost capped at %.6g",
+                    index, metric, budget, ABORT_MULTIPLIER)
+        cost, charge = ABORT_MULTIPLIER, budget
     else:
-        cost = outcome.metric / baseline_metric
-    return CostRecord(raw_metric=float(outcome.metric), cost=cost, aborted=aborted)
+        cost, charge = metric / baseline_metric, metric
+    trajectory.record("collect", index, strategy, raw_metric=metric, cost=cost, charge=charge)
+    return CostRecord(cost, aborted)
 
 
 def learning_epoch(
@@ -310,13 +310,13 @@ def learning_epoch(
     whose cost on the current problem is 1 by construction, so it costs no
     extra backend call.  The backend runs once per distinct strategy: the
     epoch's memo keeps each cost in call order, and a revisit makes no call,
-    charge or event.  Each call is a ``collect`` event, charged on the virtual
-    clock its raw metric, or the capped budget (``ABORT_MULTIPLIER`` times the
-    baseline) if it aborted, and on the wall clock its seconds and the chain
-    steps before it; the ``train`` event takes the rest, the dataset append
-    and the fit.  A backend failure mid-chain (``CostFunctionError``) adds the
-    memo's points instead and is re-raised with no refit; ``run()`` does not
-    catch it, so the whole run ends (ROADMAP.md item 3c is to end the epoch).
+    charge or event.  Each call is a ``collect_cost``, which records its
+    ``collect`` event; on the wall clock that event takes the call's seconds
+    and the chain steps before it, and the ``train`` event the rest, the
+    dataset append and the fit.  A backend failure mid-chain
+    (``CostFunctionError``) adds the memo's points instead and is re-raised
+    with no refit; ``run()`` does not catch it, so the whole run ends
+    (ROADMAP.md item 3c is to end the epoch).
     """
     _require_live(state)
     index = state.index
@@ -337,12 +337,7 @@ def learning_epoch(
             return 1.0
         if rank not in measured:
             strategy = space.strategy(space.unrank(rank))
-            record = collect_cost(backend, index, strategy, baseline)
-            trajectory.record(
-                "collect", index, strategy, raw_metric=record.raw_metric, cost=record.cost,
-                charge=baseline * ABORT_MULTIPLIER if record.aborted else record.raw_metric,
-            )
-            measured[rank] = record.cost
+            measured[rank] = collect_cost(backend, index, strategy, baseline, trajectory).cost
         return measured[rank]
 
     try:

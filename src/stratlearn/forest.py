@@ -23,10 +23,11 @@ tree t's root is node t, and a split's children are a pair, right after
 left.  One vectorized walk, ``levels`` steps long, predicts one row or
 many.  A ``Grid`` of every code combination is instead filled leaf by leaf:
 each reachable leaf of a tree owns a box of codes, one range per axis, and
-writes its value into that box, which gives the walk's results for far
-less work.  One reduction gives the trees' shared value exactly when all
-agree (constant targets score 1.0), else their sum in tree order divided by
-their number.
+writes its value into that box, which gives the walk's results: on the
+benchmark's oracles 7 to 25 times faster than walking all 8,192 rows of
+``kissat_large``, but slower than walking the 216 of ``kissat_small``.  One
+reduction gives the trees' shared value exactly when all agree (constant
+targets score 1.0), else their sum in tree order divided by their number.
 
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
@@ -47,6 +48,7 @@ from .sampler import _integers
 
 _TREE_STREAM = 7  # label for per-tree seed substreams
 _MIN_SPLIT = 2
+_COST_BOUND = math.sqrt(np.finfo(np.float64).max)  # 2 * n * max|cost| below it: no sum of squares overflows
 
 
 @dataclass(frozen=True)
@@ -213,11 +215,14 @@ class _ForestGrower:
 
     def __init__(self, data: Dataset, n_trees: int, seed: int, bootstrap: bool):
         """Depth-0 trees, each on a bootstrap resample from its own labeled substream of ``seed``,
-        decoded from raw PCG64 output as ``Generator.integers`` draws it."""
+        decoded from raw PCG64 output as ``Generator.integers`` draws it; costs whose squares
+        could overflow raise ValueError."""
         if n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         X, self.y = data.to_arrays()
         n = self.y.shape[0]
+        if 2 * n * float(np.abs(self.y).max()) >= _COST_BOUND:
+            raise ValueError(f"2 * n * max|cost| over {n} points must be below sqrt(float max), {_COST_BOUND:.4g}")
         streams = [(seed, _TREE_STREAM, t) for t in range(n_trees)]
         self.rows = (_integers(n, n, streams) if bootstrap else np.tile(np.arange(n), (n_trees, 1))).reshape(-1)
         # Codes index each column's distinct values, ascending; np.unique would import numpy.ma (1 MB).

@@ -16,6 +16,7 @@ from stratlearn.forest import (
     DataPoint,
     Dataset,
     Grid,
+    _COST_BOUND,
     RandomForest,
     _ForestGrower,
     _grown_forest,
@@ -230,13 +231,28 @@ class TestLevelWiseGrowth:
         expected = reference_trees(data, n_trees, depth, seed=seed, bootstrap=bootstrap)
         assert tree_records(forest, data, seed, bootstrap) == [reference_records(root) for root in expected]
 
-    def test_overflowing_squares_keep_a_leaf(self):
-        # Squares of about 1e154 sum to inf, so every cut's SSE is NaN and none may win,
-        # although feature 0 separates the targets.  The reference would split on NaN.
-        data = make_dataset([(i // 3, i) for i in range(6)], [3e153] * 3 + [1e154] * 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            forest = fit_forest(data, n_trees=2, max_depth=3, bootstrap=False)
-        assert forest.levels == 0 and (forest.feature == -1).all()
+    def test_overflowing_squares_are_refused(self):
+        # Squares of about 1e154 sum to inf, so every cut's SSE would be NaN and no tree
+        # could split, although feature 0 separates the targets.
+        data = make_dataset([(i // 3, i) for i in range(6)], [3e153] * 3 + [-1e154] * 3)
+        for fit in (lambda: fit_forest(data, n_trees=2, max_depth=3), lambda: fit_adaptive(data, n_trees=2)):
+            with pytest.raises(ValueError, match=r"2 \* n \* max\|cost\| over 6 points .* 1\.341e\+154"):
+                fit()
+
+    def test_costs_just_under_the_overflow_bound_grow_the_scaled_trees(self):
+        # Scaling every cost by a power of two scales every sum exactly, so the trees must be
+        # those of the scaled-down costs; the suite turns any overflow warning into an error.
+        rng = np.random.default_rng(49)
+        for case in range(20):
+            n = int(rng.integers(1, 40))
+            X = rng.integers(0, 3, size=(n, 3))
+            y = rng.uniform(-1, 1, n)
+            y *= (1 - 1e-9) * _COST_BOUND / (2 * n * np.abs(y).max())
+            forest = fit_forest(make_dataset(X, y), n_trees=3, max_depth=4, seed=case)
+            small = fit_forest(make_dataset(X, y * 2.0**-500), n_trees=3, max_depth=4, seed=case)
+            for name in ("feature", "threshold", "left"):
+                np.testing.assert_array_equal(getattr(forest, name), getattr(small, name))
+            np.testing.assert_array_equal(forest.value * 2.0**-500, small.value)
 
     def test_every_split_is_a_best_legal_cut_in_exact_arithmetic(self):
         """Independent of summation order: each split is a legal cut whose exact SSE is
