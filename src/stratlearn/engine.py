@@ -398,8 +398,8 @@ def rule_strategize(
     oracle's first strategize fills it with one ``predict`` of every
     strategy's row as a ``Grid``, a float64 array that chains read as Python
     floats through ``ndarray.item``, and later ones only read it.  A space of
-    over ``TABLE_CAP`` strategies instead fills a dict one single-row
-    ``predict`` at a time, as its chains meet each strategy.
+    over ``TABLE_CAP`` strategies instead fills a dict one ``predict`` of a
+    one-row matrix at a time, as its chains meet each strategy.
     ``run()`` strategizes only above every index the oracle was trained on.
     """
     _require_live(state)
@@ -418,7 +418,7 @@ def rule_strategize(
     else:
         def predicted_cost(rank: int) -> float:
             if rank not in memo:
-                memo[rank] = predict(oracle, encode_features(space.unrank(rank), index))
+                memo[rank] = predict(oracle, [encode_features(space.unrank(rank), index)]).item()
             return memo[rank]
 
     in_force = best = space.rank(space.codes(state.strategy))

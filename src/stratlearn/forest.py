@@ -20,14 +20,16 @@ their shared value exactly.
 
 A forest is the grower's node arrays as they stand (see ``RandomForest``):
 tree t's root is node t, and a split's children are a pair, right after
-left.  One vectorized walk, ``levels`` steps long, predicts one row or
-many.  A ``Grid`` of every code combination is instead filled leaf by leaf:
-each reachable leaf of a tree owns a box of codes, one range per axis, and
-writes its value into that box, which gives the walk's results: on the
-benchmark's oracles 7 to 25 times faster than walking all 8,192 rows of
-``kissat_large``, but slower than walking the 216 of ``kissat_small``.  One
-reduction gives the trees' shared value exactly when all agree (constant
-targets score 1.0), else their sum in tree order divided by their number.
+left.  ``predict`` is its one reader, and always answers with a float64
+array.  One vectorized walk, ``levels`` steps long, predicts a matrix of
+rows; a single row is a one-row matrix.  A ``Grid`` of every code
+combination is instead filled leaf by leaf: each reachable leaf of a tree
+owns a box of codes, one range per axis, and writes its value into that
+box, which gives the walk's results: on the benchmark's oracles 7 to 25
+times faster than walking all 8,192 rows of ``kissat_large``, but slower
+than walking the 216 of ``kissat_small``.  One reduction gives the trees'
+shared value exactly when all agree (constant targets score 1.0), else
+their sum in tree order divided by their number.
 
 Minimum leaf size is 1 and minimum split size is 2 -- the datasets here are
 tiny (hundreds of points), so pruning would starve the model.  There is no
@@ -135,72 +137,6 @@ class RandomForest:
         """The largest threshold a node tests the index (the last feature) at, -inf if none: every tree
         reads all indices above it alike.  Kept from the first read, so the node arrays must not change."""
         return self.threshold[self.feature == self.feature_width - 1].max(initial=-math.inf).item()
-
-    def predict(self, X: np.ndarray | Sequence[float] | Grid) -> np.ndarray:
-        """Mean over the trees for each row of ``X``, for ``X`` itself if it is one row, or for each row of a Grid."""
-        if isinstance(X, Grid):
-            return self._predict_grid(X)
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[-1] != self.feature_width:
-            raise ValueError(f"feature width {X.shape[-1]} does not match forest width {self.feature_width}")
-        if X.ndim == 1:  # read as X[feature]
-            rows, nodes = (), self.roots
-        else:  # read as X.T[feature, row]; nodes[t, r] is row r's node in tree t
-            X, rows, nodes = X.T, (np.arange(X.shape[0]),), np.repeat(self.roots[:, None], X.shape[0], axis=1)
-        for _ in range(self.levels):
-            go_right = X[(self.feature[nodes], *rows)] > self.threshold[nodes]
-            # Children come in pairs, so right is left + 1; a leaf's NaN threshold
-            # sends every row left, to the leaf itself.
-            nodes = self.left[nodes] + go_right
-        values = self.value[nodes]
-        # Trees that agree give their shared value exactly, so constant targets
-        # score exactly 1.0; otherwise the sum runs over the trees in order.
-        first = values[0]
-        mean = np.add.accumulate(values, axis=0)[-1] / values.shape[0]
-        return np.where((values == first).all(axis=0), first, mean)
-
-    def _predict_grid(self, grid: Grid) -> np.ndarray:
-        """``predict`` of a grid's rows, bit for bit, without building them: each tree's reachable leaves
-        are walked, each with its half-open box of codes per axis, and each leaf's value fills its box.
-        Beside the result it keeps the first tree's table, one buffer that each later tree reuses, and
-        an agreement mask: never one table per tree."""
-        k = len(grid.sizes)
-        if k + 1 != self.feature_width:
-            raise ValueError(f"grid width {k + 1} does not match forest width {self.feature_width}")
-        # Memoryviews read one node at a time, without a Python object per node of the forest.
-        feature, threshold, left, value = (
-            memoryview(a) for a in (self.feature, self.threshold, self.left, self.value)
-        )
-
-        def fill(out: np.ndarray, node: int, box: list[slice]) -> None:
-            while feature[node] == k:  # the index is one value: one side of each index split
-                node = left[node] + (grid.index > threshold[node])
-            f = feature[node]
-            if f < 0:
-                out[tuple(box)] = value[node]
-                return
-            # An integer code goes right when above the threshold, so at or above floor + 1.
-            whole = box[f]
-            cut = min(max(math.floor(threshold[node]) + 1, whole.start), whole.stop)
-            if cut > whole.start:
-                box[f] = slice(whole.start, cut)
-                fill(out, left[node], box)
-            if cut < whole.stop:
-                box[f] = slice(cut, whole.stop)
-                fill(out, left[node] + 1, box)
-            box[f] = whole
-
-        roots = self.roots.tolist()
-        first, tree = np.empty(grid.sizes), np.empty(grid.sizes)
-        fill(first, roots[0], [slice(0, n) for n in grid.sizes])
-        total, agree = first.copy(), np.ones(grid.sizes, dtype=bool)
-        for root in roots[1:]:  # predict's reduction, one tree at a time
-            fill(tree, root, [slice(0, n) for n in grid.sizes])
-            total += tree
-            agree &= tree == first
-        total /= len(roots)
-        np.copyto(total, first, where=agree)
-        return total.reshape(-1)
 
 
 class _ForestGrower:
@@ -335,11 +271,71 @@ def fit_forest(
     return _grown_forest(_ForestGrower(data, n_trees, seed, bootstrap), data, max_depth)
 
 
-def predict(forest: RandomForest, features) -> float | list[float] | np.ndarray:
-    """Mean tree prediction for one feature vector, or their list for a matrix, as Python floats, not numpy's;
-    a Grid's table stays the float64 array."""
-    predictions = forest.predict(features)
-    return predictions if isinstance(features, Grid) else predictions.tolist()
+def _predict_grid(forest: RandomForest, grid: Grid) -> np.ndarray:
+    """The walk's result on a grid's rows, bit for bit, without building them: each tree's reachable leaves
+    are walked, each with its half-open box of codes per axis, and each leaf's value fills its box.
+    Beside the result it keeps the first tree's table, one buffer that each later tree reuses, and
+    an agreement mask: never one table per tree."""
+    k = len(grid.sizes)
+    if k + 1 != forest.feature_width:
+        raise ValueError(f"grid width {k + 1} does not match forest width {forest.feature_width}")
+    # Memoryviews read one node at a time, without a Python object per node of the forest.
+    feature, threshold, left, value = (
+        memoryview(a) for a in (forest.feature, forest.threshold, forest.left, forest.value)
+    )
+
+    def fill(out: np.ndarray, node: int, box: list[slice]) -> None:
+        while feature[node] == k:  # the index is one value: one side of each index split
+            node = left[node] + (grid.index > threshold[node])
+        f = feature[node]
+        if f < 0:
+            out[tuple(box)] = value[node]
+            return
+        # An integer code goes right when above the threshold, so at or above floor + 1.
+        whole = box[f]
+        cut = min(max(math.floor(threshold[node]) + 1, whole.start), whole.stop)
+        if cut > whole.start:
+            box[f] = slice(whole.start, cut)
+            fill(out, left[node], box)
+        if cut < whole.stop:
+            box[f] = slice(cut, whole.stop)
+            fill(out, left[node] + 1, box)
+        box[f] = whole
+
+    roots = forest.roots.tolist()
+    first, tree = np.empty(grid.sizes), np.empty(grid.sizes)
+    fill(first, roots[0], [slice(0, n) for n in grid.sizes])
+    total, agree = first.copy(), np.ones(grid.sizes, dtype=bool)
+    for root in roots[1:]:  # predict's reduction, one tree at a time
+        fill(tree, root, [slice(0, n) for n in grid.sizes])
+        total += tree
+        agree &= tree == first
+    total /= len(roots)
+    np.copyto(total, first, where=agree)
+    return total.reshape(-1)
+
+
+def predict(forest: RandomForest, X: np.ndarray | Sequence[Sequence[float]] | Grid) -> np.ndarray:
+    """Mean over the trees, as a float64 array: one entry per row of the 2-D ``X`` (a single row is a
+    one-row matrix), or per row of a Grid."""
+    if isinstance(X, Grid):
+        return _predict_grid(forest, X)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != forest.feature_width:
+        raise ValueError(f"feature rows must be a matrix of width {forest.feature_width}, got shape {X.shape}")
+    # nodes[t, r] is row r's node in tree t, and X.T[feature, r] its feature's value there.
+    X, rows, nodes = X.T, np.arange(X.shape[0]), np.repeat(forest.roots[:, None], X.shape[0], axis=1)
+    for _ in range(forest.levels):
+        go_right = X[forest.feature[nodes], rows] > forest.threshold[nodes]
+        # Children come in pairs, so right is left + 1; a leaf's NaN threshold
+        # sends every row left, to the leaf itself.
+        nodes = forest.left[nodes] + go_right
+    values = forest.value[nodes]
+    # Trees that agree give their shared value exactly, so constant targets
+    # score exactly 1.0; otherwise the sum runs over the trees in order.
+    first = values[0]
+    mean = np.add.accumulate(values, axis=0)[-1] / values.shape[0]
+    return np.where((values == first).all(axis=0), first, mean)
 
 
 def r2_score(forest: RandomForest, data: Dataset) -> float:
@@ -347,7 +343,7 @@ def r2_score(forest: RandomForest, data: Dataset) -> float:
     if len(data) == 0:
         raise ValueError("empty dataset")
     X, y = data.to_arrays()
-    predictions = forest.predict(X)
+    predictions = predict(forest, X)
     ss_res = float(((y - predictions) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:

@@ -199,6 +199,14 @@ class TestExternalAdapter:
         assert outcome.verdict is Verdict.ABORTED
         assert outcome.metric == 100.0
 
+    def test_aborted_run_without_a_metric_reports_its_budget(self, tmp_path, one_param_space):
+        # exit=0 is exit_aborted, and the stub then prints no "c conflicts:" line.
+        problem = write_problem(tmp_path, "p.silent", verdict="UNSAT", conflicts=500, exit=0)
+        backend = one_problem_backend(adapter_for(), one_param_space, problem)
+        assert backend.solve(1, Strategy(("1",)), budget=100.0) == SolveOutcome(Verdict.ABORTED, 100.0)
+        with pytest.raises(MetricParseError, match="no metric matching"):
+            backend.solve(1, Strategy(("1",)))
+
     def test_determinism_across_runs(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.det", verdict="UNSAT", conflicts=321)
         outcomes = [

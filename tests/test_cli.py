@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -414,3 +415,54 @@ class TestAblateCommand:
         proc = self.run_cli("--space", space_path, "--landscape", land_path, "--budgets", "0,800")
         assert proc.returncode == 2
         assert "unrecognized arguments: --budgets" in proc.stderr
+
+    def test_failed_cells_write_error_lines(self, tmp_path, capsys):
+        # exit=3 is no verdict's exit code, so every cell's first solve fails.
+        stub = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
+        space_path = tmp_path / "space.csv"
+        space_path.write_text("name,default,alternatives\nchrono,1,0\n", encoding="utf-8")
+        (tmp_path / "p1.problem").write_text("verdict=UNSAT\nconflicts=5\nexit=3\n", encoding="utf-8")
+        manifest_path = tmp_path / "manifest.tsv"
+        manifest_path.write_text(f"1\t{tmp_path}/p1.problem\n", encoding="utf-8")
+        adapter_path = tmp_path / "adapter.cfg"
+        adapter_path.write_text(f"command = {sys.executable} {stub} {{problem}} --chrono {{chrono}}\n",
+                                encoding="utf-8")
+        grid_path = tmp_path / "grid.tsv"
+        assert main([
+            "ablate", "--space", str(space_path), "--manifest", str(manifest_path), "--adapter", str(adapter_path),
+            "--virtual-clock", "--budgets", "0,800", "--depths", "1,2", "--out", str(grid_path),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == ["budget\\depth\t1\t2", "0\t-\t-", "800\t-\t-"]
+        assert grid_path.read_text(encoding="utf-8").splitlines() == [
+            "#stratlearn-grid v1", "budget\\depth\t1\t2", "0\t-\t-", "800\t-\t-",
+            *(f"#error\tbudget={budget}\tdepth={depth}\tunexpected exit code 3"
+              for budget in (0, 800) for depth in (1, 2)),
+        ]
+
+
+def readme_block(language, heading):
+    """The first ``language`` code block of README.md after ``heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"```{language}\n(.*?)```", text[text.index(heading):], re.S).group(1)
+
+
+class TestReadmeExamples:
+    def test_cli_examples_learn_on_the_library_example_landscape(self, tmp_path, monkeypatch):
+        library = {}
+        exec(readme_block("python", "## Library use"), library)
+        monkeypatch.chdir(tmp_path)
+        Path("space.csv").write_text(serialize_space(library["space"]), encoding="utf-8")
+        save_landscape(library["landscape"], "landscape.json")
+        commands, comment = {}, None
+        for line in readme_block("sh", "## CLI").replace("\\\n", " ").splitlines():
+            if line.startswith("# "):
+                comment = line[2:]
+            elif line.startswith("stratlearn "):
+                commands[comment] = shlex.split(line)[1:]
+        assert main(commands["synthetic landscape run"]) == 0
+        lines = Path("run.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines].count("train") == 1
+        assert "\tlargest_solved_index=12\t" in lines[-1]
+        assert main(commands["ablation: sweep learning budget against fixed tree depth"]) == 0
+        cells = [row.split("\t")[1:] for row in Path("grid.tsv").read_text(encoding="utf-8").splitlines()[2:]]
+        assert cells == [["11", "11", "11"], ["12", "11", "11"], ["10", "11", "11"]]  # as the README says

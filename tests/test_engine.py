@@ -177,6 +177,14 @@ class TestShouldLearn:
             assert not should_learn(state, policy, 0.0, Trajectory())  # 0 + 100*0 fits the budget
         assert caplog.messages == ["skipping epoch at problem 1: zero-effort baseline"]
 
+    def test_positive_baseline_below_one_admits_an_epoch(self, caplog):
+        # Only zero effort prices nothing: a fast solve's fractional metric is still a unit of cost.
+        state = self.solved_state(baseline=0.5)
+        policy = EpochPolicy(samples_per_epoch=100, learning_budget=1e6)
+        with caplog.at_level(logging.INFO, logger="stratlearn.engine"):
+            assert should_learn(state, policy, 0.5, Trajectory())  # 0 + 100*0.5 <= 1e6
+        assert caplog.messages == []
+
     def test_refusal_logs_the_budget_arithmetic(self, caplog):
         state = self.solved_state()
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=150.0)
@@ -446,7 +454,9 @@ class TestStrategize:
             state.index = index
             trajectory = Trajectory()
             rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
-            costs = {v: predict(oracle, encode_features(space.codes(v), index)) for v in all_strategies(space)}
+            costs = {
+                v: predict(oracle, [encode_features(space.codes(v), index)]).item() for v in all_strategies(space)
+            }
             assert state.strategy == min(costs, key=costs.get)
             assert trajectory.events[-1].cost == costs[state.strategy]
             tables.append(state.predictions)
@@ -469,7 +479,9 @@ class TestStrategize:
         assert (state.predictions, state.floor) == ({}, None)
         trajectory = Trajectory()
         rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
-        refit = {v: predict(state.oracle, encode_features(SPACE2.codes(v), 2)) for v in all_strategies(SPACE2)}
+        refit = {
+            v: predict(state.oracle, [encode_features(SPACE2.codes(v), 2)]).item() for v in all_strategies(SPACE2)
+        }
         assert state.strategy == min(refit, key=refit.get)
         assert trajectory.events[-1].cost == refit[state.strategy] == state.floor
 
@@ -516,7 +528,7 @@ class TestPredictionTable:
             table = self.filled_table(space, oracle, index)
             assert len(table) == math.prod(space.sizes)
             assert table.dtype == np.float64 and table.shape == (len(table),)
-            single = [predict(oracle, encode_features(space.unrank(r), index)) for r in range(len(table))]
+            single = [predict(oracle, [encode_features(space.unrank(r), index)]).item() for r in range(len(table))]
             assert [cost.hex() for cost in table] == [cost.hex() for cost in single]
             assert (len(set(table)) < len(table) / 2) == tied
 
@@ -560,8 +572,10 @@ class TestPredictionTable:
         for _ in range(3):
             self.strategize(state, samples=40)
         assert isinstance(state.predictions, dict)
-        assert rows and not any(isinstance(row, Grid) for row in rows)
-        assert len(rows) == len(set(rows)) == len(state.predictions)
+        # Each call predicts one strategy's row as a one-row matrix, and the dict keeps a Python float.
+        assert rows and all(not isinstance(row, Grid) and len(row) == 1 for row in rows)
+        assert len(rows) == len({tuple(row[0]) for row in rows}) == len(state.predictions)
+        assert all(type(cost) is float for cost in state.predictions.values())
 
     def test_every_strategize_event_costs_a_python_float(self):
         for seed in range(3):
@@ -638,7 +652,8 @@ class TestSkippedChain:
         with pytest.MonkeyPatch.context() as patch:
             chains = self.counted_chains(patch)
             for state.index in (index, index + 1):
-                table = [predict(state.oracle, encode_features(space.unrank(r), state.index)) for r in range(n)]
+                rows = [encode_features(space.unrank(r), state.index) for r in range(n)]
+                table = [predict(state.oracle, [row]).item() for row in rows]
                 config = SamplerConfig(beta=beta, seed=engine._substream_seed(
                     seed, engine._STRATEGIZE_STREAM, state.index))
                 full, expected = self.reference_chain(space, table, state.strategy, samples, config)

@@ -182,7 +182,7 @@ class TestFitTree:
         forest = fit_forest(data, n_trees=2, max_depth=3, seed=0)
         assert all(is_leaf(forest, root) for root in forest.roots)
         assert forest.value.shape == forest.roots.shape
-        assert predict(forest, ()) == float(np.mean([forest.value[root] for root in forest.roots]))
+        assert predict(forest, [()]).tolist() == [float(np.mean([forest.value[root] for root in forest.roots]))]
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(5)
@@ -322,10 +322,10 @@ class TestLevelWiseGrowth:
             X, _ = data.to_arrays()
             grower = _ForestGrower(data, 4, case, bootstrap=True)
             forest = _grown_forest(grower, data, 1)
-            records, predictions = tree_records(forest, data, case), forest.predict(X)
+            records, predictions = tree_records(forest, data, case), predict(forest, X)
             _grown_forest(grower, data, 4)
             assert grower.levels == 4
-            assert np.array_equal(forest.predict(X), predictions)
+            assert np.array_equal(predict(forest, X), predictions)
             assert tree_records(forest, data, case) == records
             assert records == tree_records(fit_forest(data, 4, 1, case), data, case)
 
@@ -343,17 +343,19 @@ class TestOnePredictor:
                     # Nine trees: a pairwise sum over them would round differently.
                     forest = fit_forest(data, n_trees=9, max_depth=depth, seed=case,
                                         bootstrap=bootstrap)
-                    assert forest.predict(probe).shape == (len(probe),)  # also with no split at all
-                    for row, together in zip(probe, forest.predict(probe)):
+                    batch = predict(forest, probe)
+                    assert type(batch) is np.ndarray and batch.dtype == np.float64
+                    assert batch.shape == (len(probe),)  # also with no split at all
+                    for row, together in zip(probe, batch):
                         leaves = [float(forest.value[route(forest, row, root)]) for root in forest.roots]
-                        single = predict(forest, tuple(row))
+                        single = predict(forest, [tuple(row)]).item()
                         assert single.hex() == float(together).hex() == sequential_mean(leaves).hex()
                         if all(v == leaves[0] for v in leaves):
                             assert single == leaves[0]
                     flat = fit_forest(constant, n_trees=9, max_depth=depth, seed=case,
                                       bootstrap=bootstrap)
-                    assert np.all(flat.predict(probe) == 0.1)
-                    assert all(predict(flat, tuple(row)) == 0.1 for row in probe)
+                    assert np.all(predict(flat, probe) == 0.1)
+                    assert all(predict(flat, [tuple(row)]).item() == 0.1 for row in probe)
                     assert flat.training_score == 1.0
 
     def test_grid_equals_the_walk_on_its_rows_bit_for_bit(self):
@@ -366,7 +368,7 @@ class TestOnePredictor:
                                 seed=case, bootstrap=bool(case % 2))
             for index in (-1, 0, 2, 29, 31):  # the last feature: below, between and above its thresholds
                 rows = [(*codes, index) for codes in itertools.product(*(range(n) for n in sizes))]
-                walk = forest.predict(np.array(rows, dtype=float).reshape(len(rows), width))
+                walk = predict(forest, np.array(rows, dtype=float).reshape(len(rows), width))
                 grid = predict(forest, Grid(sizes, index))
                 assert type(grid) is np.ndarray and grid.dtype == np.float64 and grid.shape == (len(rows),)
                 assert [v.hex() for v in grid] == [float(v).hex() for v in walk]
@@ -393,7 +395,7 @@ class TestOnePredictor:
             forests = [hand_forest(len(sizes) + 1, *trees[:n]) for n in range(1, len(trees) + 1)]
             for forest, index in itertools.product(forests, (0, 1, 2, 3, 4)):
                 rows = [(*codes, index) for codes in itertools.product(*(range(n) for n in sizes))]
-                walk = forest.predict(np.array(rows, dtype=float))
+                walk = predict(forest, np.array(rows, dtype=float))
                 grid = predict(forest, Grid(sizes, index))
                 assert [v.hex() for v in grid] == [float(v).hex() for v in walk]
 
@@ -421,13 +423,13 @@ class TestOnePredictor:
             X, _ = data.to_arrays()
             start = time.perf_counter()
             deep = fit_forest(data, n_trees=5, max_depth=10**6, seed=case)
-            deep_predictions = deep.predict(X)
-            deep_first = predict(deep, tuple(X[0]))
+            deep_predictions = predict(deep, X)
+            deep_first = predict(deep, [tuple(X[0])])
             assert time.perf_counter() - start < 1.0
             grown = fit_forest(data, n_trees=5, max_depth=deep.levels, seed=case)
             assert tree_records(deep, data, case) == tree_records(grown, data, case)
-            assert np.array_equal(deep_predictions, grown.predict(X))
-            assert deep_first == predict(grown, tuple(X[0]))
+            assert np.array_equal(deep_predictions, predict(grown, X))
+            assert np.array_equal(deep_first, predict(grown, [tuple(X[0])]))
 
 
 class TestForest:
@@ -439,13 +441,13 @@ class TestForest:
         forest = fit_forest(data, n_trees=1, max_depth=3, seed=1, bootstrap=False)
         probe = rng.integers(0, 4, size=(50, 2)).astype(float)
         by_hand = [forest.value[route(forest, row)] for row in probe]
-        assert np.array_equal(forest.predict(probe), by_hand)
+        assert np.array_equal(predict(forest, probe), by_hand)
 
     def test_constant_costs_predict_constant_and_score_one(self):
         data = make_dataset([(0, 1), (1, 0), (2, 2), (3, 1)], [0.1, 0.1, 0.1, 0.1])
         forest = fit_forest(data, n_trees=50, max_depth=2, seed=0)
         X, _ = data.to_arrays()
-        assert np.all(forest.predict(X) == 0.1)
+        assert np.all(predict(forest, X) == 0.1)
         assert forest.training_score == 1.0
 
     def test_identical_seeds_identical_forests(self):
@@ -456,9 +458,9 @@ class TestForest:
         probe = rng.integers(0, 5, size=(100, 3)).astype(float)
         a = fit_forest(data, n_trees=10, max_depth=4, seed=7)
         b = fit_forest(data, n_trees=10, max_depth=4, seed=7)
-        assert np.array_equal(a.predict(probe), b.predict(probe))
+        assert np.array_equal(predict(a, probe), predict(b, probe))
         c = fit_forest(data, n_trees=10, max_depth=4, seed=8)
-        assert not np.array_equal(a.predict(probe), c.predict(probe))
+        assert not np.array_equal(predict(a, probe), predict(c, probe))
 
     def test_mean_of_two_trees(self):
         data_low = make_dataset([(0,), (1,)], [1.0, 1.0])
@@ -466,12 +468,12 @@ class TestForest:
         t1 = fit_one_tree(data_low, max_depth=0)
         t2 = fit_one_tree(data_high, max_depth=0)
         forest = joined(t1, t2)
-        assert predict(forest, (0,)) == 2.0
+        assert predict(forest, [(0,)]).tolist() == [2.0]
 
     def test_single_leaf_forest_ignores_input(self):
         data = make_dataset([(0, 0), (5, 9)], [2.0, 4.0])
         forest = fit_forest(data, n_trees=1, max_depth=0, seed=0, bootstrap=False)
-        assert predict(forest, (0, 0)) == predict(forest, (99, -3)) == 3.0
+        assert predict(forest, [(0, 0), (99, -3)]).tolist() == [3.0, 3.0]
 
     def test_saturated_tree_memorizes_distinct_points(self):
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]], dtype=float)
@@ -479,7 +481,7 @@ class TestForest:
         data = make_dataset(X, y)
         forest = fit_forest(data, n_trees=1, max_depth=10, seed=0, bootstrap=False)
         for row, target in zip(X, y):
-            assert predict(forest, tuple(row)) == target
+            assert predict(forest, [tuple(row)]).item() == target
 
     def test_prediction_invariant_to_tree_order(self):
         rng = np.random.default_rng(3)
@@ -488,20 +490,20 @@ class TestForest:
         forest = fit_forest(make_dataset(X, y), n_trees=5, max_depth=3, seed=2)
         reversed_forest = dataclasses.replace(forest, roots=forest.roots[::-1])
         probe = rng.integers(0, 4, size=(30, 2)).astype(float)
-        assert np.allclose(forest.predict(probe), reversed_forest.predict(probe))
+        assert np.allclose(predict(forest, probe), predict(reversed_forest, probe))
 
     def test_width_mismatch_rejected(self):
         data = make_dataset([(0, 1), (1, 0)], [0.0, 1.0])
         forest = fit_forest(data, n_trees=1, max_depth=1, seed=0)
         wide, narrow = np.zeros((3, 3)), np.zeros((3, 1))
-        for rows in ((0, 1, 2), (0,), wide, narrow):
+        # A single row is a one-row matrix: a bare row is refused even at the forest's width.
+        for rows in ((0, 1, 2), (0,), (0, 1), np.zeros(2), np.zeros((1, 1, 2)), [(0, 1, 2)], wide, narrow):
             with pytest.raises(ValueError, match="width"):
-                forest.predict(rows)
-        with pytest.raises(ValueError, match="width"):
-            predict(forest, (0, 1, 2))
+                predict(forest, rows)
+        assert predict(forest, [(0, 1)]).shape == (1,)
         for sizes in ((2, 2), ()):
             with pytest.raises(ValueError, match="width"):
-                forest.predict(Grid(sizes, 0))
+                predict(forest, Grid(sizes, 0))
         with pytest.raises(ValueError, match="width"):
             r2_score(forest, make_dataset(wide, [0.0, 1.0, 2.0]))
 
