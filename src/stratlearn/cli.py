@@ -42,24 +42,29 @@ TRAJECTORY_FORMAT = "stratlearn-trajectory v1"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs; mirrors the command-line flags."""
+    """Everything one run uses; mirrors the command-line flags.  ``learning_budget``, in the run clock's unit, is 0
+    by default; ``parse_args`` sets it from ``--no-learn`` (0), else ``--budget-seconds``, else ``--budget-frac``
+    times ``--time-limit``."""
 
     space_path: str
     manifest_path: str | None = None
     landscape_path: str | None = None
     adapter_path: str | None = None
-    budget_fraction: float = 0.15
-    budget_seconds: float | None = None
-    samples_per_epoch: int = 100
-    strategize_samples: int = 500
-    trees: int = 50
+    learning_budget: float = EpochPolicy.learning_budget
+    samples_per_epoch: int = EpochPolicy.samples_per_epoch
+    strategize_samples: int = EpochPolicy.strategize_samples
+    trees: int = ForestConfig.trees
     init_depth: int | None = None
     fixed_depth: int | None = None
     seed: int = 0
     time_limit: float | None = None
-    no_learn: bool = False
     virtual_clock: bool = False
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        given = (bool(self.manifest_path), bool(self.adapter_path), bool(self.landscape_path))
+        if given not in ((True, True, False), (False, False, True)):
+            raise ValueError("a run reads its problems from --landscape alone, or from --manifest with --adapter")
 
 
 def _checked(convert, accept, what: str):
@@ -88,28 +93,27 @@ def _positive_ints(text: str) -> list[int]:
 
 
 def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
-    """Run flags, each stored under its ``RunConfig`` field; ``ablate`` swaps budget and depth for the grid axes."""
+    """Run flags, each under its ``RunConfig`` field when given; ``ablate`` swaps budget and depth for the grid axes."""
     parser = argparse.ArgumentParser(
         prog="stratlearn ablate" if ablate else "stratlearn",
         description="Solve an ordered problem set while learning which solver configuration to "
         "use for each successive problem; 'stratlearn ablate' sweeps learning budget x tree depth.",
+        argument_default=argparse.SUPPRESS,  # RunConfig states each default
     )
     parser.add_argument("--space", dest="space_path", required=True,
                         help="strategy space CSV (name,default,alternatives)")
-    problems = parser.add_mutually_exclusive_group(required=True)
-    problems.add_argument("--manifest", dest="manifest_path",
-                          help="problem manifest (index<TAB>locator lines)")
-    problems.add_argument("--landscape", dest="landscape_path", help="synthetic landscape JSON")
+    parser.add_argument("--manifest", dest="manifest_path", help="problem manifest (index<TAB>locator lines)")
+    parser.add_argument("--landscape", dest="landscape_path", help="synthetic landscape JSON")
     parser.add_argument("--adapter", dest="adapter_path",
                         help="solver adapter config (key=value lines); required with, and only with, --manifest")
-    parser.add_argument("--samples-per-epoch", type=_positive_int, default=100)
-    parser.add_argument("--strategize-samples", type=_positive_int, default=500)
-    parser.add_argument("--trees", type=_positive_int, default=50)
-    parser.add_argument("--seed", type=_nonneg_int, default=0)
-    parser.add_argument("--time-limit", type=_positive_float, default=None)
+    parser.add_argument("--samples-per-epoch", type=_positive_int)
+    parser.add_argument("--strategize-samples", type=_positive_int)
+    parser.add_argument("--trees", type=_positive_int)
+    parser.add_argument("--seed", type=_nonneg_int)
+    parser.add_argument("--time-limit", type=_positive_float)
     parser.add_argument("--virtual-clock", action="store_true",
                         help="account time in backend effort units (deterministic replay)")
-    parser.add_argument("--out", default=None, help="grid file path" if ablate else "trajectory output path")
+    parser.add_argument("--out", help="grid file path" if ablate else "trajectory output path")
     if ablate:
         parser.add_argument("--budgets", type=_floats, required=True,
                             help="comma-separated absolute learning budgets")
@@ -120,38 +124,39 @@ def _build_parser(ablate: bool = False) -> argparse.ArgumentParser:
                         help="learning budget as a fraction of the time limit (default 0.15)")
     parser.add_argument("--budget-seconds", type=_positive_float, default=None,
                         help="absolute learning budget; overrides --budget-frac")
-    parser.add_argument("--no-learn", action="store_true", help="baseline mode: learning budget forced to 0")
+    parser.add_argument("--no-learn", action="store_true", default=False, help="baseline mode: learning budget 0")
     depth = parser.add_mutually_exclusive_group()
-    depth.add_argument("--init-depth", type=_positive_int, default=None,
+    depth.add_argument("--init-depth", type=_positive_int,
                        help="initial tree depth (default: a third of the feature count, rounded up)")
-    depth.add_argument("--fixed-depth", type=_positive_int, default=None,
+    depth.add_argument("--fixed-depth", type=_positive_int,
                        help="train at this exact depth instead of deepening adaptively")
     return parser
 
 
-def _run_config(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> RunConfig:
-    if ns.manifest_path and not ns.adapter_path:
-        parser.error("--manifest requires --adapter")
-    if ns.adapter_path and not ns.manifest_path:
-        parser.error("--adapter is read only with --manifest")
-    return RunConfig(**vars(ns))
+def _parse(argv, *flags: str, ablate: bool = False) -> tuple:
+    """``argv``'s ``RunConfig``, then the values of ``flags``, which are not its fields; a usage error if refused."""
+    parser = _build_parser(ablate)
+    given = vars(parser.parse_args(argv))
+    values = [given.pop(name) for name in flags]
+    try:
+        return (RunConfig(**given), *values)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def parse_args(argv) -> RunConfig:
-    parser = _build_parser()
-    return _run_config(parser, parser.parse_args(argv))
-
-
-def resolve_budget(config: RunConfig) -> float:
-    if config.no_learn:
-        return 0.0
-    if config.budget_seconds is not None:
-        return config.budget_seconds
+    """The run ``argv`` describes.  Its ``learning_budget`` is 0 with ``--no-learn``, else ``--budget-seconds``,
+    else ``--budget-frac`` (default 0.15) times ``--time-limit``, else 0 with a warning unless the fraction is 0."""
+    config, no_learn, seconds, fraction = _parse(argv, "no_learn", "budget_seconds", "budget_fraction")
+    if no_learn:
+        return config
+    if seconds is not None:
+        return dataclasses.replace(config, learning_budget=seconds)
     if config.time_limit is not None:
-        return config.budget_fraction * config.time_limit
-    if config.budget_fraction > 0:
+        return dataclasses.replace(config, learning_budget=fraction * config.time_limit)
+    if fraction > 0:
         logger.warning("no time limit and no absolute budget given; learning is disabled")
-    return 0.0
+    return config
 
 
 def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
@@ -166,25 +171,32 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
                 raise ValueError(f"{config.landscape_path}: optimum does not fit the space: {exc}") from exc
         backend = SyntheticBackend(landscape)
     else:
-        if not config.adapter_path:
-            raise ValueError("a manifest run needs an adapter config")
         backend = ExternalBackend(
             load_adapter_config(config.adapter_path),
             space,
             load_manifest(config.manifest_path),
         )
-    policy = EpochPolicy(samples_per_epoch=config.samples_per_epoch, learning_budget=resolve_budget(config),
+    policy = EpochPolicy(samples_per_epoch=config.samples_per_epoch, learning_budget=config.learning_budget,
                          strategize_samples=config.strategize_samples)
     forest_config = ForestConfig(trees=config.trees, init_depth=config.init_depth, fixed_depth=config.fixed_depth)
     clock = "virtual" if config.virtual_clock else "wall"
+    meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
+    if config.out:
+        _check_meta(meta)  # before the first solve, not after the whole run
     result = run(
         backend, policy, space=space, forest_config=forest_config, seed=config.seed,
         time_limit=config.time_limit, clock=clock,
     )
     if not config.out:
         return result, summarize(result.trajectory, result.outcome)
-    meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
     return result, emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=meta)
+
+
+def _check_meta(meta: dict[str, str]) -> None:
+    """Refuse a key or value that one ``#meta`` line cannot carry: a tab splits its cell, a line break the line."""
+    for key, value in meta.items():
+        if any(c in key or c in value for c in "\t\r\n"):
+            raise ValueError(f"meta {key!r}={value!r} holds a tab or a line break")
 
 
 def _cell(value) -> str:
@@ -216,6 +228,7 @@ def emit_trajectory(
     names = [f.name for f in dataclasses.fields(TrajectoryEvent)]
     lines = [f"#{TRAJECTORY_FORMAT}"]
     if meta:
+        _check_meta(meta)
         lines.append("#meta\t" + "\t".join(f"{k}={v}" for k, v in sorted(meta.items())))
     lines.append("#fields\t" + "\t".join(names))
     for event in trajectory:
@@ -260,8 +273,7 @@ def ablation_grid(config: RunConfig, budgets, depths) -> GridResult:
         for di, depth in enumerate(depths):
             cell_config = dataclasses.replace(
                 config,
-                budget_seconds=budget if budget > 0 else None,
-                no_learn=not budget > 0,
+                learning_budget=budget if budget > 0 else 0.0,
                 fixed_depth=depth,
                 out=None,
             )
@@ -288,11 +300,7 @@ def write_grid(grid: GridResult, path: str | Path) -> None:
 
 
 def _ablate(argv) -> int:
-    parser = _build_parser(ablate=True)
-    ns = parser.parse_args(argv)
-    budgets, depths = ns.budgets, ns.depths
-    del ns.budgets, ns.depths
-    config = _run_config(parser, ns)
+    config, budgets, depths = _parse(argv, "budgets", "depths", ablate=True)
     grid = ablation_grid(config, budgets, depths)
     print("\n".join(grid.matrix()))
     if config.out:

@@ -489,8 +489,9 @@ def run(
     Next applies, the engine runs one learning epoch on the problem it just
     solved if ``should_learn`` admits one, advances the index and, once the
     oracle exists, switches the strategy via its predictions at the new index.
-    Collection and strategize chains both reseed ``sampler_config``.  All
-    random streams derive from ``seed`` through fixed labeled splits, so
+    Of ``sampler_config`` only ``beta`` is read: collection and strategize
+    chains both reseed it from ``seed``, so its own ``seed`` is never read.
+    All random streams derive from ``seed`` through fixed labeled splits, so
     identical inputs replay identical trajectories on the virtual clock.  The
     time limit is read before each solve from the ``clock``'s cumulative time.
     """

@@ -368,6 +368,8 @@ def fit_adaptive(
     is deeper, and ``init_depth`` to a third of the width, rounded up and
     lowered to the cap; a cap below ``init_depth`` is rejected.
     """
+    if depth_cap is not None and depth_cap < 1:
+        raise ValueError("depth_cap must be at least 1")
     cap = data.feature_width if depth_cap is None else depth_cap
     if init_depth is None:
         init_depth = min(math.ceil(data.feature_width / 3), cap)

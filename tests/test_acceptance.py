@@ -282,7 +282,7 @@ def test_criterion_10_determinism(tmp_path):
         save_landscape(convergence_landscape(8), land_path)
         config = RunConfig(
             space_path=str(space_path), landscape_path=str(land_path),
-            budget_seconds=40000.0, samples_per_epoch=50, strategize_samples=100,
+            learning_budget=40000.0, samples_per_epoch=50, strategize_samples=100,
             trees=20, seed=3, virtual_clock=True, out=str(tmp_path / "first.tsv"),
         )
         _, first_summary = execute(config)

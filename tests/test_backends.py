@@ -1,6 +1,7 @@
 """Synthetic landscape, external subprocess adapter, and manifest handling."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -87,8 +88,11 @@ class TestSynthetic:
             (dict(base_metrics=(100.0, float("inf"), 400.0)), "base_metrics must be finite and positive"),
             (dict(base_metrics=(float("nan"), 200.0, 400.0)), "base_metrics must be finite and positive"),
             (dict(base_metrics=(0.0, 200.0, 400.0)), "base_metrics must be finite and positive"),
+            (dict(weights=(0.5,)), "weights and optimum must have equal length"),
+            (dict(verdicts=(Verdict.UNSAT, Verdict.SAT)), "base_metrics and verdicts must have equal length"),
         ],
-        ids=["nan_weight", "inf_weight", "negative_weight", "inf_base", "nan_base", "zero_base"],
+        ids=["nan_weight", "inf_weight", "negative_weight", "inf_base", "nan_base", "zero_base",
+             "short_weights", "short_verdicts"],
     )
     def test_bad_numbers_rejected_naming_the_field(self, overrides, message):
         # NaN and Infinity are valid JSON to ``json.loads``, so a --landscape file can hold them.
@@ -152,6 +156,28 @@ class TestSynthetic:
         assert backend.num_problems == 2
         outcome = backend.solve(2, Strategy(("anything",)))
         assert outcome.verdict is Verdict.SAT and outcome.metric == 9.0
+
+
+def adapter_with_line(tmp_path, line):
+    path = tmp_path / "adapter.cfg"
+    path.write_text(f"command = x {{problem}}\n{line}\n", encoding="utf-8")
+    return load_adapter_config(path)
+
+
+SCHEDULE = "need positive first term, positive growth, n >= 1"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp_path: adapter_with_line(tmp_path, "exit_sat 10"),
+     "adapter.cfg:2: expected key=value, got 'exit_sat 10'"),
+    (lambda tmp_path: make_landscape().metric(1, Strategy(("0",))), "strategy length does not match landscape weights"),
+    (lambda tmp_path: geometric_schedule(0.0, 2.0, 3), SCHEDULE),
+    (lambda tmp_path: geometric_schedule(1.0, -2.0, 3), SCHEDULE),
+    (lambda tmp_path: geometric_schedule(1.0, 2.0, 0), SCHEDULE),
+], ids=["adapter_line_without_equals", "strategy_length", "zero_first_term", "negative_growth", "no_terms"])
+def test_bad_input_is_refused_by_name(call, message, tmp_path):
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        call(tmp_path)
 
 
 @pytest.fixture

@@ -28,10 +28,12 @@ from stratlearn.cli import (
     execute,
     main,
     parse_args,
-    resolve_budget,
 )
 from stratlearn.engine import Outcome, Trajectory
 from stratlearn.space import Strategy, builtin_space, serialize_space
+
+
+PROBLEM_SOURCE = "a run reads its problems from --landscape alone, or from --manifest with --adapter"
 
 
 def base_argv(tmp_path):
@@ -51,19 +53,21 @@ class TestParseArgs:
     def test_defaults_match_documented_tuple(self, tmp_path):
         config = parse_args(base_argv(tmp_path))
         assert (
-            config.budget_fraction,
+            config.learning_budget,
             config.samples_per_epoch,
             config.strategize_samples,
             config.trees,
             config.init_depth,
             config.seed,
-        ) == (0.15, 100, 500, 50, None, 0)
+        ) == (0.0, 100, 500, 50, None, 0)
+        library = RunConfig(space_path="s.csv", landscape_path="l.json", time_limit=1000.0)
+        assert library.learning_budget == 0.0  # unlike the CLI's --budget-frac, no share of the limit
 
     def test_no_learn_forces_zero_budget(self, tmp_path):
-        config = parse_args(base_argv(tmp_path) + ["--no-learn", "--time-limit", "1000",
-                                                    "--budget-seconds", "50"])
-        assert config.budget_fraction == 0.15
-        assert resolve_budget(config) == 0.0
+        for flags in (["--budget-seconds", "50"], ["--budget-frac", "0.9"],
+                      ["--budget-seconds", "50", "--budget-frac", "1"]):
+            config = parse_args(base_argv(tmp_path) + ["--no-learn", "--time-limit", "1000", *flags])
+            assert config.learning_budget == 0.0, flags
 
     def test_fraction_out_of_range_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -74,20 +78,38 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(base_argv(tmp_path) + ["--frobnicate"])
 
-    def test_manifest_requires_adapter(self, tmp_path):
-        with pytest.raises(SystemExit):
-            parse_args(["--space", "s.csv", "--manifest", "m.tsv"])
+    def test_manifest_requires_adapter(self, capsys):
+        self.assert_usage_error(["--space", "s.csv", "--manifest", "m.tsv"], capsys)
 
     def test_adapter_requires_manifest(self, capsys):
         # Without a manifest the adapter file would never be read.
-        with pytest.raises(SystemExit) as exit_info:
-            parse_args(["--space", "s.csv", "--landscape", "l.json", "--adapter", "a.cfg"])
-        assert exit_info.value.code == 2
-        assert "--adapter is read only with --manifest" in capsys.readouterr().err
+        self.assert_usage_error(["--space", "s.csv", "--landscape", "l.json", "--adapter", "a.cfg"], capsys)
 
-    def test_manifest_and_landscape_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            parse_args(["--space", "s.csv", "--manifest", "m.tsv", "--landscape", "l.json"])
+    def test_manifest_and_landscape_exclusive(self, capsys):
+        self.assert_usage_error(["--space", "s.csv", "--manifest", "m.tsv", "--landscape", "l.json"], capsys)
+
+    def test_a_problem_source_is_required(self, capsys):
+        self.assert_usage_error(["--space", "s.csv"], capsys)
+        self.assert_usage_error(["ablate", "--space", "s.csv", "--budgets", "0", "--depths", "1"], capsys)
+
+    @staticmethod
+    def assert_usage_error(argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stratlearn")
+        assert err.endswith(f": error: {PROBLEM_SOURCE}\n")
+
+    @pytest.mark.parametrize("sources", [
+        {}, {"manifest_path": "m.tsv", "adapter_path": "a.cfg", "landscape_path": "l.json"},
+        {"landscape_path": "l.json", "adapter_path": "a.cfg"}, {"manifest_path": "m.tsv"},
+    ], ids=["none", "both", "adapter_with_landscape", "manifest_without_adapter"])
+    def test_run_config_refuses_a_bad_problem_source(self, sources):
+        # Unchecked, a run without a source fails late in execute, and a second source or an unread adapter is
+        # silently dropped.
+        with pytest.raises(ValueError, match=f"^{re.escape(PROBLEM_SOURCE)}$"):
+            RunConfig(space_path="s.csv", **sources)
 
     def test_round_trip_examples(self):
         examples = [
@@ -96,23 +118,22 @@ class TestParseArgs:
             (["--space", "s.csv", "--landscape", "l.json", "--budget-frac", "0.3",
               "--samples-per-epoch", "10", "--strategize-samples", "20", "--trees", "5",
               "--seed", "3", "--time-limit", "100", "--virtual-clock", "--out", "t.tsv"],
-             RunConfig(space_path="s.csv", landscape_path="l.json", budget_fraction=0.3,
+             RunConfig(space_path="s.csv", landscape_path="l.json", learning_budget=0.3 * 100.0,
                        samples_per_epoch=10, strategize_samples=20, trees=5, seed=3,
                        time_limit=100.0, virtual_clock=True, out="t.tsv")),
             (["--space", "s.csv", "--manifest", "m.tsv", "--adapter", "a.cfg",
               "--budget-seconds", "500", "--init-depth", "2"],
              RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
-                       budget_seconds=500.0, init_depth=2)),
+                       learning_budget=500.0, init_depth=2)),
             (["--space", "s.csv", "--manifest", "m.tsv", "--adapter", "a.cfg",
               "--budget-seconds", "500", "--fixed-depth", "4"],
              RunConfig(space_path="s.csv", manifest_path="m.tsv", adapter_path="a.cfg",
-                       budget_seconds=500.0, fixed_depth=4)),
+                       learning_budget=500.0, fixed_depth=4)),
             (["--space", "s.csv", "--landscape", "l.json", "--no-learn"],
-             RunConfig(space_path="s.csv", landscape_path="l.json", no_learn=True)),
+             RunConfig(space_path="s.csv", landscape_path="l.json", learning_budget=0.0)),
         ]
         for argv, config in examples:
             assert parse_args(argv) == config
-        assert resolve_budget(examples[-1][1]) == 0.0
 
     def test_init_depth_and_fixed_depth_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -120,14 +141,21 @@ class TestParseArgs:
         assert exit_info.value.code == 2
         assert "not allowed with argument --fixed-depth" in capsys.readouterr().err
 
-    def test_budget_resolution_order(self):
-        by_seconds = RunConfig(space_path="s", landscape_path="l",
-                               budget_seconds=42.0, time_limit=1000.0)
-        assert resolve_budget(by_seconds) == 42.0
-        by_fraction = RunConfig(space_path="s", landscape_path="l", time_limit=1000.0)
-        assert resolve_budget(by_fraction) == 150.0
-        unresolved = RunConfig(space_path="s", landscape_path="l")
-        assert resolve_budget(unresolved) == 0.0
+    def test_budget_resolution_order(self, tmp_path, caplog):
+        # --no-learn, then --budget-seconds, then --budget-frac (default 0.15) times --time-limit, then 0.
+        table = [
+            (["--no-learn", "--budget-seconds", "50", "--time-limit", "1000"], 0.0, False),
+            (["--budget-seconds", "42", "--time-limit", "1000"], 42.0, False),
+            (["--time-limit", "1000"], 150.0, False),
+            (["--budget-frac", "0.3", "--time-limit", "100"], 0.3 * 100, False),
+            ([], 0.0, True),
+            (["--budget-frac", "0"], 0.0, False),
+        ]
+        disabled = "no time limit and no absolute budget given; learning is disabled"
+        for flags, budget, warned in table:
+            caplog.clear()
+            assert parse_args(base_argv(tmp_path) + flags).learning_budget == budget, flags
+            assert caplog.messages == ([disabled] if warned else []), flags
 
 
 class TestEmitTrajectory:
@@ -156,12 +184,36 @@ class TestEmitTrajectory:
     def test_replay_writes_identical_bytes(self, landscape_files, tmp_path):
         space_path, land_path = landscape_files
         config = RunConfig(space_path=space_path, landscape_path=land_path,
-                           budget_seconds=20000.0, samples_per_epoch=20,
+                           learning_budget=20000.0, samples_per_epoch=20,
                            strategize_samples=30, trees=5, seed=5, virtual_clock=True,
                            out=str(tmp_path / "a.tsv"))
         execute(config)
         execute(dataclasses.replace(config, out=str(tmp_path / "b.tsv")))
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+    @pytest.mark.parametrize("char", ["\t", "\n"], ids=["tab", "newline"])
+    def test_meta_that_would_break_its_line_is_refused_before_the_first_solve(self, char, tmp_path, monkeypatch):
+        # A tab would split a cell with no '=' off the #meta line, and a newline would end that line.
+        for meta in ({"space": f"sp{char}ace.csv"}, {f"sp{char}ace": "space.csv"}):
+            with pytest.raises(ValueError, match="^meta 'sp"):
+                emit_trajectory(Trajectory(), tmp_path / "t.tsv", outcome=Outcome.FAILURE, meta=meta)
+        assert not (tmp_path / "t.tsv").exists()
+        folder = tmp_path / f"sp{char}ace"
+        folder.mkdir()
+        space_path = folder / "space.csv"
+        space_path.write_text(serialize_space(builtin_space("kissat_small")), encoding="utf-8")
+        land_path = tmp_path / "land.json"
+        save_landscape(convergence_landscape(6), land_path)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before its #meta line was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        config = RunConfig(space_path=str(space_path), landscape_path=str(land_path), out=str(tmp_path / "t.tsv"))
+        message = f"meta 'space'={str(space_path)!r} holds a tab or a line break"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            execute(config)
 
 
 class TestRecordFormats:
@@ -194,8 +246,8 @@ class TestRecordFormats:
 class TestExecute:
     def test_no_learn_run_is_pure_base_calculus(self, landscape_files):
         space_path, land_path = landscape_files
-        config = RunConfig(space_path=space_path, landscape_path=land_path,
-                           no_learn=True, budget_fraction=0.0, virtual_clock=True)
+        config = RunConfig(space_path=space_path, landscape_path=land_path, virtual_clock=True)
+        assert config.learning_budget == 0.0
         result, summary = execute(config)
         assert summary.epochs == 0
         assert all(e.phase == "solve" for e in result.trajectory)
@@ -246,7 +298,7 @@ class TestManifestRun:
             encoding="utf-8")
         config = RunConfig(
             space_path=str(space_path), manifest_path=str(manifest_path),
-            adapter_path=str(adapter_path), budget_seconds=1e6,
+            adapter_path=str(adapter_path), learning_budget=1e6,
             samples_per_epoch=4, strategize_samples=5, trees=3,
             virtual_clock=True, out=str(tmp_path / "run.tsv"),
         )
@@ -307,7 +359,7 @@ class TestAblationGrid:
                            samples_per_epoch=20, strategize_samples=20, trees=5,
                            time_limit=3000.0, virtual_clock=True, seed=1)
         grid = ablation_grid(config, budgets=[800.0], depths=[2])
-        single = dataclasses.replace(config, budget_seconds=800.0, fixed_depth=2)
+        single = dataclasses.replace(config, learning_budget=800.0, fixed_depth=2)
         _, summary = execute(single)
         assert grid.largest_solved[0][0] == summary.largest_solved_index
 
@@ -317,7 +369,7 @@ class TestAblationGrid:
                            samples_per_epoch=20, strategize_samples=20, trees=5,
                            time_limit=3000.0, virtual_clock=True, seed=2)
         grid = ablation_grid(config, budgets=[0.0], depths=[1, 4])
-        _, baseline = execute(dataclasses.replace(config, no_learn=True, budget_fraction=0.0))
+        _, baseline = execute(dataclasses.replace(config, learning_budget=0.0))
         assert grid.largest_solved[0] == [baseline.largest_solved_index] * 2
 
     def test_budgets_that_are_not_positive_disable_learning(self, monkeypatch):
@@ -330,10 +382,7 @@ class TestAblationGrid:
         monkeypatch.setattr(cli, "execute", record)
         config = RunConfig(space_path="s.csv", landscape_path="l.json", time_limit=3000.0)
         ablation_grid(config, budgets=[float("nan"), -5.0, 0.0, 800.0], depths=[1])
-        assert [(c.no_learn, c.budget_seconds) for c in cells] == [
-            (True, None), (True, None), (True, None), (False, 800.0)
-        ]
-        assert [resolve_budget(c) for c in cells] == [0.0, 0.0, 0.0, 800.0]
+        assert [c.learning_budget for c in cells] == [0.0, 0.0, 0.0, 800.0]
 
     def test_cell_errors_do_not_abort_grid(self, ablation_files, tmp_path):
         space_path, _ = ablation_files

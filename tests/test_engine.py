@@ -967,6 +967,16 @@ def _small_space():
     return builtin_space("kissat_small")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Trajectory().record("solve", 1, default_strategy(SPACE2), charge=-1.0),
+     "event times must be nonnegative"),
+    (lambda: initial_state(SPACE2, 0), "need at least one problem"),
+], ids=["negative_charge", "no_problems"])
+def test_bad_input_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestPolicyValidation:
     def test_forest_initial_depth_above_cap_rejected(self):
         with pytest.raises(ValueError, match="depth_cap"):

@@ -586,6 +586,12 @@ class TestAdaptiveDepth:
             fit_adaptive(data, 2, init_depth=4, depth_cap=2)
         assert fit_adaptive(data, 2, init_depth=2, depth_cap=2).trained_depth == 2
 
+    @pytest.mark.parametrize("depth_cap", [0, -1])
+    def test_depth_cap_below_one_is_named_before_the_initial_depth(self, depth_cap):
+        # Checked after the default initial depth is lowered to the cap, it would be reported as init_depth's.
+        with pytest.raises(ValueError, match="^depth_cap must be at least 1$"):
+            fit_adaptive(XOR_DATA, 2, depth_cap=depth_cap)
+
     def test_initial_depth_defaults_to_a_third_of_the_width_within_the_cap(self):
         rng = np.random.default_rng(5)
         data = make_dataset(rng.integers(0, 4, size=(60, 7)), rng.normal(size=60))
@@ -597,6 +603,17 @@ class TestAdaptiveDepth:
         forest = fit_adaptive(XOR_DATA, n_trees=1, init_depth=1,
                               score_threshold=1.1, seed=0, bootstrap=False)
         assert forest.trained_depth == XOR_DATA.feature_width
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dataset().feature_width, "empty dataset has no feature width"),
+    (lambda: fit_forest(XOR_DATA, n_trees=0, max_depth=1), "n_trees must be at least 1"),
+    (lambda: r2_score(fit_one_tree(XOR_DATA, 1), Dataset()), "empty dataset"),
+    (lambda: fit_adaptive(XOR_DATA, 2, init_depth=0), "init_depth must be at least 1"),
+], ids=["empty_feature_width", "no_trees", "empty_r2", "zero_init_depth"])
+def test_bad_input_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestDataset:

@@ -200,6 +200,11 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(space, lambda v: 1.0, default_strategy(space), 0, SamplerConfig())
 
+    def test_config_rejects_a_negative_seed(self):
+        # numpy's SeedSequence would refuse it too, but only once a chain starts.
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            SamplerConfig(seed=-1)
+
     def test_stationary_distribution_on_mixed_space_is_close(self):
         # the Hamming-1 graph is regular (every state has 3 neighbours here), so
         # the kernel is symmetric; sanity-check the pull toward low cost dominates

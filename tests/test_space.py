@@ -1,5 +1,7 @@
 """Strategy-space model, CSV parsing, neighborhoods, feature encoding."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,23 @@ class TestDomainInvariants:
     def test_space_needs_a_domain(self):
         with pytest.raises(ValueError):
             StrategySpace(())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ParameterDomain("", "0", ("1",)), ValueError, "parameter name must be a nonempty string"),
+    (lambda: ParameterDomain("x", "0", ("1;2",)), ValueError,
+     "alternative value of 'x' '1;2' contains reserved character ';'"),
+    (lambda: ParameterDomain("x", "0", ()), ValueError, "parameter 'x' needs at least one alternative"),
+    (lambda: StrategySpace((ParameterDomain("x", "0", ("1",)),) * 2), ValueError,
+     "duplicate parameter names in strategy space"),
+    (lambda: parse_space("# only a comment\n\n"), SpaceFormatError, "empty table: no header row"),
+    (lambda: parse_space("name,default,alternatives\n"), SpaceFormatError, "table has a header but no parameter rows"),
+    (lambda: builtin_space("kissat_huge"), ValueError, "no builtin space named 'kissat_huge'"),
+], ids=["empty_token", "reserved_character", "no_alternatives", "duplicate_names", "empty_table",
+        "header_only", "unknown_builtin"])
+def test_bad_input_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDefaults:
