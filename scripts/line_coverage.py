@@ -1,22 +1,24 @@
 """Run the tier-1 suite in process under a line tracer and list each src line it never runs.
 
-Usage, from anywhere: ``python scripts/line_coverage.py [extra pytest args]``.
+Usage, from anywhere: ``python scripts/line_coverage.py``.
 
 The tracer is ``sys.settrace``, so no coverage package is needed; it roughly
-doubles the suite's time.  A line of ``src/stratlearn/*.py`` is executable
+doubles the suite's time, and slows a tight Python loop up to tenfold.  A line of ``src/stratlearn/*.py`` is executable
 when some code object compiled from its file maps an instruction to it.  Each
 executable line that no in-process test runs is printed as
 ``file:line: text``; lines run only by a child process (the subprocess tests
-of the CLI) count as missed.  The exit status is the suite's if it failed,
-else 1 when a missed line is not named in ``ALLOWED`` or an ``ALLOWED`` entry
-names a line that no longer exists in its file, else 0.
+of the CLI) count as missed.  The exit status is 1 when a missed line is not
+named in ``ALLOWED`` or an ``ALLOWED`` entry names no missed line, else 0,
+unless pytest stopped short of running the suite, when it is pytest's.  A test
+that fails under the tracer is reported but does not set the status: the
+untraced run is the suite's verdict, and the tracer's slowdown can push a test
+past its wall-clock limit.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -42,8 +44,8 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_run(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """Run pytest under the tracer; return its exit code and the (real path, line) pairs run in src."""
+def traced_run() -> tuple[int, set[tuple[str, int]]]:
+    """Run the tier-1 suite under the tracer; return its exit code and the (real path, line) pairs run in src."""
     hits: set[tuple[str, int]] = set()
     ours: dict[str, bool] = {}
     src = str(SRC.resolve()) + os.sep
@@ -62,22 +64,19 @@ def traced_run(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
         hits.add((name, frame.f_lineno))
         return local
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(REPO), str(REPO), *pytest_args])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(REPO), str(REPO)])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(code), {(os.path.realpath(name), line) for name, line in hits}
 
 
-def main(argv: list[str]) -> int:
-    code, hits = traced_run(argv)
-    missed, texts, executable = [], set(), 0
+def main() -> int:
+    code, hits = traced_run()
+    missed, executable = [], 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()
-        texts.update((path.name, line.strip()) for line in text)
         lines = executable_lines(path)
         executable += len(lines)
         real = os.path.realpath(path)
@@ -87,15 +86,17 @@ def main(argv: list[str]) -> int:
         reason = ALLOWED.get((path.name, line_text))
         unlisted += reason is None
         print(f"{path.relative_to(REPO)}:{line}: {line_text}" + (f"  [allowed: {reason}]" if reason else ""))
-    stale = sorted(set(ALLOWED) - texts)
+    stale = sorted(set(ALLOWED) - {(path.name, line_text) for path, _, line_text in missed})
     for name, line_text in stale:
-        print(f"allowlist entry names no line of {name}: {line_text!r}")
+        print(f"allowlist entry names no missed line of {name}: {line_text!r}")
     print(f"{executable - len(missed)} of {executable} executable src lines run; "
           f"{unlisted} missed and not allowed, {len(stale)} stale allowlist entries")
-    if code != 0:
+    if code == pytest.ExitCode.TESTS_FAILED:
+        print("some tests failed under the tracer; the untraced run of the suite judges them")
+    elif code != pytest.ExitCode.OK:
         return code
     return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
