@@ -91,7 +91,10 @@ class SolverAdapterConfig:
 def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> tuple[list[str], list[str]]:
     """Split the command and the budget flag into shell words and return both (the flag's
     are empty when it is unset), after checking that the command references {problem} and
-    each parameter, and the flag {budget}, exactly once, and that no two exit codes are equal."""
+    each parameter, and the flag {budget}, exactly once, each as a bare ``{name}``, that no
+    parameter is named ``problem``, and that no two exit codes are equal."""
+    if "problem" in space.names:
+        raise ValueError("space parameter 'problem' would replace the {problem} locator in command")
     codes = {name: getattr(config, name) for name in ("exit_sat", "exit_unsat", "exit_aborted")}
     for (a, code), (b, other) in itertools.combinations(codes.items(), 2):
         if code == other:
@@ -109,7 +112,11 @@ def validate_template(config: SolverAdapterConfig, space: StrategySpace) -> tupl
             words = split[key] = shlex.split(template)
         except ValueError as exc:
             raise ValueError(f"{key} {template!r} does not split into shell words: {exc}") from None
-        named = [f for word in words for _, f, _, _ in string.Formatter().parse(word) if f]
+        fields = [field for word in words for field in string.Formatter().parse(word) if field[1] is not None]
+        for _, name, spec, conversion in fields:
+            if spec or conversion:
+                raise ValueError(f"{key} must reference {{{name}}} bare, without a conversion or format spec")
+        named = [name for _, name, _, _ in fields]
         unknown = set(named) - set(expected)
         if unknown:
             raise ValueError(f"{key} references unknown fields {sorted(unknown)}")

@@ -33,7 +33,7 @@ from .engine import (
     run,
     summarize,
 )
-from .space import Strategy, load_space
+from .space import LINE_BREAKS, Strategy, load_space
 
 logger = logging.getLogger(__name__)
 
@@ -181,8 +181,9 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
     forest_config = ForestConfig(trees=config.trees, init_depth=config.init_depth, fixed_depth=config.fixed_depth)
     clock = "virtual" if config.virtual_clock else "wall"
     meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
-    if config.out:
-        _check_meta(meta)  # before the first solve, not after the whole run
+    if config.out:  # before the first solve, not after the whole run
+        _check_out(config.out)
+        _check_meta(meta)
     result = run(
         backend, policy, space=space, forest_config=forest_config, seed=config.seed,
         time_limit=config.time_limit, clock=clock,
@@ -192,10 +193,16 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
     return result, emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=meta)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path whose directory is missing, before the work whose result it would hold."""
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"--out {path}: directory {Path(path).parent} does not exist")
+
+
 def _check_meta(meta: dict[str, str]) -> None:
     """Refuse a key or value that one ``#meta`` line cannot carry: a tab splits its cell, a line break the line."""
     for key, value in meta.items():
-        if any(c in key or c in value for c in "\t\r\n"):
+        if not LINE_BREAKS.isdisjoint(key + value) or "\t" in key + value:
             raise ValueError(f"meta {key!r}={value!r} holds a tab or a line break")
 
 
@@ -268,6 +275,8 @@ def ablation_grid(config: RunConfig, budgets, depths) -> GridResult:
     depths = tuple(int(d) for d in depths)
     matrix: list[list[int | None]] = []
     errors: dict[tuple[int, int], str] = {}
+    if config.out:
+        _check_out(config.out)
     for bi, budget in enumerate(budgets):
         row: list[int | None] = []
         for di, depth in enumerate(depths):

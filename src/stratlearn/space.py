@@ -17,7 +17,9 @@ from operator import mul
 from pathlib import Path
 
 _HEADER = ("name", "default", "alternatives")
-_RESERVED = set(",;#") | set(" \t\r\n")
+# Every character that ends a line for str.splitlines(): no token or #meta cell may hold one.
+LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_RESERVED = set(",;# \t") | LINE_BREAKS
 
 
 class SpaceFormatError(ValueError):

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -124,19 +122,30 @@ def penalty(assignments, optimum, weights) -> float:
     return 1.0 + sum(w for w, a, o in zip(weights, assignments, optimum) if a != o)
 
 
-# Convergence calibration: the demo script's landscape, a hidden optimum
-# inside the compact kissat space with effort growing geometrically with the
-# problem index.  A learning budget of 52000 affords exactly three epochs for
-# seeds 0..9.
-DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo_convergence.py"
-_demo_spec = importlib.util.spec_from_file_location("demo_convergence", DEMO)
-_demo = importlib.util.module_from_spec(_demo_spec)
-_demo_spec.loader.exec_module(_demo)
+# The characters other than "\n" and "\r" at which str.splitlines() ends a line.
+OTHER_LINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
-CONV_OPTIMUM = _demo.OPTIMUM
-CONV_WEIGHTS = _demo.WEIGHTS
+
+def codepoint(char: str) -> str:
+    return f"U+{ord(char):04X}"
+
+
+# Convergence calibration: the README library example's landscape, a hidden
+# optimum inside the compact kissat space with effort growing geometrically
+# with the problem index.  A learning budget of 52000 affords exactly three
+# epochs for seeds 0..9.
+CONV_OPTIMUM = ("0", "1", "2", "1", "2", "9")
+CONV_WEIGHTS = (0.9, 0.4, 0.7, 0.3, 0.5, 1.1)
 CONV_BUDGET = 52000.0
-convergence_landscape = _demo.demo_landscape
+
+
+def convergence_landscape(n: int = 12) -> SyntheticLandscape:
+    return SyntheticLandscape(
+        optimum=CONV_OPTIMUM,
+        weights=CONV_WEIGHTS,
+        base_metrics=geometric_schedule(50.0, 1.6, n),
+        verdicts=(Verdict.UNSAT,) * n,
+    )
 
 
 # Ablation calibration: four binary parameters, a binding time limit, and a

@@ -412,9 +412,18 @@ class TestAdapterConfigFile:
             # Unchecked, every solve would raise a bare re.error.
             ("metric_pattern = ^c conflicts: ([0-9.]+",
              r"metric_pattern '\^c conflicts: \(\[0-9\.\]\+' is not a valid regex: missing \), unterminated subpattern"),
+            # Each would change the argument: the locator passed in quotes, the option padded,
+            # the budget rounded; an empty field would fail at the first solve.
+            ("command = solver {problem!r} --chrono {chrono}",
+             r"command must reference \{problem\} bare, without a conversion or format spec"),
+            ("command = solver {problem} --chrono {chrono:>3}",
+             r"command must reference \{chrono\} bare, without a conversion or format spec"),
+            ("budget_flag = --conflicts {budget:.0f}",
+             r"budget_flag must reference \{budget\} bare, without a conversion or format spec"),
+            ("command = solver {problem} --chrono {chrono} {}", r"command references unknown fields \[''\]"),
         ],
         ids=["unbalanced_quote", "misspelt_field", "no_value", "other_field", "shared_exit_code",
-             "unbalanced_paren"],
+             "unbalanced_paren", "conversion", "format_spec", "budget_format_spec", "empty_field"],
     )
     def test_bad_template_fails_at_construction(self, tmp_path, one_param_space, line, message):
         # Unchecked, each would surface only at the first (budgeted) solve, mid-run.
@@ -425,6 +434,12 @@ class TestAdapterConfigFile:
         path.write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             ExternalBackend(load_adapter_config(path), one_param_space, parse_manifest("1\tp.cnf\n"))
+
+    def test_a_parameter_named_problem_is_refused(self):
+        # Unchecked, its value would replace the locator: "solver {problem}" launched ['solver', '1'].
+        space = parse_space("name,default,alternatives\nproblem,1,0\n")
+        with pytest.raises(ValueError, match=r"^space parameter 'problem' would replace the \{problem\} locator"):
+            ExternalBackend(SolverAdapterConfig(command="solver {problem}"), space, ("p.cnf",))
 
 
 class TestManifest:

@@ -15,11 +15,15 @@ import pytest
 
 from helpers import (
     ABLATION_SPACE_TEXT,
+    CONV_OPTIMUM,
+    OTHER_LINE_BREAKS,
     ablation_landscape,
+    backend_for,
+    codepoint,
     convergence_landscape,
 )
 from stratlearn import cli
-from stratlearn.backends import save_landscape
+from stratlearn.backends import SyntheticBackend, save_landscape
 from stratlearn.cli import (
     GridResult,
     RunConfig,
@@ -29,8 +33,8 @@ from stratlearn.cli import (
     main,
     parse_args,
 )
-from stratlearn.engine import Outcome, Trajectory
-from stratlearn.space import Strategy, builtin_space, serialize_space
+from stratlearn.engine import EpochPolicy, Outcome, Trajectory, run, summarize
+from stratlearn.space import Strategy, builtin_space, default_strategy, serialize_space
 
 
 PROBLEM_SOURCE = "a run reads its problems from --landscape alone, or from --manifest with --adapter"
@@ -192,9 +196,10 @@ class TestEmitTrajectory:
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
 
-    @pytest.mark.parametrize("char", ["\t", "\n"], ids=["tab", "newline"])
+    @pytest.mark.parametrize("char", ["\t", "\n", *OTHER_LINE_BREAKS],
+                             ids=["tab", "newline", *map(codepoint, OTHER_LINE_BREAKS)])
     def test_meta_that_would_break_its_line_is_refused_before_the_first_solve(self, char, tmp_path, monkeypatch):
-        # A tab would split a cell with no '=' off the #meta line, and a newline would end that line.
+        # A tab would split a cell with no '=' off the #meta line, and a line break would end that line.
         for meta in ({"space": f"sp{char}ace.csv"}, {f"sp{char}ace": "space.csv"}):
             with pytest.raises(ValueError, match="^meta 'sp"):
                 emit_trajectory(Trajectory(), tmp_path / "t.tsv", outcome=Outcome.FAILURE, meta=meta)
@@ -276,6 +281,19 @@ class TestExecute:
         with pytest.raises(ValueError, match=re.escape(f"{land_path}: optimum does not fit the space: {message}")):
             execute(config)
 
+    @pytest.mark.parametrize("command", [[], ["ablate", "--budgets", "0,800", "--depths", "1"]], ids=["run", "ablate"])
+    def test_out_in_a_missing_directory_is_refused_before_the_first_solve(self, landscape_files, tmp_path,
+                                                                          monkeypatch, command):
+        # Unchecked, the whole run or grid is solved and then lost when its file cannot be written.
+        space_path, land_path = landscape_files
+        solves = []
+        monkeypatch.setattr(SyntheticBackend, "solve", lambda self, *args, **kwargs: solves.append(args))
+        out = tmp_path / "missing" / "out.tsv"
+        message = f"--out {out}: directory {out.parent} does not exist"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main([*command, "--space", space_path, "--landscape", land_path, "--virtual-clock", "--out", str(out)])
+        assert solves == []
+
 
 class TestManifestRun:
     def test_external_solver_end_to_end(self, tmp_path):
@@ -310,10 +328,6 @@ class TestManifestRun:
 
 class TestWallClock:
     def test_wall_mode_smoke(self):
-        from helpers import backend_for
-        from stratlearn.engine import EpochPolicy, run
-        from stratlearn.space import builtin_space
-
         result = run(
             backend_for(["UNSAT", "SAT"]),
             EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=1),
@@ -489,19 +503,43 @@ class TestAblateCommand:
         ]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_block(language, heading):
     """The first ``language`` code block of README.md after ``heading``."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     return re.search(rf"```{language}\n(.*?)```", text[text.index(heading):], re.S).group(1)
 
 
+@pytest.fixture(scope="module")
+def library_example():
+    """The names README's ``python`` block defines, run once: it solves the landscape twice."""
+    library = {}
+    exec(readme_block("python", "## Library use"), library)
+    return library
+
+
 class TestReadmeExamples:
-    def test_cli_examples_learn_on_the_library_example_landscape(self, tmp_path, monkeypatch):
-        library = {}
-        exec(readme_block("python", "## Library use"), library)
+    def test_library_example_learns_what_its_prose_states(self, library_example):
+        assert library_example["landscape"] == convergence_landscape(12)
+        learned, baseline = library_example["learned"], library_example["baseline"]
+        text = README.read_text(encoding="utf-8")
+        prose = " ".join(text[text.index("## Library use"):].split())
+        assert learned.state.epochs == 3 and "trains 3 epochs" in prose
+        assert learned.state.strategy.assignments == CONV_OPTIMUM
+        assert baseline.state.strategy == default_strategy(library_example["space"])
+        for result in (learned, baseline):
+            summary = summarize(result.trajectory, result.outcome)
+            assert summary.largest_solved_index == 12 and "all 12 problems" in prose
+            assert f"`{';'.join(result.state.strategy.assignments)}`" in prose
+            assert f"solves take about {round(summary.solving_time):,}" in prose
+
+    def test_cli_examples_learn_on_the_library_example_landscape(self, library_example, tmp_path, monkeypatch,
+                                                                 capsys):
         monkeypatch.chdir(tmp_path)
-        Path("space.csv").write_text(serialize_space(library["space"]), encoding="utf-8")
-        save_landscape(library["landscape"], "landscape.json")
+        Path("space.csv").write_text(serialize_space(library_example["space"]), encoding="utf-8")
+        save_landscape(library_example["landscape"], "landscape.json")
         commands, comment = {}, None
         for line in readme_block("sh", "## CLI").replace("\\\n", " ").splitlines():
             if line.startswith("# "):
@@ -512,6 +550,8 @@ class TestReadmeExamples:
         lines = Path("run.tsv").read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[0] for line in lines].count("train") == 1
         assert "\tlargest_solved_index=12\t" in lines[-1]
+        assert main(commands["baseline without learning"]) == 0
+        assert " largest_solved_index=11 " in capsys.readouterr().out  # the learning run printed 12
         assert main(commands["ablation: sweep learning budget against fixed tree depth"]) == 0
         cells = [row.split("\t")[1:] for row in Path("grid.tsv").read_text(encoding="utf-8").splitlines()[2:]]
         assert cells == [["11", "11", "11"], ["12", "11", "11"], ["10", "11", "11"]]  # as the README says

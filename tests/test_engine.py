@@ -5,10 +5,6 @@ import functools
 import hashlib
 import logging
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +13,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     CONV_BUDGET,
-    DEMO,
     all_strategies,
     backend_for,
     binary_space,
@@ -58,6 +53,7 @@ from stratlearn.sampler import CostFunctionError, SamplerConfig, run_chain
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
 SPACE2 = binary_space(2)
+SMALL_SPACE = builtin_space("kissat_small")
 NO_LEARNING = EpochPolicy(samples_per_epoch=100, learning_budget=0.0, strategize_samples=500)
 
 
@@ -194,8 +190,6 @@ class TestShouldLearn:
 
 
 def landscape_backend():
-    from stratlearn.backends import SyntheticLandscape, geometric_schedule
-
     return SyntheticBackend(
         SyntheticLandscape(
             optimum=("0", "0"),
@@ -581,7 +575,7 @@ class TestPredictionTable:
         for seed in range(3):
             backend = SyntheticBackend(convergence_landscape(12))
             policy = EpochPolicy(samples_per_epoch=20, learning_budget=CONV_BUDGET, strategize_samples=50)
-            result = run(backend, policy, space=_small_space(), seed=seed, forest_config=ForestConfig(trees=5))
+            result = run(backend, policy, space=SMALL_SPACE, seed=seed, forest_config=ForestConfig(trees=5))
             trajectory = result.trajectory
             strategizes = trajectory.phase_events("strategize")
             # More strategizes than oracles: some oracle served a second one, from its table.
@@ -769,12 +763,24 @@ class TestRun:
                 else:
                     assert result.outcome is Outcome.FAILURE
 
+    @pytest.mark.parametrize("policy", [
+        NO_LEARNING, EpochPolicy(samples_per_epoch=5, learning_budget=1e6, strategize_samples=5),
+    ], ids=["no-learning", "learning"])
+    def test_a_negative_seed_is_refused_before_the_first_solve(self, policy):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the seed was checked")
+
+        backend = backend_for(["UNSAT"] * 3)
+        backend.solve = no_solve
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            run(backend, policy, space=SPACE2, seed=-1, forest_config=ForestConfig(trees=2))
+
     def test_learning_run_is_deterministic(self):
         def one():
             backend = SyntheticBackend(convergence_landscape(6))
             policy = EpochPolicy(samples_per_epoch=20, learning_budget=30000.0,
                                  strategize_samples=50)
-            return run(backend, policy, space=_small_space(), seed=11,
+            return run(backend, policy, space=SMALL_SPACE, seed=11,
                        forest_config=ForestConfig(trees=5))
 
         a, b = one(), one()
@@ -783,21 +789,11 @@ class TestRun:
         assert a.state.strategy == b.state.strategy
 
     def test_learning_never_changes_verdicts(self):
-        space = _small_space()
-        verdict_schedule = ["UNSAT"] * 5 + ["SAT"]
-        from stratlearn.backends import SyntheticLandscape, geometric_schedule
-
-        landscape = SyntheticLandscape(
-            optimum=("0", "1", "2", "1", "2", "9"),
-            weights=(0.9, 0.4, 0.7, 0.3, 0.5, 1.1),
-            base_metrics=geometric_schedule(50.0, 1.6, 6),
-            verdicts=tuple(Verdict(v) for v in verdict_schedule),
-        )
-        backend = SyntheticBackend(landscape)
+        backend = SyntheticBackend(dataclasses.replace(convergence_landscape(6), verdicts=(UNSAT,) * 5 + (SAT,)))
         learned = run(backend, EpochPolicy(samples_per_epoch=30, learning_budget=1e6,
                                            strategize_samples=100),
-                      space=space, seed=4, forest_config=ForestConfig(trees=10))
-        baseline = run(backend, NO_LEARNING, space=space, seed=4)
+                      space=SMALL_SPACE, seed=4, forest_config=ForestConfig(trees=10))
+        baseline = run(backend, NO_LEARNING, space=SMALL_SPACE, seed=4)
         solved = lambda r: [(e.index, e.verdict) for e in r.trajectory.phase_events("solve")]
         assert solved(learned) == solved(baseline)
         assert learned.outcome is baseline.outcome is Outcome.SUCCESS
@@ -805,7 +801,7 @@ class TestRun:
     def test_termination_event_ceiling(self):
         backend = SyntheticBackend(convergence_landscape(8))
         policy = EpochPolicy(samples_per_epoch=15, learning_budget=40000.0, strategize_samples=30)
-        result = run(backend, policy, space=_small_space(), seed=2,
+        result = run(backend, policy, space=SMALL_SPACE, seed=2,
                      forest_config=ForestConfig(trees=5))
         n = backend.num_problems
         epochs = summarize(result.trajectory, result.outcome).epochs
@@ -815,7 +811,7 @@ class TestRun:
     def test_cumulative_time_is_sum_of_event_times(self):
         backend = SyntheticBackend(convergence_landscape(6))
         policy = EpochPolicy(samples_per_epoch=10, learning_budget=20000.0, strategize_samples=20)
-        result = run(backend, policy, space=_small_space(), seed=3,
+        result = run(backend, policy, space=SMALL_SPACE, seed=3,
                      forest_config=ForestConfig(trees=5))
         total = 0.0
         for event in result.trajectory:
@@ -825,15 +821,15 @@ class TestRun:
     def test_budget_refusal_leaves_no_learning_events(self):
         backend = SyntheticBackend(convergence_landscape(4))
         policy = EpochPolicy(samples_per_epoch=100, learning_budget=1.0, strategize_samples=10)
-        result = run(backend, policy, space=_small_space(), seed=0)
+        result = run(backend, policy, space=SMALL_SPACE, seed=0)
         assert result.trajectory.phase_events("collect") == []
         assert result.trajectory.phase_events("train") == []
-        assert result.state.strategy == default_strategy(_small_space())
+        assert result.state.strategy == default_strategy(SMALL_SPACE)
 
     def test_time_limit_reports_largest_solved_index(self):
         backend = SyntheticBackend(convergence_landscape(12))
         # base metrics sum past 50 after a few indices; cut the run short
-        result = run(backend, NO_LEARNING, space=_small_space(), seed=0, time_limit=2000.0)
+        result = run(backend, NO_LEARNING, space=SMALL_SPACE, seed=0, time_limit=2000.0)
         assert result.outcome is Outcome.TIME_LIMIT
         summary = summarize(result.trajectory, result.outcome)
         assert summary.largest_solved_index is not None
@@ -847,9 +843,9 @@ class TestRun:
     def test_strategy_constant_between_strategize_events(self):
         backend = SyntheticBackend(convergence_landscape(8))
         policy = EpochPolicy(samples_per_epoch=20, learning_budget=40000.0, strategize_samples=60)
-        result = run(backend, policy, space=_small_space(), seed=6,
+        result = run(backend, policy, space=SMALL_SPACE, seed=6,
                      forest_config=ForestConfig(trees=5))
-        current = default_strategy(_small_space()).assignments
+        current = default_strategy(SMALL_SPACE).assignments
         for event in result.trajectory:
             if event.phase == "strategize":
                 current = event.strategy
@@ -885,7 +881,7 @@ class TestRun:
         collections = 0
         for seed in range(5):
             backend = CountingBackend(convergence_landscape(8))
-            run(backend, policy, space=_small_space(), seed=seed, forest_config=ForestConfig(trees=5))
+            run(backend, policy, space=SMALL_SPACE, seed=seed, forest_config=ForestConfig(trees=5))
             base = None
             for index, strategy, is_base_solve in backend.calls:
                 if is_base_solve:
@@ -897,9 +893,6 @@ class TestRun:
         assert collections > 0
 
     def test_depth_cap_below_the_default_initial_depth_is_kept(self):
-        from stratlearn.backends import SyntheticLandscape, geometric_schedule
-        from stratlearn.space import builtin_space
-
         space = builtin_space("kissat_large")  # default initial depth ceil(14 / 3) = 5
         landscape = SyntheticLandscape(
             optimum=tuple(d.values[-1] for d in space.domains),
@@ -943,28 +936,10 @@ class TestRun:
             num_problems = 1
 
             def solve(self, index, strategy, budget=None):
-                from stratlearn.backends import SolveOutcome
-
                 return SolveOutcome(Verdict.ABORTED, 5.0)
 
         with pytest.raises(RuntimeError, match="decisive"):
             run(AbortingBackend(), NO_LEARNING, space=SPACE2, seed=0)
-
-
-def test_demo_script_runs_and_prints_the_ground_truth():
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, str(DEMO), "--seed", "0"], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "ground truth: best penalty" in proc.stdout
-
-
-def _small_space():
-    from stratlearn.space import builtin_space
-
-    return builtin_space("kissat_small")
 
 
 @pytest.mark.parametrize("call, message", [

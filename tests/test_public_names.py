@@ -129,7 +129,7 @@ def test_the_scan_sees_definitions_and_references():
     assert "ablation_grid" in referenced_names(REPO / "tests" / "test_acceptance.py")
     assert len(READERS) > len(LIBRARY) + 2
     assert ("run", "seed") in public_keyword_parameters(REPO / "src" / "stratlearn" / "engine.py")
-    assert "seed" in given_keywords(REPO / "scripts" / "demo_convergence.py")
+    assert "seed" in given_keywords(REPO / "src" / "stratlearn" / "cli.py")
     assert ("SamplerConfig", "seed") in config_fields(REPO / "src" / "stratlearn" / "sampler.py")
     # RunConfig's space_path has no default, so it is not a config dataclass here.
     assert not any(cls == "RunConfig" for cls, _ in config_fields(REPO / "src" / "stratlearn" / "cli.py"))

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_strategies, binary_space, decode, rank_of, reference_neighbors, space_from
+from helpers import (
+    OTHER_LINE_BREAKS,
+    all_strategies,
+    binary_space,
+    codepoint,
+    decode,
+    rank_of,
+    reference_neighbors,
+    space_from,
+)
 from stratlearn.sampler import SamplerConfig, run_chain
 from stratlearn.space import (
+    LINE_BREAKS,
     ParameterDomain,
     SpaceFormatError,
     Strategy,
@@ -91,6 +101,19 @@ class TestDomainInvariants:
 def test_bad_input_is_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_line_breaks_are_where_splitlines_ends_a_line():
+    assert LINE_BREAKS == {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+    assert LINE_BREAKS == {"\n", "\r", *OTHER_LINE_BREAKS}
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=codepoint)
+def test_a_token_holding_a_line_break_is_refused(char):
+    # Accepted, the token would split its row, and parse_space(serialize_space(space)) would fail.
+    for name, default, alternative in ((f"x{char}", "0", "1"), ("x", f"0{char}", "1"), ("x", "0", f"1{char}")):
+        with pytest.raises(ValueError, match=f"contains reserved character {re.escape(repr(char))}$"):
+            ParameterDomain(name, default, (alternative,))
 
 
 class TestDefaults:
