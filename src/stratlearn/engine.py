@@ -26,7 +26,6 @@ the seconds since the previous one ended.  Budget and time limit use its unit.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import time
@@ -35,9 +34,9 @@ from enum import Enum
 
 import numpy as np
 
-from .backends import Verdict
+from .backends import SolverError, Verdict
 from .forest import DataPoint, Dataset, Grid, RandomForest, fit_adaptive, fit_forest, predict
-from .sampler import CostFunctionError, SamplerConfig, run_chain
+from .sampler import SamplerConfig, run_chain
 from .space import Strategy, StrategySpace, default_strategy, encode_features
 
 logger = logging.getLogger(__name__)
@@ -275,12 +274,16 @@ def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float
 
     A run reported ABORTED or over budget costs ``ABORT_MULTIPLIER`` and is charged the budget on the
     virtual clock; any other costs its metric over the baseline and is charged its metric.  The verdict
-    is otherwise discarded: the baseline's run already settled the problem's status.
+    is otherwise discarded: the baseline's run already settled the problem's status.  A ``SolverError``
+    is raised again as its own type, naming the problem and strategy; any other exception passes as it is.
     """
     if not baseline_metric > 0:
         raise ValueError(f"baseline must be positive, got {baseline_metric!r}")
     budget = ABORT_MULTIPLIER * baseline_metric
-    outcome = backend.solve(index, strategy, budget=budget)
+    try:
+        outcome = backend.solve(index, strategy, budget=budget)
+    except SolverError as exc:
+        raise type(exc)(f"collect on problem {index}, strategy {';'.join(strategy.assignments)}: {exc}") from exc
     metric = float(outcome.metric)
     aborted = outcome.verdict is Verdict.ABORTED or metric > budget
     if aborted:
@@ -297,8 +300,8 @@ def learning_epoch(
     state: EngineState,
     backend,
     policy: EpochPolicy,
-    sampler_config: SamplerConfig,
     *,
+    beta: float = 1.0,
     forest_config: ForestConfig = ForestConfig(),
     seed: int = 0,
     trajectory: Trajectory,
@@ -313,10 +316,11 @@ def learning_epoch(
     charge or event.  Each call is a ``collect_cost``, which records its
     ``collect`` event; on the wall clock that event takes the call's seconds
     and the chain steps before it, and the ``train`` event the rest, the
-    dataset append and the fit.  A backend failure mid-chain
-    (``CostFunctionError``) adds the memo's points instead and is re-raised
-    with no refit; ``run()`` does not catch it, so the whole run ends
-    (ROADMAP.md item 3c is to end the epoch).
+    dataset append and the fit.  A solver fault mid-chain (``SolverError``)
+    adds the memo's points instead and is re-raised with no refit; ``run()``
+    does not catch it, so the whole run ends (ROADMAP.md item 3c is to end
+    the epoch).  Any other exception passes through with no point added.
+    The chain draws from ``seed``'s collection stream at ``beta``.
     """
     _require_live(state)
     index = state.index
@@ -324,9 +328,6 @@ def learning_epoch(
     if baseline is None or baseline <= 0:
         raise ValueError(f"no positive baseline recorded for problem {index}")
 
-    chain_config = dataclasses.replace(
-        sampler_config, seed=_substream_seed(seed, _COLLECT_STREAM, state.epochs)
-    )
     space = state.space
     in_force = space.rank(space.codes(state.strategy))
     measured: dict[int, float] = {}  # by rank, in call order
@@ -340,9 +341,10 @@ def learning_epoch(
             measured[rank] = collect_cost(backend, index, strategy, baseline, trajectory).cost
         return measured[rank]
 
+    chain_seed = _substream_seed(seed, _COLLECT_STREAM, state.epochs)
     try:
-        samples = run_chain(space, cost_fn, state.strategy, policy.samples_per_epoch, chain_config)
-    except CostFunctionError:
+        samples = run_chain(space, cost_fn, state.strategy, policy.samples_per_epoch, seed=chain_seed, beta=beta)
+    except SolverError:
         for rank, cost in measured.items():
             state.dataset.append(DataPoint(encode_features(space.unrank(rank), index), cost))
         raise
@@ -371,9 +373,9 @@ def learning_epoch(
 
 def rule_strategize(
     state: EngineState,
-    sampler_config: SamplerConfig,
     policy: EpochPolicy,
     *,
+    beta: float = 1.0,
     seed: int = 0,
     trajectory: Trajectory,
 ) -> EngineState:
@@ -388,7 +390,8 @@ def rule_strategize(
     when the current strategy predicts it, and otherwise ends at its first
     record there (``run_chain``'s ``stop``).  A table with a non-finite entry,
     or a lazy dict, has no known minimum, so its chain walks every step, and
-    one that meets a non-finite entry raises ``CostFunctionError``.
+    one that meets a non-finite entry raises ``ValueError``.  The chain draws
+    from ``seed``'s strategize stream at ``beta``.
 
     Guard: a trained oracle whose index thresholds all lie strictly below the
     index (its ``index_bound``, computed once per oracle), else
@@ -425,11 +428,9 @@ def rule_strategize(
     best_cost = predicted_cost(best)
     floor = state.floor
     if policy.strategize_samples > 1 and (floor is None or best_cost > floor):
-        chain_config = dataclasses.replace(
-            sampler_config, seed=_substream_seed(seed, _STRATEGIZE_STREAM, index)
-        )
         chain = run_chain(
-            space, predicted_cost, state.strategy, policy.strategize_samples - 1, chain_config,
+            space, predicted_cost, state.strategy, policy.strategize_samples - 1,
+            seed=_substream_seed(seed, _STRATEGIZE_STREAM, index), beta=beta,
             stop=-math.inf if floor is None else floor,
         )
         for record in chain:
@@ -489,15 +490,16 @@ def run(
     Next applies, the engine runs one learning epoch on the problem it just
     solved if ``should_learn`` admits one, advances the index and, once the
     oracle exists, switches the strategy via its predictions at the new index.
-    Of ``sampler_config`` only ``beta`` is read: collection and strategize
-    chains both reseed it from ``seed``, so its own ``seed`` is never read.
-    All random streams derive from ``seed`` through fixed labeled splits, so
-    identical inputs replay identical trajectories on the virtual clock.  The
-    time limit is read before each solve from the ``clock``'s cumulative time.
+    Of ``sampler_config`` only ``beta`` is read (1.0 without one).  A
+    negative ``seed`` is refused before any backend call; every random
+    stream derives from it through fixed labeled splits, so identical inputs
+    replay identical trajectories on the virtual clock.  The time limit is
+    read before each solve from the ``clock``'s cumulative time.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    beta = 1.0 if sampler_config is None else sampler_config.beta
     trajectory = Trajectory(clock)
-    if sampler_config is None:
-        sampler_config = SamplerConfig(seed=seed)
     state = initial_state(space, backend.num_problems)
 
     while state.terminal is None:
@@ -516,15 +518,11 @@ def run(
             break
 
         if should_learn(state, policy, solve.virtual_time, trajectory):
-            learning_epoch(
-                state, backend, policy, sampler_config,
-                forest_config=forest_config, seed=seed, trajectory=trajectory,
-            )
+            learning_epoch(state, backend, policy, beta=beta, forest_config=forest_config, seed=seed,
+                           trajectory=trajectory)
 
         state.index += 1
         if state.oracle is not None:
-            rule_strategize(
-                state, sampler_config, policy, seed=seed, trajectory=trajectory
-            )
+            rule_strategize(state, policy, beta=beta, seed=seed, trajectory=trajectory)
 
     return RunResult(state.terminal, state, trajectory)

@@ -27,7 +27,7 @@ from .space import Strategy, StrategySpace, neighbors
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Temperature and seed of one chain."""
+    """``engine.run``'s chain temperature: every chain's seed derives from ``run``'s, so ``seed`` is read by nothing."""
 
     beta: float = 1.0
     seed: int = 0
@@ -45,14 +45,6 @@ class ChainRecord(NamedTuple):
     rank: int
     cost: float
     accepted: bool
-
-
-class CostFunctionError(RuntimeError):
-    """A cost evaluation failed; carries the strategy that triggered it."""
-
-    def __init__(self, strategy: Strategy, cause: BaseException):
-        super().__init__(f"cost evaluation failed for strategy {';'.join(strategy.assignments)}: {cause}")
-        self.strategy = strategy
 
 
 def acceptance_probability(cost_current: float, cost_proposed: float, beta: float) -> float:
@@ -149,8 +141,9 @@ def run_chain(
     cost_fn: Callable[[int], float],
     start: Strategy,
     n_samples: int,
-    config: SamplerConfig,
     *,
+    seed: int,
+    beta: float = 1.0,
     stop: float = -math.inf,
 ) -> list[ChainRecord]:
     """Draw ``n_samples`` chain states starting from ``start``, or fewer: the chain ends after its first
@@ -162,23 +155,24 @@ def run_chain(
     rejects; the recorded sample is the post-step state, so consecutive
     records are either equal or one parameter apart.  Until the stop, every
     proposal is evaluated, revisits included; a caller whose costs are dear
-    memoizes them.  A failing or non-finite cost raises ``CostFunctionError``
-    with the decoded strategy.  The chain is fully deterministic given the
-    config seed: its draws are ``default_rng(SeedSequence([seed]))``'s, from
-    raw blocks.
+    memoizes them.  A non-finite cost raises ``ValueError`` naming the decoded
+    strategy; an exception from ``cost_fn`` passes through as it is.  A
+    ``beta`` that is not positive is refused before the first evaluation.
+    The chain is fully deterministic given ``seed``: its draws are
+    ``default_rng(SeedSequence([seed]))``'s, from raw blocks.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if not beta > 0:  # NaN fails too
+        raise ValueError("beta must be positive")
     current = space.rank(space.codes(start))  # ValueError unless every value of start is legal
-    integers, random = _draws(config.seed)
+    integers, random = _draws(seed)
 
     def cost_of(rank: int) -> float:
-        try:
-            value = float(cost_fn(rank))
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite cost {value!r}")
-        except Exception as exc:
-            raise CostFunctionError(space.strategy(space.unrank(rank)), exc) from exc
+        value = float(cost_fn(rank))
+        if not math.isfinite(value):
+            strategy = ";".join(space.strategy(space.unrank(rank)).assignments)
+            raise ValueError(f"strategy {strategy}: non-finite cost {value!r}")
         return value
 
     cost_current = cost_of(current)
@@ -190,7 +184,7 @@ def run_chain(
         # Only an uphill move needs the formula and a draw; exp of a tiny rise may round to 1.0.
         accepted = cost_proposal <= cost_current
         if not accepted:
-            alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
+            alpha = acceptance_probability(cost_current, cost_proposal, beta)
             accepted = alpha >= 1.0 or random() < alpha
         if accepted:
             current, cost_current = proposal, cost_proposal

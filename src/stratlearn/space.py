@@ -32,6 +32,9 @@ def _check_token(token: str, what: str) -> None:
     bad = _RESERVED.intersection(token)
     if bad:
         raise ValueError(f"{what} {token!r} contains reserved character {sorted(bad)[0]!r}")
+    if token.strip() != token:  # parse_space strips each cell, so the token would not read back
+        edge = token[0] if token[0].isspace() else token[-1]
+        raise ValueError(f"{what} {token!r} starts or ends with whitespace {edge!r}")
 
 
 @dataclass(frozen=True)

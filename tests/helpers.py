@@ -17,8 +17,9 @@ from stratlearn.backends import (
     Verdict,
     geometric_schedule,
 )
+from stratlearn.engine import EpochPolicy, ForestConfig, run
 from stratlearn.forest import _TREE_STREAM, RandomForest
-from stratlearn.sampler import acceptance_probability
+from stratlearn.sampler import SamplerConfig, acceptance_probability
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
 
@@ -63,20 +64,20 @@ def reference_neighbors(space: StrategySpace, strategy: Strategy) -> list[Strate
     return out
 
 
-def reference_run_chain(space, cost_fn, start, n_samples, config) -> list[tuple[Strategy, float, bool]]:
+def reference_run_chain(space, cost_fn, start, n_samples, *, seed, beta=1.0) -> list[tuple[Strategy, float, bool]]:
     """``sampler.run_chain`` over ``Strategy`` values, drawing from ``reference_neighbors``.
 
     Same stream; each record is (strategy, cost, accepted), which is what a
     ``run_chain`` record decodes to when ``cost_fn`` sees the decoded rank.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     current, cost_current = start, float(cost_fn(start))
     records = []
     for _ in range(n_samples):
         options = reference_neighbors(space, current)
         proposal = options[int(rng.integers(len(options)))]
         cost_proposal = float(cost_fn(proposal))
-        alpha = acceptance_probability(cost_current, cost_proposal, config.beta)
+        alpha = acceptance_probability(cost_current, cost_proposal, beta)
         accepted = alpha >= 1.0 or rng.random() < alpha
         if accepted:
             current, cost_current = proposal, cost_proposal
@@ -92,6 +93,48 @@ chain_spaces = st.one_of(
         lambda sizes: space_from([(f"p{i}", "0", tuple(map(str, range(1, k)))) for i, k in enumerate(sizes)])
     ),
 )
+
+
+@dataclass(frozen=True)
+class RunCase:
+    """Everything ``engine.run`` takes for one run on a ``SyntheticBackend``, on the virtual clock."""
+
+    space: StrategySpace
+    landscape: SyntheticLandscape
+    policy: EpochPolicy
+    forest_config: ForestConfig
+    sampler_config: SamplerConfig
+    seed: int
+    time_limit: float | None
+
+    def run(self, **changes):
+        case = dataclasses.replace(self, **changes)
+        return run(SyntheticBackend(case.landscape), case.policy, space=case.space, seed=case.seed,
+                   sampler_config=case.sampler_config, forest_config=case.forest_config, time_limit=case.time_limit)
+
+
+@st.composite
+def run_cases(draw) -> RunCase:
+    """2-12 problems on a ``chain_spaces`` space, SAT first at any index or none, every option of a run drawn."""
+    space = draw(chain_spaces)
+    n = draw(st.integers(2, 12))
+    sat, verdicts = draw(st.none() | st.integers(1, n)), [Verdict.UNSAT] * n
+    if sat is not None:  # any verdicts may follow the first SAT
+        decisive = st.sampled_from([Verdict.SAT, Verdict.UNSAT])
+        verdicts[sat - 1:] = [Verdict.SAT, *draw(st.lists(decisive, min_size=n - sat, max_size=n - sat))]
+    landscape = SyntheticLandscape(
+        optimum=tuple(draw(st.sampled_from(d.values)) for d in space.domains),
+        weights=tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=space.k, max_size=space.k))),
+        base_metrics=tuple(draw(st.lists(st.floats(1.0, 1000.0), min_size=n, max_size=n))),
+        verdicts=tuple(verdicts),
+    )
+    policy = EpochPolicy(draw(st.integers(1, 30)), draw(st.sampled_from([0.0, 1e9]) | st.floats(10.0, 5000.0)),
+                         draw(st.integers(1, 60)))
+    depth = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from([{}, {"init_depth": depth, "depth_cap": depth + 2}, {"fixed_depth": depth}]))
+    forest_config = ForestConfig(trees=draw(st.integers(1, 12)), **mode)
+    return RunCase(space, landscape, policy, forest_config, SamplerConfig(beta=draw(st.sampled_from([0.5, 1.0, 3.0]))),
+                   draw(st.integers(0, 2**16)), draw(st.none() | st.floats(0.0, 50000.0)))
 
 
 def hand_forest(width, *trees):

@@ -47,7 +47,7 @@ from stratlearn.forest import (
     fit_forest,
     r2_score,
 )
-from stratlearn.sampler import SamplerConfig, acceptance_probability, run_chain
+from stratlearn.sampler import acceptance_probability, run_chain
 from stratlearn.space import (
     Strategy,
     builtin_space,
@@ -134,7 +134,7 @@ def test_criterion_03_mcmc_stationarity():
             ranks = {space.rank(space.codes(Strategy(key))): key for key in cost_table}
             records = run_chain(
                 space, lambda v: cost_table[ranks[v]], default_strategy(space), steps,
-                SamplerConfig(beta=1.0, seed=0),
+                seed=0, beta=1.0,
             )
             z = sum(math.exp(-c) for c in cost_table.values())
             visits = Counter(record.rank for record in records)

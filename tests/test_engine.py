@@ -28,8 +28,10 @@ from helpers import (
 from stratlearn import engine
 from stratlearn.backends import (
     SolveOutcome,
+    SolverError,
     SyntheticBackend,
     SyntheticLandscape,
+    UnexpectedExitCodeError,
     Verdict,
     geometric_schedule,
 )
@@ -49,7 +51,7 @@ from stratlearn.engine import (
     summarize,
 )
 from stratlearn.forest import DataPoint, Dataset, Grid, RandomForest, fit_forest, predict
-from stratlearn.sampler import CostFunctionError, SamplerConfig, run_chain
+from stratlearn.sampler import SamplerConfig, run_chain
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
 
 SPACE2 = binary_space(2)
@@ -210,7 +212,7 @@ class TestLearningEpoch:
         state = self.prepared_state()
         policy = EpochPolicy(samples_per_epoch=2, learning_budget=1e9)
         trajectory = Trajectory()
-        learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0), trajectory=trajectory)
+        learning_epoch(state, landscape_backend(), policy, trajectory=trajectory)
         assert len(state.dataset) == 2
         assert state.oracle is not None
         assert state.epochs == 1
@@ -220,8 +222,7 @@ class TestLearningEpoch:
         state = self.prepared_state()
         policy = EpochPolicy(samples_per_epoch=25, learning_budget=1e9)
         trajectory = Trajectory()
-        learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=1),
-                       trajectory=trajectory)
+        learning_epoch(state, landscape_backend(), policy, trajectory=trajectory)
         collects = trajectory.phase_events("collect")
         assert 1 <= len(collects) <= 25
         assert len(trajectory.phase_events("train")) == 1
@@ -231,7 +232,7 @@ class TestLearningEpoch:
         state = fresh_state(6)
         policy = EpochPolicy(samples_per_epoch=2, learning_budget=1e9)
         with pytest.raises(ValueError, match="baseline"):
-            learning_epoch(state, landscape_backend(), policy, SamplerConfig(seed=0), trajectory=Trajectory())
+            learning_epoch(state, landscape_backend(), policy, trajectory=Trajectory())
 
     def test_backend_failure_keeps_measured_points(self):
         class FlakyBackend:
@@ -244,7 +245,7 @@ class TestLearningEpoch:
 
             def solve(self, index, strategy, budget=None):
                 if self.remaining == 0:
-                    raise RuntimeError("solver crashed")
+                    raise SolverError("solver crashed")
                 self.remaining -= 1
                 return self.inner.solve(index, strategy, budget)
 
@@ -253,8 +254,8 @@ class TestLearningEpoch:
         # the space has only 3 non-default strategies; allow 2 calls, fail the 3rd
         backend = FlakyBackend(landscape_backend(), allowed=2)
         trajectory = Trajectory()
-        with pytest.raises(CostFunctionError):
-            learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=trajectory)
+        with pytest.raises(SolverError):
+            learning_epoch(state, backend, policy, trajectory=trajectory)
         assert state.oracle is None  # epoch aborted before training
         # the two measured calls, and only they, are charged, logged and kept, in call order
         collects = trajectory.phase_events("collect")
@@ -264,6 +265,44 @@ class TestLearningEpoch:
         assert [tuple(row) for row in X.tolist()] == rows
         assert y.tolist() == [e.cost for e in collects]
         assert trajectory.learning_time == collects[0].virtual_time + collects[1].virtual_time > 0
+
+    def test_a_collection_solver_error_names_its_problem_and_strategy(self):
+        class FaultyBackend:
+            num_problems = 6
+
+            def solve(self, index, strategy, budget=None):
+                raise UnexpectedExitCodeError("exit code 7")
+
+        state = self.prepared_state()
+        state.index = 2
+        policy = EpochPolicy(samples_per_epoch=5, learning_budget=1e9)
+        with pytest.raises(UnexpectedExitCodeError) as excinfo:
+            learning_epoch(state, FaultyBackend(), policy, trajectory=Trajectory())
+        # binary_space(2) from the default (1, 1): the first proposal of seed 0's collection chain
+        first = reference_run_chain(SPACE2, lambda v: 1.0, default_strategy(SPACE2), 1,
+                                    seed=engine._substream_seed(0, engine._COLLECT_STREAM, 0))[0][0]
+        strategy = ";".join(first.assignments)
+        assert str(excinfo.value) == f"collect on problem 2, strategy {strategy}: exit code 7"
+        assert type(excinfo.value.__cause__) is UnexpectedExitCodeError
+        assert len(state.dataset) == 0 and state.oracle is None
+
+    def test_a_program_error_in_collection_ends_the_run_as_itself(self):
+        class TypoBackend(SyntheticBackend):
+            collects = 0
+
+            def solve(self, index, strategy, budget=None):
+                if budget is not None:
+                    self.collects += 1
+                    if self.collects == 3:
+                        raise KeyError("typo")
+                return super().solve(index, strategy, budget)
+
+        typo = TypoBackend(convergence_landscape(6))
+        policy = EpochPolicy(samples_per_epoch=20, learning_budget=1e9, strategize_samples=10)
+        with pytest.raises(KeyError) as excinfo:
+            run(typo, policy, space=SMALL_SPACE, seed=0, forest_config=ForestConfig(trees=2))
+        assert excinfo.value.args == ("typo",) and excinfo.value.__cause__ is None
+        assert typo.collects == 3
 
     def test_one_backend_call_per_distinct_strategy(self):
         class CountingBackend:
@@ -283,7 +322,7 @@ class TestLearningEpoch:
         policy = EpochPolicy(samples_per_epoch=50, learning_budget=1e9)
         backend = CountingBackend(landscape_backend())
         trajectory = Trajectory()
-        learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=trajectory)
+        learning_epoch(state, backend, policy, trajectory=trajectory)
         # 50 steps over 4 strategies revisit them; only the 3 non-default ones are run, once each
         strategies = [strategy for strategy, _ in backend.calls]
         assert 1 <= len(strategies) <= 3
@@ -303,7 +342,7 @@ class TestLearningEpoch:
         state.baseline = 10.0
         trajectory = Trajectory()
         policy = EpochPolicy(samples_per_epoch=50, learning_budget=1e9)
-        learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=trajectory)
+        learning_epoch(state, backend, policy, trajectory=trajectory)
         collects = trajectory.phase_events("collect")
         aborted = [e.raw_metric > ABORT_MULTIPLIER * state.baseline for e in collects]
         assert any(aborted) and not all(aborted)
@@ -332,7 +371,7 @@ class TestStrategize:
         costs = {v.assignments: 1.0 for v in all_strategies(SPACE2)}
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=50)
-        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+        rule_strategize(state, policy, trajectory=Trajectory())
         assert state.strategy == default_strategy(SPACE2)
 
     def test_single_sample_retains_current_strategy(self):
@@ -342,7 +381,7 @@ class TestStrategize:
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=1)
         before = state.strategy
-        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+        rule_strategize(state, policy, trajectory=Trajectory())
         assert state.strategy == before
 
     def test_unique_minimum_is_found(self):
@@ -351,14 +390,14 @@ class TestStrategize:
         costs = {("1", "1"): 3.0, ("1", "0"): 2.0, ("0", "1"): 1.5, ("0", "0"): 0.25}
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=1, learning_budget=0.0, strategize_samples=100)
-        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+        rule_strategize(state, policy, trajectory=Trajectory())
         assert state.strategy == Strategy(("0", "0"))
 
     def test_untrained_oracle_rejected(self):
         state = fresh_state(4)
         policy = EpochPolicy(strategize_samples=10)
         with pytest.raises(InapplicableRuleError, match="trained oracle"):
-            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+            rule_strategize(state, policy, trajectory=Trajectory())
 
     def index_split_oracle(self, space):
         """Costs reversed between indices 1 and 3, so the forest tests the index, and only at 2.0."""
@@ -378,13 +417,13 @@ class TestStrategize:
         policy = EpochPolicy(strategize_samples=50)
         trajectory = Trajectory()
         state.index = 3
-        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+        rule_strategize(state, policy, trajectory=trajectory)
         table = state.predictions
         before = (state.strategy, table.tolist(), state.floor, list(trajectory.events))
         for index in (1, 2):
             state.index = index
             with pytest.raises(InapplicableRuleError, match="index threshold"):
-                rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+                rule_strategize(state, policy, trajectory=trajectory)
             assert state.predictions is table
             assert (state.strategy, table.tolist(), state.floor, trajectory.events) == before
 
@@ -401,9 +440,9 @@ class TestStrategize:
             for state.index in (3, 1, 5, 2, 4):
                 if state.index <= 2:
                     with pytest.raises(InapplicableRuleError, match="index threshold"):
-                        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+                        rule_strategize(state, policy, trajectory=Trajectory())
                 else:
-                    rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+                    rule_strategize(state, policy, trajectory=Trajectory())
             assert oracle.index_bound == 2.0
         assert reads == oracles
 
@@ -412,7 +451,7 @@ class TestStrategize:
         state.oracle = hand_forest(3, (0, 0.5, 2.0, 1.0))  # p0's alternative, code 1, is cheaper
         assert state.oracle.index_bound == -math.inf
         trajectory = Trajectory()
-        rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=50), trajectory=trajectory)
+        rule_strategize(state, EpochPolicy(strategize_samples=50), trajectory=trajectory)
         assert state.strategy.assignments[0] == "0" and trajectory.events[-1].cost == 1.0
 
     def test_a_pick_of_the_in_force_rank_keeps_the_very_strategy(self):
@@ -423,8 +462,7 @@ class TestStrategize:
             state = fresh_state(4)
             state.index, state.oracle, state.strategy = 2, oracle, Strategy(start)
             before, trajectory = state.strategy, Trajectory()
-            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=samples),
-                            trajectory=trajectory)
+            rule_strategize(state, EpochPolicy(strategize_samples=samples), trajectory=trajectory)
             assert (state.strategy is before) == kept == (state.strategy == before)
             picked = state.strategy.assignments
             assert trajectory.events == [
@@ -447,7 +485,7 @@ class TestStrategize:
         for index in (3, 5, 4):
             state.index = index
             trajectory = Trajectory()
-            rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+            rule_strategize(state, policy, trajectory=trajectory)
             costs = {
                 v: predict(oracle, [encode_features(space.codes(v), index)]).item() for v in all_strategies(space)
             }
@@ -465,14 +503,14 @@ class TestStrategize:
         costs = {("1", "1"): 400.0, ("1", "0"): 300.0, ("0", "1"): 200.0, ("0", "0"): 100.0}
         state.oracle = self.oracle_from_costs(SPACE2, costs, 2)
         policy = EpochPolicy(samples_per_epoch=20, learning_budget=1e9, strategize_samples=50)
-        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=Trajectory())
+        rule_strategize(state, policy, trajectory=Trajectory())
         backend = landscape_backend()
         state.baseline = backend.solve(2, state.strategy).metric
         assert state.floor == 100.0
-        learning_epoch(state, backend, policy, SamplerConfig(seed=0), trajectory=Trajectory())
+        learning_epoch(state, backend, policy, trajectory=Trajectory())
         assert (state.predictions, state.floor) == ({}, None)
         trajectory = Trajectory()
-        rule_strategize(state, SamplerConfig(seed=0), policy, trajectory=trajectory)
+        rule_strategize(state, policy, trajectory=trajectory)
         refit = {
             v: predict(state.oracle, [encode_features(SPACE2.codes(v), 2)]).item() for v in all_strategies(SPACE2)
         }
@@ -499,8 +537,7 @@ class TestPredictionTable:
 
     @staticmethod
     def strategize(state, samples=2):
-        rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=samples),
-                        trajectory=Trajectory())
+        rule_strategize(state, EpochPolicy(strategize_samples=samples), trajectory=Trajectory())
 
     def filled_table(self, space, oracle, index):
         state = fresh_state(index + 1, space)
@@ -603,9 +640,9 @@ class TestSkippedChain:
         return chains
 
     @staticmethod
-    def reference_chain(space, table, start, samples, config):
+    def reference_chain(space, table, start, samples, chain):
         """The reference chain's records over the table, and their earliest strict minimum, the start included."""
-        records = reference_run_chain(space, lambda v: table[rank_of(space, v)], start, samples - 1, config)
+        records = reference_run_chain(space, lambda v: table[rank_of(space, v)], start, samples - 1, **chain)
         best, best_cost = start, table[rank_of(space, start)]
         for strategy, cost, _ in records:
             if cost < best_cost:
@@ -627,7 +664,7 @@ class TestSkippedChain:
     def strategize_twice(self, space, data_seed, levels, start, index, seed, samples, beta):
         """Strategize at ``index``, which fills the table, then at ``index + 1``, which reads it.  For each,
         the table, the in-force strategy, the reference chain and pick, the strategy and floor after it,
-        its event and the chains it walked.
+        its event, the chains it walked and the seed and beta they must be given.
 
         The oracle is fitted on integer costs in 0..levels at indices below ``index``: few levels leave
         many strategies tied at the minimum, so the in-force strategy often starts there, and a walk
@@ -648,21 +685,20 @@ class TestSkippedChain:
             for state.index in (index, index + 1):
                 rows = [encode_features(space.unrank(r), state.index) for r in range(n)]
                 table = [predict(state.oracle, [row]).item() for row in rows]
-                config = SamplerConfig(beta=beta, seed=engine._substream_seed(
-                    seed, engine._STRATEGIZE_STREAM, state.index))
-                full, expected = self.reference_chain(space, table, state.strategy, samples, config)
+                chain = dict(seed=engine._substream_seed(seed, engine._STRATEGIZE_STREAM, state.index), beta=beta)
+                full, expected = self.reference_chain(space, table, state.strategy, samples, chain)
                 in_force, trajectory, walked = state.strategy, Trajectory(), len(chains)
-                rule_strategize(state, SamplerConfig(beta=beta), EpochPolicy(strategize_samples=samples),
-                                seed=seed, trajectory=trajectory)
+                rule_strategize(state, EpochPolicy(strategize_samples=samples), beta=beta, seed=seed,
+                                trajectory=trajectory)
                 steps.append((table, in_force, full, expected, state.strategy, state.floor,
-                              trajectory.events[-1], chains[walked:]))
+                              trajectory.events[-1], chains[walked:], chain))
         return steps
 
     @settings(max_examples=100, deadline=None)
     @given(*fitted_cases)
     def test_pick_equals_the_full_chain(self, space, data_seed, levels, start, index, seed, samples, beta):
         steps = self.strategize_twice(space, data_seed, levels, start, index, seed, samples, beta)
-        for table, in_force, _, expected, strategy, floor, event, walks in steps:
+        for table, in_force, _, expected, strategy, floor, event, walks, _ in steps:
             assert (strategy, event.cost) == expected and type(event.cost) is float
             assert floor == min(table)
             assert len(walks) == (table[rank_of(space, in_force)] > min(table))
@@ -673,10 +709,10 @@ class TestSkippedChain:
         self, space, data_seed, levels, start, index, seed, samples, beta
     ):
         steps = self.strategize_twice(space, data_seed, levels, start, index, seed, samples, beta)
-        for table, _, full, expected, strategy, floor, event, walks in steps:
+        for table, _, full, expected, strategy, floor, event, walks, chain in steps:
             assert (strategy, event.cost) == expected
             for records, evaluated, keywords in walks:
-                assert keywords == {"stop": floor} and floor == min(table)
+                assert keywords == {**chain, "stop": floor} and floor == min(table)
                 cut = next((i + 1 for i, (_, cost, _) in enumerate(full) if cost <= floor), len(full))
                 assert [(decode(space, r.rank), r.cost, r.accepted) for r in records] == full[:cut]
                 assert len(evaluated) == 1 + cut  # the start, then one proposal per record: none after it
@@ -688,8 +724,8 @@ class TestSkippedChain:
         state.oracle, state.index = hand_forest(2, (0, 0.5, 0.25, math.inf)), 2
         chains = self.counted_chains(monkeypatch)
         trajectory = Trajectory()
-        with pytest.raises(CostFunctionError, match="non-finite cost inf"):
-            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=2), trajectory=trajectory)
+        with pytest.raises(ValueError, match="^strategy 0: non-finite cost inf$"):
+            rule_strategize(state, EpochPolicy(strategize_samples=2), trajectory=trajectory)
         assert state.predictions.tolist() == [0.25, math.inf] and state.floor is None
         assert len(chains) == 1
         assert state.strategy == default_strategy(space) and len(trajectory) == 0
@@ -701,7 +737,7 @@ class TestSkippedChain:
         monkeypatch.setattr(engine, "TABLE_CAP", 31)
         chains = self.counted_chains(monkeypatch)
         for state.index in (2, 3):
-            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=40), trajectory=Trajectory())
+            rule_strategize(state, EpochPolicy(strategize_samples=40), trajectory=Trajectory())
         assert len(chains) == 2 and state.floor is None
         assert isinstance(state.predictions, dict) and len(state.predictions) > 1
         assert state.strategy == default_strategy(space)
@@ -717,10 +753,12 @@ class TestSkippedChain:
         state.index, before = 2, state.strategy
         monkeypatch.setattr(engine, "TABLE_CAP", cap)
         chains = self.counted_chains(monkeypatch)
-        rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=4), trajectory=Trajectory())
+        rule_strategize(state, EpochPolicy(strategize_samples=4), trajectory=Trajectory())
         assert state.floor is None and isinstance(state.predictions, dict) == (cap == 15)
         [(records, evaluated, keywords)] = chains
-        assert keywords == {"stop": -math.inf} and len(records) == 3 and len(evaluated) == 4
+        assert keywords == {"seed": engine._substream_seed(0, engine._STRATEGIZE_STREAM, 2), "beta": 1.0,
+                            "stop": -math.inf}
+        assert len(records) == 3 and len(evaluated) == 4
         assert state.strategy is before
 
     def test_a_single_sample_walks_no_chain(self, monkeypatch):
@@ -732,7 +770,7 @@ class TestSkippedChain:
             state = fresh_state(3, space)
             state.oracle, state.index, state.strategy = oracle, 2, decode(space, start)
             trajectory = Trajectory()
-            rule_strategize(state, SamplerConfig(seed=0), EpochPolicy(strategize_samples=1), trajectory=trajectory)
+            rule_strategize(state, EpochPolicy(strategize_samples=1), trajectory=trajectory)
             assert state.predictions.tolist() == costs
             assert (state.strategy, trajectory.events[-1].cost) == (decode(space, start), costs[start])
         assert chains == []
@@ -772,8 +810,10 @@ class TestRun:
 
         backend = backend_for(["UNSAT"] * 3)
         backend.solve = no_solve
-        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
-            run(backend, policy, space=SPACE2, seed=-1, forest_config=ForestConfig(trees=2))
+        for sampler_config in (None, SamplerConfig()):  # an explicit config's own seed is read by nothing
+            with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+                run(backend, policy, space=SPACE2, sampler_config=sampler_config, seed=-1,
+                    forest_config=ForestConfig(trees=2))
 
     def test_learning_run_is_deterministic(self):
         def one():

@@ -15,7 +15,10 @@ timing a phase, and the compute before it would be charged to no event.
 Finally no module in the package calls a ``Generator`` method: NumPy keeps
 no stream of a ``Generator`` method stable across releases, so every draw
 is decoded from a bit generator's raw output, and a run stays a function
-of its seed and its source.
+of its seed and its source.  And no function in the package catches every
+exception (``except Exception``, ``except BaseException`` or a bare
+``except``) but ``cli.ablation_grid``, whose per-cell catch is the CLI's
+stated contract: a catch-all would turn a program bug into a quiet result.
 """
 
 import ast
@@ -192,3 +195,29 @@ def test_no_module_calls_a_generator_method():
 def test_the_scan_sees_a_generator_call():
     # Guards the guard: the benchmark still permutes its options with Generator.permutation.
     assert generator_calls(ROOT / "bench" / "workloads.py")
+
+
+CATCH_ALLS = {"Exception", "BaseException"}
+
+
+def catch_alls() -> dict[str, list[int]]:
+    """Line numbers, by ``module.qualified_name``, of handlers in package functions that catch every exception."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, function in module_functions(ast.parse(path.read_text(encoding="utf-8"))).items():
+            if lines := sorted({
+                node.lineno for node in ast.walk(function)
+                if isinstance(node, ast.ExceptHandler)
+                and (node.type is None or named(node.type) & CATCH_ALLS)
+            }):
+                found[f"{path.stem}.{name}"] = lines
+    return found
+
+
+def test_no_function_but_the_ablation_grid_catches_every_exception():
+    assert {name: lines for name, lines in catch_alls().items() if name != "cli.ablation_grid"} == {}
+
+
+def test_the_scan_sees_a_catch_all():
+    # Guards the guard: the ablation grid records each failed cell, so the scan must flag it.
+    assert "cli.ablation_grid" in catch_alls()

@@ -21,7 +21,6 @@ from helpers import (
 from stratlearn.sampler import (
     _BLOCK,
     ChainRecord,
-    CostFunctionError,
     SamplerConfig,
     _draws,
     _integers,
@@ -80,13 +79,13 @@ class TestPropose:
     # of the proposal kernel from the previous state.
     def test_single_binary_domain_is_deterministic(self):
         space = binary_space(1)
-        (record,) = run_chain(space, lambda v: 1.0, default_strategy(space), 1, SamplerConfig(seed=0))
+        (record,) = run_chain(space, lambda v: 1.0, default_strategy(space), 1, seed=0)
         assert decode(space, record.rank) == Strategy(("0",))
 
     def test_uniform_over_compact_neighborhood(self, small_space):
         draws = 100_000
         records = run_chain(
-            small_space, lambda v: 1.0, default_strategy(small_space), draws, SamplerConfig(seed=42)
+            small_space, lambda v: 1.0, default_strategy(small_space), draws, seed=42
         )
         counts = [0] * 9
         options: dict[int, list[int]] = {}
@@ -112,7 +111,7 @@ class TestPropose:
 class TestRunChain:
     def test_constant_cost_accepts_everything(self):
         space = binary_space(2)
-        records = run_chain(space, lambda v: 1.0, default_strategy(space), 50, SamplerConfig(seed=1))
+        records = run_chain(space, lambda v: 1.0, default_strategy(space), 50, seed=1)
         assert len(records) == 50
         assert all(r.accepted for r in records)
 
@@ -120,7 +119,7 @@ class TestRunChain:
         space = binary_space(1)
         costs = {("1",): 10.0, ("0",): 0.0}
         records = run_chain(
-            space, lambda v: costs[decode(space, v).assignments], Strategy(("1",)), 1, SamplerConfig(seed=0)
+            space, lambda v: costs[decode(space, v).assignments], Strategy(("1",)), 1, seed=0
         )
         assert decode(space, records[0].rank) == Strategy(("0",))
         assert records[0].accepted and records[0].cost == 0.0
@@ -133,7 +132,7 @@ class TestRunChain:
             return table.setdefault(v, float(rng_costs.uniform(0, 3)))
 
         start = default_strategy(small_space)
-        records = run_chain(small_space, cost_fn, start, 300, SamplerConfig(seed=5))
+        records = run_chain(small_space, cost_fn, start, 300, seed=5)
         previous = small_space.codes(start)
         for record in records:
             codes = small_space.unrank(record.rank)
@@ -146,8 +145,8 @@ class TestRunChain:
             return sum(a != b for a, b in zip(small_space.unrank(v), (1, 1, 1, 1, 2, 6)))
 
         start = default_strategy(small_space)
-        first = run_chain(small_space, cost_fn, start, 200, SamplerConfig(seed=9))
-        second = run_chain(small_space, cost_fn, start, 200, SamplerConfig(seed=9))
+        first = run_chain(small_space, cost_fn, start, 200, seed=9)
+        second = run_chain(small_space, cost_fn, start, 200, seed=9)
         assert first == second
 
     def test_evaluates_the_start_and_every_step(self):
@@ -160,28 +159,39 @@ class TestRunChain:
             return 1.0
 
         start = default_strategy(space)
-        records = run_chain(space, cost_fn, start, 200, SamplerConfig(seed=2))
+        records = run_chain(space, cost_fn, start, 200, seed=2)
         assert len(calls) == 200 + 1
         assert calls[0] == rank_of(space, start)
         assert calls[1:] == [r.rank for r in records]  # constant cost: every proposal is accepted
 
     def test_cost_failure_carries_strategy(self):
+        # The cost function's own exception, naming the strategy it failed on, comes out unchanged.
         space = binary_space(1)
+        boom = KeyError("0")
 
         def cost_fn(v):
             if decode(space, v) == Strategy(("0",)):
-                raise RuntimeError("boom")
+                raise boom
             return 1.0
 
-        with pytest.raises(CostFunctionError, match="strategy 0: boom") as excinfo:
-            run_chain(space, cost_fn, Strategy(("1",)), 5, SamplerConfig(seed=0))
-        assert excinfo.value.strategy == Strategy(("0",))
+        with pytest.raises(KeyError) as excinfo:
+            run_chain(space, cost_fn, Strategy(("1",)), 5, seed=0)
+        assert excinfo.value is boom and excinfo.value.__cause__ is None
 
     def test_non_finite_cost_carries_strategy(self):
         space = binary_space(1)
-        with pytest.raises(CostFunctionError, match="strategy 1: non-finite cost nan") as excinfo:
-            run_chain(space, lambda v: float("nan"), Strategy(("1",)), 5, SamplerConfig(seed=0))
-        assert excinfo.value.strategy == Strategy(("1",))
+        with pytest.raises(ValueError, match="^strategy 1: non-finite cost nan$"):
+            run_chain(space, lambda v: float("nan"), Strategy(("1",)), 5, seed=0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_a_nonpositive_beta_is_refused_before_any_cost(self, beta):
+        space = binary_space(1)
+
+        def cost_fn(v):
+            raise AssertionError("a cost was evaluated before beta was checked")
+
+        with pytest.raises(ValueError, match="^beta must be positive$"):
+            run_chain(space, cost_fn, default_strategy(space), 5, seed=0, beta=beta)
 
     def test_validates_start_once_and_walks_codes(self, small_space, monkeypatch):
         start = default_strategy(small_space)
@@ -191,14 +201,14 @@ class TestRunChain:
         monkeypatch.setattr(Strategy, "__init__", lambda self, *a: built.append(a) or init(self, *a))
         for n in (1, 10, 1000):
             encoded.clear()
-            records = run_chain(small_space, lambda v: 1.0, start, n, SamplerConfig(seed=n))
+            records = run_chain(small_space, lambda v: 1.0, start, n, seed=n)
             assert encoded == [start] and built == []
             assert len(records) == n and all(r.accepted for r in records)
 
     def test_rejects_empty_chain(self):
         space = binary_space(1)
         with pytest.raises(ValueError):
-            run_chain(space, lambda v: 1.0, default_strategy(space), 0, SamplerConfig())
+            run_chain(space, lambda v: 1.0, default_strategy(space), 0, seed=0)
 
     def test_config_rejects_a_negative_seed(self):
         # numpy's SeedSequence would refuse it too, but only once a chain starts.
@@ -211,7 +221,7 @@ class TestRunChain:
         space = space_from([("a", "1", ("0", "2")), ("b", "1", ("0",))])
         best = rank_of(space, Strategy(("2", "0")))
         records = run_chain(
-            space, lambda v: 0.0 if v == best else 2.0, default_strategy(space), 20_000, SamplerConfig(seed=3)
+            space, lambda v: 0.0 if v == best else 2.0, default_strategy(space), 20_000, seed=3
         )
         best_share = sum(r.rank == best for r in records) / len(records)
         assert best_share > 0.5
@@ -233,10 +243,10 @@ class TestChainPinned:
         space = builtin_space(space_name)
         start = default_strategy(space)
         for seed in range(5):
-            config = SamplerConfig(beta=beta, seed=seed)
-            records = run_chain(space, lambda v: self.rugged_cost(decode(space, v)), start, 300, config)
+            config = dict(seed=seed, beta=beta)
+            records = run_chain(space, lambda v: self.rugged_cost(decode(space, v)), start, 300, **config)
             decoded = [(decode(space, r.rank), r.cost, r.accepted) for r in records]
-            assert decoded == reference_run_chain(space, self.rugged_cost, start, 300, config)
+            assert decoded == reference_run_chain(space, self.rugged_cost, start, 300, **config)
             accepted = sum(r.accepted for r in records)
             assert 0 < accepted < len(records)
 
@@ -312,11 +322,11 @@ class TestChainAgainstReference:
         # The reference draws from a real Generator; 600 steps cross a block boundary.
         table = np.random.default_rng(table_seed).uniform(0.0, 3.0, math.prod(space.sizes)).tolist()
         start = decode(space, start % len(table))
-        config = SamplerConfig(beta=beta, seed=seed)
-        records = run_chain(space, table.__getitem__, start, n_samples, config)
+        config = dict(seed=seed, beta=beta)
+        records = run_chain(space, table.__getitem__, start, n_samples, **config)
         decoded = [(decode(space, r.rank), r.cost, r.accepted) for r in records]
         assert decoded == reference_run_chain(
-            space, lambda v: table[rank_of(space, v)], start, n_samples, config
+            space, lambda v: table[rank_of(space, v)], start, n_samples, **config
         )
 
     @settings(max_examples=60, deadline=1000)
@@ -335,16 +345,16 @@ class TestChainAgainstReference:
         # Integer costs in 0..levels, so records often tie with a stop drawn from the table.
         table = np.random.default_rng(table_seed).integers(levels + 1, size=math.prod(space.sizes)).tolist()
         start = decode(space, start % len(table))
-        config = SamplerConfig(beta=beta, seed=seed)
-        full = run_chain(space, table.__getitem__, start, n_samples, config)
+        config = dict(seed=seed, beta=beta)
+        full = run_chain(space, table.__getitem__, start, n_samples, **config)
         assert [(decode(space, r.rank), r.cost, r.accepted) for r in full] == reference_run_chain(
-            space, lambda v: table[rank_of(space, v)], start, n_samples, config
+            space, lambda v: table[rank_of(space, v)], start, n_samples, **config
         )
-        assert run_chain(space, table.__getitem__, start, n_samples, config, stop=-math.inf) == full
+        assert run_chain(space, table.__getitem__, start, n_samples, **config, stop=-math.inf) == full
         for stop in (-1.0, *sorted(set(table)), levels - 0.5, levels + 1.0):
             evaluated = []
             stopped = run_chain(
-                space, lambda r: evaluated.append(r) or table[r], start, n_samples, config, stop=stop
+                space, lambda r: evaluated.append(r) or table[r], start, n_samples, **config, stop=stop
             )
             cut = next((i + 1 for i, record in enumerate(full) if record.cost <= stop), len(full))
             assert stopped == full[:cut]

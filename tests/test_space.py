@@ -16,7 +16,7 @@ from helpers import (
     reference_neighbors,
     space_from,
 )
-from stratlearn.sampler import SamplerConfig, run_chain
+from stratlearn.sampler import run_chain
 from stratlearn.space import (
     LINE_BREAKS,
     ParameterDomain,
@@ -113,6 +113,18 @@ def test_a_token_holding_a_line_break_is_refused(char):
     # Accepted, the token would split its row, and parse_space(serialize_space(space)) would fail.
     for name, default, alternative in ((f"x{char}", "0", "1"), ("x", f"0{char}", "1"), ("x", "0", f"1{char}")):
         with pytest.raises(ValueError, match=f"contains reserved character {re.escape(repr(char))}$"):
+            ParameterDomain(name, default, (alternative,))
+
+
+@pytest.mark.parametrize("token, edge", [
+    ("0\x1f", "\x1f"), ("0\xa0", "\xa0"), ("0\u3000", "\u3000"), ("\x1f1", "\x1f"),
+], ids=["U+001F-after", "U+00A0", "U+3000", "U+001F-before"])
+def test_a_token_that_strip_changes_is_refused(token, edge):
+    # Accepted, the token would read back stripped through parse_space(serialize_space(space)).
+    assert token.strip() != token
+    message = f" {re.escape(repr(token))} starts or ends with whitespace {re.escape(repr(edge))}$"
+    for name, default, alternative in ((token, "0", "1"), ("x", token, "1"), ("x", "2", token)):
+        with pytest.raises(ValueError, match=message):
             ParameterDomain(name, default, (alternative,))
 
 
@@ -216,7 +228,7 @@ class TestCodeTable:
         strategy = Strategy(assignments)
         for call in (
             lambda: small_space.codes(strategy),
-            lambda: run_chain(small_space, lambda codes: 1.0, strategy, 1, SamplerConfig()),
+            lambda: run_chain(small_space, lambda codes: 1.0, strategy, 1, seed=0),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()
@@ -270,14 +282,14 @@ _token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, ma
 
 
 @st.composite
-def spaces(draw):
+def spaces(draw, token=_token):
     k = draw(st.integers(min_value=1, max_value=4))
     names = draw(
-        st.lists(_token, min_size=k, max_size=k, unique=True)
+        st.lists(token, min_size=k, max_size=k, unique=True)
     )
     domains = []
     for name in names:
-        values = draw(st.lists(_token, min_size=2, max_size=4, unique=True))
+        values = draw(st.lists(token, min_size=2, max_size=4, unique=True))
         domains.append(ParameterDomain(name, values[0], tuple(values[1:])))
     return StrategySpace(tuple(domains))
 
@@ -285,6 +297,24 @@ def spaces(draw):
 @settings(max_examples=75, deadline=None)
 @given(spaces())
 def test_parse_serialize_round_trip(space):
+    assert parse_space(serialize_space(space)) == space
+
+
+def _accepted(token: str) -> bool:
+    try:
+        ParameterDomain(token, "\0", ("\1",))
+    except ValueError:
+        return False
+    return True
+
+
+# Any text a domain accepts as a token, drawn from all of Unicode: inner whitespace included.
+_any_token = st.text(min_size=1, max_size=4).filter(_accepted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces(_any_token))
+def test_every_accepted_space_reads_back_unchanged(space):
     assert parse_space(serialize_space(space)) == space
 
 
