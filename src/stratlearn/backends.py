@@ -49,19 +49,8 @@ class SolveOutcome:
 
 
 class SolverError(RuntimeError):
-    """Base class for external-adapter failures."""
-
-
-class SolverLaunchError(SolverError):
-    pass
-
-
-class MetricParseError(SolverError):
-    pass
-
-
-class UnexpectedExitCodeError(SolverError):
-    pass
+    """The package's one fault class: a solver run that gave no verdict and metric (a failed launch, an unknown
+    exit code, no parseable metric).  ``engine.collect_cost`` and ``engine.learning_epoch`` handle it."""
 
 
 # --------------------------------------------------------------------------
@@ -135,9 +124,9 @@ def _parse_metric(config: SolverAdapterConfig, stdout: str) -> float | None:
     try:
         metric = float(text)
     except (TypeError, ValueError):
-        raise MetricParseError(f"metric {text!r} captured by {config.metric_pattern!r} is not a number") from None
+        raise SolverError(f"metric {text!r} captured by {config.metric_pattern!r} is not a number") from None
     if not 0 <= metric < math.inf:  # NaN fails too
-        raise MetricParseError(f"metric {text!r} captured by {config.metric_pattern!r} is not finite and nonnegative")
+        raise SolverError(f"metric {text!r} captured by {config.metric_pattern!r} is not finite and nonnegative")
     return metric
 
 
@@ -252,10 +241,6 @@ def load_landscape(path: str | Path) -> SyntheticLandscape:
 # Problem manifests
 
 
-class ManifestError(ValueError):
-    pass
-
-
 def parse_manifest(text: str) -> tuple[str, ...]:
     """Return the locators of ``index<TAB>locator`` lines whose indices run 1, 2, ... in file order."""
     locators: list[str] = []
@@ -264,18 +249,21 @@ def parse_manifest(text: str) -> tuple[str, ...]:
             continue
         cells = line.split("\t")
         if len(cells) != 2:
-            raise ManifestError(f"line {lineno}: expected index<TAB>locator, got {line!r}")
+            raise ValueError(f"line {lineno}: expected index<TAB>locator, got {line!r}")
         if cells[0].strip() != str(len(locators) + 1):
-            raise ManifestError(f"line {lineno}: expected index {len(locators) + 1}, got {cells[0]!r}")
+            raise ValueError(f"line {lineno}: expected index {len(locators) + 1}, got {cells[0]!r}")
         locator = cells[1].strip()
         if not locator:
-            raise ManifestError(f"line {lineno}: missing locator")
+            raise ValueError(f"line {lineno}: missing locator")
         locators.append(locator)
     return tuple(locators)
 
 
 def load_manifest(path: str | Path) -> tuple[str, ...]:
-    return parse_manifest(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        return parse_manifest(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -341,14 +329,14 @@ class ExternalBackend:
         try:
             proc = subprocess.run(args, capture_output=True, text=True)
         except OSError as exc:
-            raise SolverLaunchError(f"failed to launch {args[0]!r}: {exc}") from exc
+            raise SolverError(f"failed to launch {args[0]!r}: {exc}") from exc
 
         verdict = self._verdicts.get(proc.returncode)
         if verdict is None:
-            raise UnexpectedExitCodeError(f"unexpected exit code {proc.returncode}")
+            raise SolverError(f"unexpected exit code {proc.returncode}")
         metric = _parse_metric(config, proc.stdout)
         if metric is None:
             if verdict is not Verdict.ABORTED or budget is None:
-                raise MetricParseError(f"no metric matching {config.metric_pattern!r} in solver output")
+                raise SolverError(f"no metric matching {config.metric_pattern!r} in solver output")
             metric = float(budget)
         return SolveOutcome(verdict, metric)

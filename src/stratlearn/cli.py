@@ -194,7 +194,9 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an output path whose directory is missing, before the work whose result it would hold."""
+    """Refuse an output path that is a directory or lies in a missing one, before the work it would hold."""
+    if Path(path).is_dir():
+        raise ValueError(f"--out {path}: is a directory")
     if not Path(path).parent.is_dir():
         raise ValueError(f"--out {path}: directory {Path(path).parent} does not exist")
 

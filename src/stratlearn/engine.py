@@ -60,10 +60,6 @@ class Outcome(Enum):
     TIME_LIMIT = "TIME_LIMIT"
 
 
-class InapplicableRuleError(RuntimeError):
-    """A transition rule was applied in a configuration that does not admit it."""
-
-
 @dataclass(frozen=True)
 class EpochPolicy:
     """How much learning a run may do.
@@ -210,7 +206,7 @@ def initial_state(space: StrategySpace, num_problems: int) -> EngineState:
 
 def _require_live(state: EngineState) -> None:
     if state.terminal is not None:
-        raise InapplicableRuleError(f"terminal state {state.terminal.value} is absorbing")
+        raise RuntimeError(f"terminal state {state.terminal.value} is absorbing")
 
 
 def apply_solve(state: EngineState, outcome) -> Outcome | None:
@@ -395,7 +391,7 @@ def rule_strategize(
 
     Guard: a trained oracle whose index thresholds all lie strictly below the
     index (its ``index_bound``, computed once per oracle), else
-    InapplicableRuleError with nothing changed.  A tree reads the
+    RuntimeError with nothing changed.  A tree reads the
     index only in tests ``index > t``, which then all go right, so
     ``state.predictions`` is one exact table per oracle, keyed by rank: the
     oracle's first strategize fills it with one ``predict`` of every
@@ -408,7 +404,7 @@ def rule_strategize(
     _require_live(state)
     oracle, index, space, memo = state.oracle, state.index, state.space, state.predictions
     if oracle is None or not oracle.index_bound < index:
-        raise InapplicableRuleError(
+        raise RuntimeError(
             f"strategize at index {index} needs a trained oracle with every index threshold below it"
         )
 

@@ -22,10 +22,6 @@ LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 _RESERVED = set(",;# \t") | LINE_BREAKS
 
 
-class SpaceFormatError(ValueError):
-    """A strategy-space table that cannot be parsed."""
-
-
 def _check_token(token: str, what: str) -> None:
     if not token:
         raise ValueError(f"{what} must be a nonempty string")
@@ -152,32 +148,28 @@ def parse_space(table_text: str) -> StrategySpace:
             continue
         rows.append((lineno, line))
     if not rows:
-        raise SpaceFormatError("empty table: no header row")
+        raise ValueError("empty table: no header row")
     header_no, header = rows[0]
     if tuple(cell.strip() for cell in header.split(",")) != _HEADER:
-        raise SpaceFormatError(
-            f"row {header_no}: expected header 'name,default,alternatives', got {header!r}"
-        )
+        raise ValueError(f"row {header_no}: expected header 'name,default,alternatives', got {header!r}")
     domains: list[ParameterDomain] = []
     seen: dict[str, int] = {}
     for lineno, line in rows[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 3:
-            raise SpaceFormatError(f"row {lineno}: expected 3 comma-separated cells, got {len(cells)}")
+            raise ValueError(f"row {lineno}: expected 3 comma-separated cells, got {len(cells)}")
         name, default, alts_cell = cells
         if not alts_cell:
-            raise SpaceFormatError(f"row {lineno}: empty alternatives cell for {name!r}")
+            raise ValueError(f"row {lineno}: empty alternatives cell for {name!r}")
         if name in seen:
-            raise SpaceFormatError(
-                f"row {lineno}: duplicate parameter name {name!r} (first seen in row {seen[name]})"
-            )
+            raise ValueError(f"row {lineno}: duplicate parameter name {name!r} (first seen in row {seen[name]})")
         seen[name] = lineno
         try:
             domains.append(ParameterDomain(name, default, tuple(a.strip() for a in alts_cell.split(";"))))
         except ValueError as exc:
-            raise SpaceFormatError(f"row {lineno}: {exc}") from exc
+            raise ValueError(f"row {lineno}: {exc}") from exc
     if not domains:
-        raise SpaceFormatError("table has a header but no parameter rows")
+        raise ValueError("table has a header but no parameter rows")
     return StrategySpace(tuple(domains))
 
 
@@ -190,7 +182,10 @@ def serialize_space(space: StrategySpace) -> str:
 
 
 def load_space(path: str | Path) -> StrategySpace:
-    return parse_space(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        return parse_space(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def builtin_space(name: str) -> StrategySpace:

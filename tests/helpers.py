@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -234,9 +235,26 @@ def backend_for(verdicts, metrics=None) -> SyntheticBackend:
     ))
 
 
+STUB = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"  # a solver process for ExternalBackend
+
+
 def one_problem_backend(config: SolverAdapterConfig, space: StrategySpace, problem) -> ExternalBackend:
     """An ``ExternalBackend`` whose manifest holds ``problem`` alone, as index 1."""
     return ExternalBackend(config, space, (str(problem),))
+
+
+def brute_force_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
+    """Exhaustive minimum-weighted-variance split as (sse, feature, threshold); independent of the tree code."""
+    best = None
+    for feature in range(X.shape[1]):
+        values = np.unique(X[:, feature])
+        for low, high in zip(values, values[1:]):
+            threshold = (low + high) / 2.0
+            left = X[:, feature] <= threshold
+            sse = np.var(y[left]) * left.sum() + np.var(y[~left]) * (~left).sum()
+            if best is None or sse < best[0] - 1e-12:
+                best = (sse, feature, threshold)
+    return best
 
 
 # Reference tree grower: one node at a time, recursively, with the split rule

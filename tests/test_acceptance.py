@@ -9,7 +9,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +20,12 @@ from helpers import (
     CONV_BUDGET,
     CONV_OPTIMUM,
     CONV_WEIGHTS,
+    STUB,
     ablation_landscape,
     all_strategies,
     backend_for,
     binary_space,
+    brute_force_split,
     convergence_landscape,
     joined,
     one_problem_backend,
@@ -55,8 +56,6 @@ from stratlearn.space import (
     parse_space,
     serialize_space,
 )
-
-STUB = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
 
 
 @contextmanager
@@ -159,19 +158,6 @@ def test_criterion_04_acceptance_formula():
                 assert alpha == 1.0
 
 
-def _brute_force_split(X, y):
-    best = None
-    for feature in range(X.shape[1]):
-        values = np.unique(X[:, feature])
-        for low, high in zip(values, values[1:]):
-            threshold = (low + high) / 2.0
-            left = X[:, feature] <= threshold
-            sse = np.var(y[left]) * left.sum() + np.var(y[~left]) * (~left).sum()
-            if best is None or sse < best[0] - 1e-12:
-                best = (sse, feature, threshold)
-    return best
-
-
 def test_criterion_05_tree_oracle_equivalence():
     with criterion("5 tree splits equal the exhaustive-enumeration oracle", 5.0):
         rng = np.random.default_rng(2024)
@@ -181,7 +167,7 @@ def test_criterion_05_tree_oracle_equivalence():
             k = int(rng.integers(1, 4))
             X = rng.integers(0, 5, size=(n, k)).astype(float)
             y = rng.normal(size=n)
-            expected = _brute_force_split(X, y)
+            expected = brute_force_split(X, y)
             if expected is None:
                 continue
             checked += 1

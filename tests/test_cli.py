@@ -17,6 +17,7 @@ from helpers import (
     ABLATION_SPACE_TEXT,
     CONV_OPTIMUM,
     OTHER_LINE_BREAKS,
+    STUB,
     ablation_landscape,
     backend_for,
     codepoint,
@@ -288,16 +289,31 @@ class TestExecute:
         space_path, land_path = landscape_files
         solves = []
         monkeypatch.setattr(SyntheticBackend, "solve", lambda self, *args, **kwargs: solves.append(args))
-        out = tmp_path / "missing" / "out.tsv"
-        message = f"--out {out}: directory {out.parent} does not exist"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            main([*command, "--space", space_path, "--landscape", land_path, "--virtual-clock", "--out", str(out)])
+        missing, directory = tmp_path / "missing" / "out.tsv", tmp_path
+        argv = [*command, "--space", space_path, "--landscape", land_path, "--virtual-clock", "--out"]
+        for out, message in [(missing, f"--out {missing}: directory {missing.parent} does not exist"),
+                             (directory, f"--out {directory}: is a directory")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                main([*argv, str(out)])
         assert solves == []
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("space.csv", "name,default,alternatives\nchrono,1\n", "row 2: expected 3 comma-separated cells, got 2"),
+        ("manifest.tsv", "1\tp.cnf\n3\tq.cnf\n", "line 2: expected index 2, got '3'"),
+    ], ids=["space", "manifest"])
+    def test_a_bad_input_file_is_refused_naming_it(self, tmp_path, name, text, message):
+        argv = []
+        for flag, file, good in [("--space", "space.csv", "name,default,alternatives\nchrono,1,0\n"),
+                                 ("--manifest", "manifest.tsv", "1\tp.cnf\n"),
+                                 ("--adapter", "adapter.cfg", "command = solver {problem} --chrono {chrono}\n")]:
+            (tmp_path / file).write_text(text if file == name else good, encoding="utf-8")
+            argv += [flag, str(tmp_path / file)]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{tmp_path / name}: {message}')}$"):
+            main(argv)
 
 
 class TestManifestRun:
     def test_external_solver_end_to_end(self, tmp_path):
-        stub = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
         space_path = tmp_path / "space.csv"
         space_path.write_text("name,default,alternatives\nchrono,1,0\nstable,1,0\n",
                               encoding="utf-8")
@@ -310,7 +326,7 @@ class TestManifestRun:
             encoding="utf-8")
         adapter_path = tmp_path / "adapter.cfg"
         adapter_path.write_text(
-            f"command = {sys.executable} {stub} {{problem}} --opt-chrono {{chrono}} --opt-stable {{stable}}\n"
+            f"command = {sys.executable} {STUB} {{problem}} --opt-chrono {{chrono}} --opt-stable {{stable}}\n"
             "metric_pattern = ^c conflicts:\\s*(\\d+)\n"
             "budget_flag = --conflicts {budget}\n",
             encoding="utf-8")
@@ -481,14 +497,13 @@ class TestAblateCommand:
 
     def test_failed_cells_write_error_lines(self, tmp_path, capsys):
         # exit=3 is no verdict's exit code, so every cell's first solve fails.
-        stub = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
         space_path = tmp_path / "space.csv"
         space_path.write_text("name,default,alternatives\nchrono,1,0\n", encoding="utf-8")
         (tmp_path / "p1.problem").write_text("verdict=UNSAT\nconflicts=5\nexit=3\n", encoding="utf-8")
         manifest_path = tmp_path / "manifest.tsv"
         manifest_path.write_text(f"1\t{tmp_path}/p1.problem\n", encoding="utf-8")
         adapter_path = tmp_path / "adapter.cfg"
-        adapter_path.write_text(f"command = {sys.executable} {stub} {{problem}} --chrono {{chrono}}\n",
+        adapter_path.write_text(f"command = {sys.executable} {STUB} {{problem}} --chrono {{chrono}}\n",
                                 encoding="utf-8")
         grid_path = tmp_path / "grid.tsv"
         assert main([

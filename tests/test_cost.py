@@ -1,17 +1,14 @@
 """Cost normalization and budget-capped collection runs."""
 
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import one_problem_backend
+from helpers import STUB, one_problem_backend
 from stratlearn.backends import SolverAdapterConfig, SolveOutcome, SyntheticBackend, SyntheticLandscape, Verdict
 from stratlearn.engine import ABORT_MULTIPLIER, Trajectory, collect_cost
 from stratlearn.space import Strategy, parse_space
-
-STUB = Path(__file__).resolve().parents[1] / "scripts" / "stub_solver.py"
 
 
 def fixed_backend(raw: float, verdict: Verdict = Verdict.UNSAT) -> SimpleNamespace:

@@ -31,7 +31,6 @@ from stratlearn.backends import (
     SolverError,
     SyntheticBackend,
     SyntheticLandscape,
-    UnexpectedExitCodeError,
     Verdict,
     geometric_schedule,
 )
@@ -39,7 +38,6 @@ from stratlearn.engine import (
     ABORT_MULTIPLIER,
     EpochPolicy,
     ForestConfig,
-    InapplicableRuleError,
     Outcome,
     Trajectory,
     apply_solve,
@@ -98,13 +96,13 @@ class TestBaseRules:
         state.terminal = terminal
         outcome = SolveOutcome(verdict, 10.0)
         if terminal is not None:
-            with pytest.raises(InapplicableRuleError, match="absorbing"):
+            with pytest.raises(RuntimeError, match=f"^terminal state {terminal.value} is absorbing$"):
                 apply_solve(state, outcome)
             assert state.terminal is terminal
         elif expected is RuntimeError:
-            with pytest.raises(RuntimeError, match="decisive") as raised:
+            message = f"backend returned {verdict.value} for problem {index}; the engine needs a decisive verdict"
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
                 apply_solve(state, outcome)
-            assert not isinstance(raised.value, InapplicableRuleError)
             assert state.terminal is None
         else:
             assert apply_solve(state, outcome) is expected
@@ -267,23 +265,26 @@ class TestLearningEpoch:
         assert trajectory.learning_time == collects[0].virtual_time + collects[1].virtual_time > 0
 
     def test_a_collection_solver_error_names_its_problem_and_strategy(self):
+        class ExitCodeError(SolverError):
+            """A fault type of a backend outside the package: collect_cost keeps it."""
+
         class FaultyBackend:
             num_problems = 6
 
             def solve(self, index, strategy, budget=None):
-                raise UnexpectedExitCodeError("exit code 7")
+                raise ExitCodeError("exit code 7")
 
         state = self.prepared_state()
         state.index = 2
         policy = EpochPolicy(samples_per_epoch=5, learning_budget=1e9)
-        with pytest.raises(UnexpectedExitCodeError) as excinfo:
+        with pytest.raises(ExitCodeError) as excinfo:
             learning_epoch(state, FaultyBackend(), policy, trajectory=Trajectory())
         # binary_space(2) from the default (1, 1): the first proposal of seed 0's collection chain
         first = reference_run_chain(SPACE2, lambda v: 1.0, default_strategy(SPACE2), 1,
                                     seed=engine._substream_seed(0, engine._COLLECT_STREAM, 0))[0][0]
         strategy = ";".join(first.assignments)
         assert str(excinfo.value) == f"collect on problem 2, strategy {strategy}: exit code 7"
-        assert type(excinfo.value.__cause__) is UnexpectedExitCodeError
+        assert type(excinfo.value) is type(excinfo.value.__cause__) is ExitCodeError
         assert len(state.dataset) == 0 and state.oracle is None
 
     def test_a_program_error_in_collection_ends_the_run_as_itself(self):
@@ -357,6 +358,11 @@ class TestLearningEpoch:
         assert trajectory.learning_time == spent
 
 
+def strategize_refused(index):
+    """The whole message of rule_strategize's guard at ``index``, as a pattern."""
+    return f"^strategize at index {index} needs a trained oracle with every index threshold below it$"
+
+
 class TestStrategize:
     def oracle_from_costs(self, space, costs, index):
         data = Dataset(
@@ -396,7 +402,7 @@ class TestStrategize:
     def test_untrained_oracle_rejected(self):
         state = fresh_state(4)
         policy = EpochPolicy(strategize_samples=10)
-        with pytest.raises(InapplicableRuleError, match="trained oracle"):
+        with pytest.raises(RuntimeError, match=strategize_refused(1)):
             rule_strategize(state, policy, trajectory=Trajectory())
 
     def index_split_oracle(self, space):
@@ -422,7 +428,7 @@ class TestStrategize:
         before = (state.strategy, table.tolist(), state.floor, list(trajectory.events))
         for index in (1, 2):
             state.index = index
-            with pytest.raises(InapplicableRuleError, match="index threshold"):
+            with pytest.raises(RuntimeError, match=strategize_refused(index)):
                 rule_strategize(state, policy, trajectory=trajectory)
             assert state.predictions is table
             assert (state.strategy, table.tolist(), state.floor, trajectory.events) == before
@@ -439,7 +445,7 @@ class TestStrategize:
             state.oracle, state.predictions, state.floor = oracle, {}, None
             for state.index in (3, 1, 5, 2, 4):
                 if state.index <= 2:
-                    with pytest.raises(InapplicableRuleError, match="index threshold"):
+                    with pytest.raises(RuntimeError, match=strategize_refused(state.index)):
                         rule_strategize(state, policy, trajectory=Trajectory())
                 else:
                     rule_strategize(state, policy, trajectory=Trajectory())
@@ -788,18 +794,6 @@ class TestRun:
         assert result.outcome is Outcome.FAILURE
         assert [e.phase for e in result.trajectory] == ["solve"] * 3
         assert result.state.strategy == default_strategy(SPACE2)
-
-    def test_soundness_and_completeness_exhaustive(self):
-        for n in range(1, 5):
-            for bits in range(2**n):
-                verdicts = verdicts_from_bits(bits, n)
-                result = run(backend_for(verdicts), NO_LEARNING, space=SPACE2, seed=0)
-                sat_indices = [i + 1 for i, v in enumerate(verdicts) if v is Verdict.SAT]
-                if sat_indices:
-                    assert result.outcome is Outcome.SUCCESS
-                    assert result.state.index == min(sat_indices)
-                else:
-                    assert result.outcome is Outcome.FAILURE
 
     @pytest.mark.parametrize("policy", [
         NO_LEARNING, EpochPolicy(samples_per_epoch=5, learning_budget=1e6, strategize_samples=5),

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bootstrap_rows, hand_forest, joined, node_records, reference_records, reference_trees
+from helpers import (
+    bootstrap_rows,
+    brute_force_split,
+    hand_forest,
+    joined,
+    node_records,
+    reference_records,
+    reference_trees,
+)
 from stratlearn.forest import (
     DataPoint,
     Dataset,
@@ -34,20 +42,6 @@ def make_dataset(X, y):
 def fit_one_tree(data, max_depth):
     """A one-tree forest without bootstrap; its tree is rooted at node 0."""
     return fit_forest(data, n_trees=1, max_depth=max_depth, bootstrap=False)
-
-
-def brute_force_root_split(X, y):
-    """Exhaustive minimum-weighted-variance split; independent of the tree code."""
-    best = None
-    for feature in range(X.shape[1]):
-        values = np.unique(X[:, feature])
-        for low, high in zip(values, values[1:]):
-            threshold = (low + high) / 2.0
-            left = X[:, feature] <= threshold
-            sse = np.var(y[left]) * left.sum() + np.var(y[~left]) * (~left).sum()
-            if best is None or sse < best[0] - 1e-12:
-                best = (sse, feature, threshold)
-    return best
 
 
 def route(forest, row, node=0):
@@ -168,7 +162,7 @@ class TestFitTree:
             k = int(rng.integers(1, 4))
             X = rng.integers(0, 5, size=(n, k)).astype(float)
             y = rng.normal(size=n)
-            expected = brute_force_root_split(X, y)
+            expected = brute_force_split(X, y)
             tree = fit_one_tree(make_dataset(X, y), max_depth=1)
             if expected is None:
                 assert is_leaf(tree, 0)

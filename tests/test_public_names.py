@@ -8,10 +8,12 @@ Likewise every keyword-only parameter of a public function must be given a
 value by some call in those files; one that only unit tests set is an option
 nothing uses.  The same holds for each field of a config dataclass, one whose
 fields all have defaults.  Calls are matched by keyword name alone, whatever
-the callee.
+the callee.  An exception class must be named by an ``except`` clause in those
+files: a fault type that no handler reads tells nothing its base type does not.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,6 +46,27 @@ def public_definitions(path: Path) -> list[str]:
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
+
+
+def exception_classes() -> list[type]:
+    """Each module-level class defined in ``src/stratlearn`` that derives from an exception type."""
+    modules = [importlib.import_module("stratlearn" if path.stem == "__init__" else f"stratlearn.{path.stem}")
+               for path in LIBRARY]
+    return [obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+
+
+def handled_names(path: Path) -> set[str]:
+    """Names that an ``except`` clause in ``path`` catches, alone or in a tuple, bare or as an attribute."""
+    handled = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for caught in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+                if isinstance(caught, ast.Name):
+                    handled.add(caught.id)
+                elif isinstance(caught, ast.Attribute):
+                    handled.add(caught.attr)
+    return handled
 
 
 def public_keyword_parameters(path: Path) -> list[tuple[str, str]]:
@@ -123,6 +146,12 @@ def test_every_public_name_has_a_reader_outside_unit_tests():
     assert unread == []
 
 
+def test_every_exception_class_is_caught_outside_unit_tests():
+    handled = set().union(*(handled_names(path) for path in READERS))
+    uncaught = [f"{cls.__module__}.{cls.__name__}" for cls in exception_classes() if cls.__name__ not in handled]
+    assert uncaught == []
+
+
 def test_the_scan_sees_definitions_and_references():
     # Guards the guard: an empty scan would pass vacuously.
     assert "run_chain" in public_definitions(REPO / "src" / "stratlearn" / "sampler.py")
@@ -135,3 +164,6 @@ def test_the_scan_sees_definitions_and_references():
     assert not any(cls == "RunConfig" for cls, _ in config_fields(REPO / "src" / "stratlearn" / "cli.py"))
     # run() forwards its own forest_config, which alone would not count as setting it.
     assert "forest_config" not in given_keywords(REPO / "src" / "stratlearn" / "engine.py")
+    # The exception scan finds the one fault class both defined and handled.
+    assert "SolverError" in {cls.__name__ for cls in exception_classes()}
+    assert "SolverError" in handled_names(REPO / "src" / "stratlearn" / "engine.py")

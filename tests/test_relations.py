@@ -4,7 +4,9 @@
   the time limit by 2^k leaves the outcome and every event's phase, index,
   strategy, verdict and cost as they are, and multiplies every raw metric and
   time by exactly 2^k: costs are metric/baseline ratios, and a power of two
-  scales floats exactly.
+  scales floats exactly unless the product underflows.  A 5e-324 time limit
+  times 2^-7 rounds to a limit of 0, which is another run, so a case whose
+  time limit does not scale exactly is left out.
 - **Suffix independence.** Problems after the first SAT change nothing.
 - **Time-limit prefix.** A run with limit T is the unlimited run's event list
   cut just before its first solve whose preceding cumulative time is at least
@@ -28,6 +30,7 @@ RELATION = settings(max_examples=100, deadline=2000)
 @given(run_cases(), st.sampled_from([-7, -3, 1, 5, 20]))
 def test_unit_invariance(case, k):
     scale = 2.0**k
+    assume(case.time_limit is None or case.time_limit * scale / scale == case.time_limit)
     base = case.run()
     metrics = tuple(metric * scale for metric in case.landscape.base_metrics)
     scaled = case.run(

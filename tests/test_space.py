@@ -20,12 +20,12 @@ from stratlearn.sampler import run_chain
 from stratlearn.space import (
     LINE_BREAKS,
     ParameterDomain,
-    SpaceFormatError,
     Strategy,
     StrategySpace,
     builtin_space,
     default_strategy,
     encode_features,
+    load_space,
     neighbors,
     parse_space,
     serialize_space,
@@ -51,24 +51,25 @@ class TestParse:
         assert space.names == ("x",)
 
     def test_bad_header_rejected(self):
-        with pytest.raises(SpaceFormatError, match="header"):
+        message = "^row 1: expected header 'name,default,alternatives', got 'nom,def,alts'$"
+        with pytest.raises(ValueError, match=message):
             parse_space("nom,def,alts\nx,1,0\n")
 
     def test_duplicate_name_reports_row(self):
         text = "name,default,alternatives\nx,1,0\nx,2,3\n"
-        with pytest.raises(SpaceFormatError, match="row 3.*duplicate parameter name"):
+        with pytest.raises(ValueError, match=r"^row 3: duplicate parameter name 'x' \(first seen in row 2\)$"):
             parse_space(text)
 
     def test_empty_alternatives_reports_row(self):
-        with pytest.raises(SpaceFormatError, match="row 2.*empty alternatives"):
+        with pytest.raises(ValueError, match="^row 2: empty alternatives cell for 'x'$"):
             parse_space("name,default,alternatives\nx,1,\n")
 
     def test_duplicated_value_in_row_reports_row(self):
-        with pytest.raises(SpaceFormatError, match="row 2"):
+        with pytest.raises(ValueError, match="^row 2: parameter 'x' lists a value twice$"):
             parse_space("name,default,alternatives\nx,1,1\n")
 
     def test_wrong_cell_count_reports_row(self):
-        with pytest.raises(SpaceFormatError, match="row 2.*3 comma-separated"):
+        with pytest.raises(ValueError, match="^row 2: expected 3 comma-separated cells, got 2$"):
             parse_space("name,default,alternatives\nx,1\n")
 
 
@@ -86,21 +87,29 @@ class TestDomainInvariants:
             StrategySpace(())
 
 
-@pytest.mark.parametrize("call, error, message", [
-    (lambda: ParameterDomain("", "0", ("1",)), ValueError, "parameter name must be a nonempty string"),
-    (lambda: ParameterDomain("x", "0", ("1;2",)), ValueError,
+@pytest.mark.parametrize("call, message", [
+    (lambda: ParameterDomain("", "0", ("1",)), "parameter name must be a nonempty string"),
+    (lambda: ParameterDomain("x", "0", ("1;2",)),
      "alternative value of 'x' '1;2' contains reserved character ';'"),
-    (lambda: ParameterDomain("x", "0", ()), ValueError, "parameter 'x' needs at least one alternative"),
-    (lambda: StrategySpace((ParameterDomain("x", "0", ("1",)),) * 2), ValueError,
+    (lambda: ParameterDomain("x", "0", ()), "parameter 'x' needs at least one alternative"),
+    (lambda: StrategySpace((ParameterDomain("x", "0", ("1",)),) * 2),
      "duplicate parameter names in strategy space"),
-    (lambda: parse_space("# only a comment\n\n"), SpaceFormatError, "empty table: no header row"),
-    (lambda: parse_space("name,default,alternatives\n"), SpaceFormatError, "table has a header but no parameter rows"),
-    (lambda: builtin_space("kissat_huge"), ValueError, "no builtin space named 'kissat_huge'"),
+    (lambda: parse_space("# only a comment\n\n"), "empty table: no header row"),
+    (lambda: parse_space("name,default,alternatives\n"), "table has a header but no parameter rows"),
+    (lambda: builtin_space("kissat_huge"), "no builtin space named 'kissat_huge'"),
 ], ids=["empty_token", "reserved_character", "no_alternatives", "duplicate_names", "empty_table",
         "header_only", "unknown_builtin"])
-def test_bad_input_is_refused_by_name(call, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+def test_bad_input_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_bad_space_file_is_refused_naming_it(tmp_path):
+    path = tmp_path / "space.csv"
+    path.write_text("name,default,alternatives\nx,1,1\n", encoding="utf-8")
+    message = f"{path}: row 2: parameter 'x' lists a value twice"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_space(path)
 
 
 def test_line_breaks_are_where_splitlines_ends_a_line():
