@@ -313,7 +313,8 @@ class ExternalBackend:
         When ``budget`` is given it is passed through ``budget_flag`` if the
         solver supports one, and an ABORTED run that prints no metric reports
         the budget.  The verdict is the solver's own, even over budget: the
-        engine's ``collect_cost`` aborts such a run.
+        engine's ``collect_cost`` aborts such a run.  Output is decoded in the
+        locale's encoding; a byte that does not decode reads as U+FFFD.
         """
         config = self.config
         if not 1 <= index <= len(self.locators):  # a negative index must not pick a problem from the end
@@ -327,7 +328,7 @@ class ExternalBackend:
             args += [word.format(budget=budget_value) for word in self._budget_words]
         logger.debug("launching %s", " ".join(args))
         try:
-            proc = subprocess.run(args, capture_output=True, text=True)
+            proc = subprocess.run(args, capture_output=True, text=True, errors="replace")
         except OSError as exc:
             raise SolverError(f"failed to launch {args[0]!r}: {exc}") from exc
 

@@ -135,7 +135,7 @@ class Trajectory:
         self.clock = clock
         self.events: list[TrajectoryEvent] = []
         self.cumulative_time = 0.0
-        self.learning_time = 0  # an int, like sum()'s start: a run without learning reports 0
+        self.learning_time = 0.0
         self._ended = time.perf_counter()  # the wall clock's reading at the end of the last event
 
     def record(

@@ -9,8 +9,8 @@ stationary distribution is proportional to exp(-beta * cost).
 
 A chain draws ``default_rng(SeedSequence([seed]))``'s exact stream, decoded in
 plain Python from blocks of the same PCG64's raw output (see ``_draws``).  A
-forest's bootstrap rows are ``Generator.integers``'s, decoded in arrays (see
-``_integers``).
+forest's bootstrap rows are ``Generator.integers``'s, decoded in arrays, and a
+row that meets a rejected word by the chain's decoder (see ``_integers``).
 """
 
 from __future__ import annotations
@@ -74,34 +74,23 @@ def _integers(n: int, size: int, streams: Sequence[Sequence[int]]) -> np.ndarray
     """Row s is ``default_rng(SeedSequence(streams[s])).integers(0, n, size=size)``, bit for bit.
 
     As numpy fills an array: each raw output gives two 32-bit words, its low
-    half first, and Lemire's method maps a word to ``range(n)`` unless it falls
-    in the rejection zone, masked out here.  ``n = 1`` draws nothing; ``n >=
-    2**32`` is rejected.
+    half first, and Lemire's method maps a word to ``range(n)``.  A row whose
+    first ``size`` words include one in the rejection zone is drawn again,
+    whole, by ``_draws``, which draws on past it.  ``n >= 2**32`` is rejected.
     """
     if not 1 <= n < 1 << 32:
         raise ValueError(f"integers({n}) needs 1 <= n < 2**32")
-    if n == 1:
-        return np.zeros((len(streams), size), dtype=np.intp)
-    threshold, bitgens = ((1 << 32) - n) % n, [_bit_generator(*entropy) for entropy in streams]
-
-    def decode(sources: list[np.random.PCG64]) -> tuple[np.ndarray, np.ndarray]:
-        """The next words' draws of each bit generator, and which words are accepted."""
-        words = np.stack([bitgen.random_raw(size // 2 + 1) for bitgen in sources]).astype("<u8", copy=False)
-        products = np.multiply(words.view("<u4"), n, dtype=np.uint64)
-        return (products >> 32).astype(np.intp), (products & 0xFFFFFFFF) >= threshold
-
-    draws, accepted = decode(bitgens)
-    for s in np.flatnonzero(~accepted[:, :size].all(axis=1)):  # a word in the rejection zone
-        kept = draws[s, accepted[s]]
-        while kept.shape[0] < size:
-            more, ok = decode([bitgens[s]])
-            kept = np.concatenate([kept, more[0, ok[0]]])
-        draws[s, :size] = kept[:size]
-    return draws[:, :size]
+    words = np.stack([_bit_generator(*entropy).random_raw(size // 2 + 1) for entropy in streams])
+    products = np.multiply(words.astype("<u8", copy=False).view("<u4")[:, :size], n, dtype=np.uint64)
+    draws = (products >> 32).astype(np.intp)
+    for s in np.flatnonzero(((products & 0xFFFFFFFF) < ((1 << 32) - n) % n).any(axis=1)):
+        integers, _ = _draws(*streams[s])
+        draws[s] = [integers(n) for _ in range(size)]
+    return draws
 
 
-def _draws(seed: int) -> tuple[Callable[[int], int], Callable[[], float]]:
-    """``integers(n)`` and ``random()`` of ``default_rng(SeedSequence([seed]))``, bit for bit.
+def _draws(*entropy: int) -> tuple[Callable[[int], int], Callable[[], float]]:
+    """``integers(n)`` and ``random()`` of ``default_rng(SeedSequence(entropy))``, bit for bit.
 
     As numpy does, from blocks of the same PCG64's raw output: ``integers(1)``
     draws nothing; a 32-bit word is an output's low half, its high half is kept
@@ -109,7 +98,7 @@ def _draws(seed: int) -> tuple[Callable[[int], int], Callable[[], float]]:
     neither uses nor clears it.  Lemire's method maps a word to ``range(n)``,
     drawing again in its rejection zone.  ``n >= 2**32`` is rejected.
     """
-    bitgen = _bit_generator(seed)
+    bitgen = _bit_generator(*entropy)
     raw = itertools.chain.from_iterable(iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None))
     kept = None
 

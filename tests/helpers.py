@@ -108,15 +108,20 @@ class RunCase:
     seed: int
     time_limit: float | None
 
-    def run(self, **changes):
+    def run(self, backend=SyntheticBackend, clock="virtual", **changes):
+        """The run with ``changes`` made to its fields, on ``backend(landscape)`` and the ``clock``."""
         case = dataclasses.replace(self, **changes)
-        return run(SyntheticBackend(case.landscape), case.policy, space=case.space, seed=case.seed,
+        return run(backend(case.landscape), case.policy, space=case.space, seed=case.seed, clock=clock,
                    sampler_config=case.sampler_config, forest_config=case.forest_config, time_limit=case.time_limit)
 
 
 @st.composite
 def run_cases(draw) -> RunCase:
-    """2-12 problems on a ``chain_spaces`` space, SAT first at any index or none, every option of a run drawn."""
+    """2-12 problems on a ``chain_spaces`` space, SAT first at any index or none, every option of a run drawn.
+
+    A weight reaches 12, so a strategy can cost over ``ABORT_MULTIPLIER`` times
+    the in-force one and a collection call abort: about 4% of drawn runs have one.
+    """
     space = draw(chain_spaces)
     n = draw(st.integers(2, 12))
     sat, verdicts = draw(st.none() | st.integers(1, n)), [Verdict.UNSAT] * n
@@ -125,7 +130,7 @@ def run_cases(draw) -> RunCase:
         verdicts[sat - 1:] = [Verdict.SAT, *draw(st.lists(decisive, min_size=n - sat, max_size=n - sat))]
     landscape = SyntheticLandscape(
         optimum=tuple(draw(st.sampled_from(d.values)) for d in space.domains),
-        weights=tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=space.k, max_size=space.k))),
+        weights=tuple(draw(st.lists(st.floats(0.0, 12.0), min_size=space.k, max_size=space.k))),
         base_metrics=tuple(draw(st.lists(st.floats(1.0, 1000.0), min_size=n, max_size=n))),
         verdicts=tuple(verdicts),
     )
@@ -136,6 +141,19 @@ def run_cases(draw) -> RunCase:
     forest_config = ForestConfig(trees=draw(st.integers(1, 12)), **mode)
     return RunCase(space, landscape, policy, forest_config, SamplerConfig(beta=draw(st.sampled_from([0.5, 1.0, 3.0]))),
                    draw(st.integers(0, 2**16)), draw(st.none() | st.floats(0.0, 50000.0)))
+
+
+class FakeTime:
+    """Stands in for ``stratlearn.engine.time``; its ``perf_counter`` moves only by ``advance``."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def perf_counter(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
 
 
 def hand_forest(width, *trees):

@@ -228,6 +228,15 @@ class TestExternalAdapter:
         with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
             backend.solve(1, Strategy(("1",)))
 
+    def test_output_the_locale_cannot_decode_is_read_with_replacements(self, tmp_path, one_param_space):
+        stub = tmp_path / "banner.py"
+        stub.write_text('import sys\nsys.stdout.buffer.write(b"c banner \\xff\\xfe\\nc conflicts: 5\\n")\n'
+                        "sys.exit(20)\n", encoding="utf-8")
+        config = SolverAdapterConfig(command=f"{sys.executable} {stub} {{problem}} {{chrono}}",
+                                     metric_pattern=r"^c conflicts:\s*(\d+)")
+        outcome = one_problem_backend(config, one_param_space, "p").solve(1, Strategy(("1",)))
+        assert outcome == SolveOutcome(Verdict.UNSAT, 5.0)
+
     def test_determinism_across_runs(self, tmp_path, one_param_space):
         problem = write_problem(tmp_path, "p.det", verdict="UNSAT", conflicts=321)
         outcomes = [

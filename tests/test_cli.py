@@ -259,6 +259,15 @@ class TestExecute:
         assert all(e.phase == "solve" for e in result.trajectory)
         assert summary.outcome == "FAILURE"
 
+    def test_a_run_without_learning_reports_and_writes_its_learning_time_as_a_float(self, landscape_files, tmp_path):
+        # Every time in the record is a float written by repr, the learning time of a run that never learns too.
+        space_path, land_path = landscape_files
+        out = tmp_path / "run.tsv"
+        _, summary = execute(parse_args(["--space", space_path, "--landscape", land_path, "--no-learn",
+                                         "--virtual-clock", "--out", str(out)]))
+        assert summary.epochs == 0 and type(summary.learning_time) is float
+        assert "\tlearning_time=0.0\t" in out.read_text(encoding="utf-8").splitlines()[-1]
+
     def test_main_prints_summary(self, landscape_files, capsys):
         space_path, land_path = landscape_files
         code = main(["--space", space_path, "--landscape", land_path,

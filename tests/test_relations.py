@@ -12,15 +12,21 @@
   cut just before its first solve whose preceding cumulative time is at least
   T, and it ends TIME_LIMIT.  T is drawn at a solve boundary, where ``>=`` and
   ``>`` part, and the cut's exact length is checked.
+- **One clock law.** A wall-clock run whose only elapsed time is its backend
+  calls, a main solve lasting its metric and a collection call
+  min(metric, budget), equals the virtual run event for event.  Weights are
+  rounded to eighths and base metrics to integers, so every time sums exactly.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import run_cases
-from stratlearn.backends import Verdict
+from helpers import FakeTime, run_cases
+from stratlearn import engine
+from stratlearn.backends import SyntheticBackend, Verdict
 from stratlearn.engine import Outcome
 
 RELATION = settings(max_examples=100, deadline=2000)
@@ -84,3 +90,33 @@ def test_time_limit_prefix(case, data):
     cut = next(i for i in solves if before(i) >= limit)
     assert limited.outcome is Outcome.TIME_LIMIT
     assert limited.trajectory.events == events[:cut]
+
+
+class ClockedBackend(SyntheticBackend):
+    """A synthetic backend whose call lasts its metric on ``clock``, or its budget when the metric is over it."""
+
+    def __init__(self, landscape, clock):
+        super().__init__(landscape)
+        self.clock = clock
+
+    def solve(self, index, strategy, budget=None):
+        outcome = super().solve(index, strategy, budget)
+        self.clock.advance(outcome.metric if budget is None else min(outcome.metric, budget))
+        return outcome
+
+
+@settings(max_examples=300, deadline=2000)
+@given(run_cases())
+def test_wall_clock_equals_virtual(case):
+    landscape = dataclasses.replace(
+        case.landscape,
+        weights=tuple(round(weight * 8) / 8 for weight in case.landscape.weights),
+        base_metrics=tuple(float(round(metric)) for metric in case.landscape.base_metrics),
+    )
+    virtual = case.run(landscape=landscape)
+    clock = FakeTime()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "time", clock)
+        wall = case.run(backend=lambda landscape: ClockedBackend(landscape, clock), clock="wall", landscape=landscape)
+    assert wall.outcome is virtual.outcome
+    assert [dataclasses.astuple(e) for e in wall.trajectory] == [dataclasses.astuple(e) for e in virtual.trajectory]

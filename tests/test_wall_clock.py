@@ -8,7 +8,7 @@ duration below is a binary fraction, so the float sums are exact too.
 
 import pytest
 
-from helpers import convergence_landscape
+from helpers import FakeTime, convergence_landscape
 from stratlearn import cli, engine
 from stratlearn.backends import SyntheticBackend, save_landscape
 from stratlearn.engine import EpochPolicy, ForestConfig, Outcome, Trajectory, run, summarize
@@ -19,19 +19,6 @@ CALL_S = 1.0  # every backend call, main solve or collection run
 FIT_S = 2.0
 PREDICT_S = 0.03125
 STEP_S = 2.0**-6
-
-
-class FakeTime:
-    """Stands in for the ``time`` module; its ``perf_counter`` moves only by ``advance``."""
-
-    def __init__(self):
-        self.now = 1000.0
-
-    def perf_counter(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 @pytest.fixture
