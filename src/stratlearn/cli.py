@@ -225,9 +225,9 @@ def emit_trajectory(
     path: str | Path,
     *,
     outcome: Outcome,
-    meta: dict[str, str] | None = None,
+    meta: dict[str, str],
 ) -> RunSummary:
-    """Write the event log plus a summary; returns the summary.
+    """Write the event log plus a summary under one ``#meta`` line of ``meta``; returns the summary.
 
     Each event is one row of ``TrajectoryEvent``'s fields in order.  The
     summary carries epoch count, learning time, the cumulative time at
@@ -235,10 +235,8 @@ def emit_trajectory(
     """
     summary = summarize(trajectory, outcome)
     names = [f.name for f in dataclasses.fields(TrajectoryEvent)]
-    lines = [f"#{TRAJECTORY_FORMAT}"]
-    if meta:
-        _check_meta(meta)
-        lines.append("#meta\t" + "\t".join(f"{k}={v}" for k, v in sorted(meta.items())))
+    _check_meta(meta)
+    lines = [f"#{TRAJECTORY_FORMAT}", "#meta\t" + "\t".join(f"{k}={v}" for k, v in sorted(meta.items()))]
     lines.append("#fields\t" + "\t".join(names))
     for event in trajectory:
         lines.append("\t".join(_cell(getattr(event, name)) for name in names))

@@ -487,14 +487,19 @@ def run(
     solved if ``should_learn`` admits one, advances the index and, once the
     oracle exists, switches the strategy via its predictions at the new index.
     Of ``sampler_config`` only ``beta`` is read (1.0 without one).  A
-    negative ``seed`` is refused before any backend call; every random
-    stream derives from it through fixed labeled splits, so identical inputs
-    replay identical trajectories on the virtual clock.  The time limit is
-    read before each solve from the ``clock``'s cumulative time.
+    negative ``seed``, a ``beta`` that is not positive and a time limit
+    that is negative or NaN are refused before any backend call.  Every random
+    stream derives from ``seed`` through fixed labeled splits, so identical
+    inputs replay identical trajectories on the virtual clock.  The time
+    limit is read before each solve from the ``clock``'s cumulative time.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     beta = 1.0 if sampler_config is None else sampler_config.beta
+    if not beta > 0:  # NaN fails too
+        raise ValueError(f"beta must be positive, got {beta!r}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be nonnegative, got {time_limit!r}")
     trajectory = Trajectory(clock)
     state = initial_state(space, backend.num_problems)
 

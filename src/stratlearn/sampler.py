@@ -9,8 +9,8 @@ stationary distribution is proportional to exp(-beta * cost).
 
 A chain draws ``default_rng(SeedSequence([seed]))``'s exact stream, decoded in
 plain Python from blocks of the same PCG64's raw output (see ``_draws``).  A
-forest's bootstrap rows are ``Generator.integers``'s, decoded in arrays, and a
-row that meets a rejected word by the chain's decoder (see ``_integers``).
+forest's bootstrap rows are ``Generator.integers``'s, decoded in arrays; a row
+that meets a rejected word is drawn again by the chain's decoder (see ``_integers``).
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ from .space import Strategy, StrategySpace, neighbors
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """``engine.run``'s chain temperature: every chain's seed derives from ``run``'s, so ``seed`` is read by nothing."""
+    """``engine.run``'s chain temperature, which it checks; ``seed`` is unread: ``run``'s own seed seeds each chain."""
 
     beta: float = 1.0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 class ChainRecord(NamedTuple):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from stratlearn.backends import (
     geometric_schedule,
 )
 from stratlearn.engine import EpochPolicy, ForestConfig, run
-from stratlearn.forest import _TREE_STREAM, RandomForest
+from stratlearn.forest import _TREE_STREAM, DataPoint, Dataset, RandomForest
 from stratlearn.sampler import SamplerConfig, acceptance_probability
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
 
@@ -397,3 +398,116 @@ def joined(first: RandomForest, second: RandomForest) -> RandomForest:
         roots=np.concatenate([first.roots, second.roots + offset]),
         levels=max(first.levels, second.levels),
     )
+
+
+# Reference run: the calculus written out plainly, on the virtual clock.  It
+# walks ``Strategy`` values with ``reference_run_chain``, grows each fit's trees
+# afresh with ``reference_trees``, and predicts one row at a time down those
+# trees, so it shares no table, floor, rank, raw-stream decoder or level-wise
+# grower with ``engine.run``.  Tests require ``run()`` to match it event for event.
+
+
+def reference_predict(trees: list[RefNode], row: tuple[int, ...]) -> float:
+    """The trees' shared value when all agree, else their values summed in tree order over their number."""
+    values = []
+    for node in trees:
+        while node.feature is not None:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        values.append(node.value)
+    if all(value == values[0] for value in values):
+        return values[0]
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def reference_fit(points: list[tuple[tuple[int, ...], float]], config: ForestConfig, seed: int):
+    """(trees, training R²) of a fit: at ``fixed_depth``, or deepened one level at a time from
+    ``init_depth`` while R² is below ``score_threshold`` and the depth below its cap."""
+    data = Dataset(DataPoint(features, cost) for features, cost in points)
+    X, y = data.to_arrays()
+
+    def grown(depth):
+        trees = reference_trees(data, config.trees, depth, seed)
+        predictions = np.array([reference_predict(trees, tuple(row)) for row in X.tolist()])
+        ss_res = float(((y - predictions) ** 2).sum())  # r2_score's formula
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        if ss_tot == 0.0:
+            return trees, 1.0 if ss_res == 0.0 else 0.0
+        return trees, 1.0 - ss_res / ss_tot
+
+    if config.fixed_depth is not None:
+        return grown(config.fixed_depth)
+    width = X.shape[1]
+    cap = width if config.depth_cap is None else config.depth_cap
+    depth = min(math.ceil(width / 3), cap) if config.init_depth is None else config.init_depth
+    cap = max(depth, cap)
+    trees, score = grown(depth)
+    while score < config.score_threshold and depth < cap:
+        depth += 1
+        trees, score = grown(depth)
+    return trees, score
+
+
+def reference_run(landscape: SyntheticLandscape, policy: EpochPolicy, space: StrategySpace, *,
+                  seed: int, beta: float, forest_config: ForestConfig, time_limit: float | None):
+    """``engine.run`` on ``SyntheticBackend(landscape)`` and the virtual clock, as the outcome's name
+    and each event's field tuple."""
+    events: list[tuple] = []
+    clock = learning = 0.0
+
+    def record(phase, index, strategy, verdict=None, raw_metric=None, cost=None, charge=0.0):
+        nonlocal clock, learning
+        clock += charge
+        if phase != "solve":
+            learning += charge
+        events.append((phase, index, strategy.assignments, verdict, raw_metric, cost, charge, clock))
+
+    def substream(stream, step):
+        return int(np.random.SeedSequence([seed, stream, step]).generate_state(1)[0])
+
+    def features(strategy, index):
+        return tuple(d.values.index(a) for d, a in zip(space.domains, strategy.assignments)) + (index,)
+
+    strategy = Strategy(tuple(d.default_value for d in space.domains))
+    points, trees, epochs = [], None, 0
+    for index in range(1, landscape.num_problems + 1):
+        if time_limit is not None and clock >= time_limit:
+            return "TIME_LIMIT", events
+        baseline, verdict = landscape.metric(index, strategy), landscape.verdicts[index - 1]
+        record("solve", index, strategy, verdict=verdict.value, raw_metric=baseline, charge=baseline)
+        if verdict is Verdict.SAT:
+            return "SUCCESS", events
+        if index == landscape.num_problems:
+            return "FAILURE", events
+
+        estimate = policy.samples_per_epoch * baseline
+        if policy.learning_budget > 0 and learning + estimate <= policy.learning_budget and baseline != 0:
+            memo = {strategy: 1.0}  # the in-force strategy's run is the solve just made
+
+            def cost_fn(candidate):
+                if candidate not in memo:
+                    metric, budget = landscape.metric(index, candidate), 10.0 * baseline
+                    cost, charge = (10.0, budget) if metric > budget else (metric / baseline, metric)
+                    record("collect", index, candidate, raw_metric=metric, cost=cost, charge=charge)
+                    memo[candidate] = cost
+                return memo[candidate]
+
+            chain = reference_run_chain(space, cost_fn, strategy, policy.samples_per_epoch,
+                                        seed=substream(11, epochs), beta=beta)
+            points += [(features(s, index), cost) for s, cost, _ in chain]
+            trees, score = reference_fit(points, forest_config, substream(12, epochs))
+            epochs += 1
+            record("train", index, strategy, cost=score)
+
+        if trees is not None:  # strategize at the next index: the earliest strict minimum wins
+            predicted = lambda candidate: reference_predict(trees, features(candidate, index + 1))
+            best, best_cost = strategy, predicted(strategy)
+            if policy.strategize_samples > 1:
+                for candidate, cost, _ in reference_run_chain(space, predicted, strategy, policy.strategize_samples - 1,
+                                                              seed=substream(13, index + 1), beta=beta):
+                    if cost < best_cost:
+                        best, best_cost = candidate, cost
+            strategy = best
+            record("strategize", index + 1, strategy, cost=best_cost)

@@ -166,12 +166,12 @@ class TestParseArgs:
 class TestEmitTrajectory:
     def test_empty_trajectory(self, tmp_path):
         path = tmp_path / "empty.tsv"
-        summary = emit_trajectory(Trajectory(), path, outcome=Outcome.TIME_LIMIT)
+        summary = emit_trajectory(Trajectory(), path, outcome=Outcome.TIME_LIMIT, meta={"seed": "0"})
         assert summary.largest_solved_index is None
         assert summary.epochs == 0
         text = path.read_text(encoding="utf-8")
         assert "largest_solved_index=-" in text
-        assert text.startswith("#stratlearn-trajectory v1")
+        assert text.startswith("#stratlearn-trajectory v1\n#meta\tseed=0\n")
 
     def test_cumulative_times_are_prefix_sums(self, tmp_path):
         trajectory = Trajectory()
@@ -180,7 +180,7 @@ class TestEmitTrajectory:
             trajectory.record("solve", index, strategy, verdict="UNSAT",
                               raw_metric=metric, charge=metric)
         path = tmp_path / "t.tsv"
-        summary = emit_trajectory(trajectory, path, outcome=Outcome.FAILURE)
+        summary = emit_trajectory(trajectory, path, outcome=Outcome.FAILURE, meta={"seed": "0"})
         assert summary.solved_times == ((1, 5.0), (2, 12.5), (3, 15.0))
         lines = path.read_text(encoding="utf-8").splitlines()
         solves = [l for l in lines if l.startswith("solve\t")]

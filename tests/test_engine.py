@@ -809,6 +809,25 @@ class TestRun:
                 run(backend, policy, space=SPACE2, sampler_config=sampler_config, seed=-1,
                     forest_config=ForestConfig(trees=2))
 
+    @pytest.mark.parametrize("policy", [
+        NO_LEARNING, EpochPolicy(samples_per_epoch=5, learning_budget=1e6, strategize_samples=5),
+    ], ids=["no-learning", "learning"])
+    def test_a_bad_input_is_refused_before_the_first_solve(self, policy):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the inputs were checked")
+
+        backend = backend_for(["UNSAT"] * 3)
+        backend.solve = no_solve
+        cases = [
+            ({"sampler_config": SamplerConfig(beta=0.0)}, "^beta must be positive, got 0.0$"),
+            ({"sampler_config": SamplerConfig(beta=math.nan)}, "^beta must be positive, got nan$"),
+            ({"time_limit": math.nan}, "^time_limit must be nonnegative, got nan$"),
+            ({"time_limit": -1.0}, "^time_limit must be nonnegative, got -1.0$"),
+        ]
+        for inputs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run(backend, policy, space=SPACE2, forest_config=ForestConfig(trees=2), **inputs)
+
     def test_learning_run_is_deterministic(self):
         def one():
             backend = SyntheticBackend(convergence_landscape(6))

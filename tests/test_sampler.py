@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_strategies,
+    backend_for,
     binary_space,
     chain_spaces,
     decode,
@@ -18,6 +19,7 @@ from helpers import (
     reference_run_chain,
     space_from,
 )
+from stratlearn.engine import EpochPolicy, run
 from stratlearn.sampler import (
     _BLOCK,
     ChainRecord,
@@ -210,11 +212,6 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(space, lambda v: 1.0, default_strategy(space), 0, seed=0)
 
-    def test_config_rejects_a_negative_seed(self):
-        # numpy's SeedSequence would refuse it too, but only once a chain starts.
-        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
-            SamplerConfig(seed=-1)
-
     def test_stationary_distribution_on_mixed_space_is_close(self):
         # the Hamming-1 graph is regular (every state has 3 neighbours here), so
         # the kernel is symmetric; sanity-check the pull toward low cost dominates
@@ -363,8 +360,16 @@ class TestChainAgainstReference:
 
 class TestConfig:
     def test_beta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(beta=0.0)
+        # run() is the one reader of a SamplerConfig, and checks its beta before any solve.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before beta was checked")
+
+        backend = backend_for(["UNSAT"])
+        backend.solve = no_solve
+        policy = EpochPolicy(samples_per_epoch=5, learning_budget=0.0, strategize_samples=5)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^beta must be positive, got {beta}$"):
+                run(backend, policy, space=binary_space(1), sampler_config=SamplerConfig(beta=beta))
 
     def test_records_are_frozen(self):
         record = ChainRecord(0, 1.0, True)
