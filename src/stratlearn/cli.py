@@ -1,10 +1,4 @@
-"""Command-line front end: run configuration, trajectory emission, ablation grids.
-
-Trajectory files are line-delimited text with a versioned header: one
-tab-separated record per event, followed by per-index cumulative solve times
-and a final summary record.  The format is diff-able in CI and trivial to
-load from any plotting stack.
-"""
+"""Command-line front end: run configuration, trajectory emission, ablation grids."""
 
 from __future__ import annotations
 
@@ -22,22 +16,11 @@ from .backends import (
     load_landscape,
     load_manifest,
 )
-from .engine import (
-    EpochPolicy,
-    ForestConfig,
-    Outcome,
-    RunResult,
-    RunSummary,
-    Trajectory,
-    TrajectoryEvent,
-    run,
-    summarize,
-)
-from .space import LINE_BREAKS, Strategy, load_space
+from .engine import EpochPolicy, ForestConfig, RunResult, run, summarize
+from .space import Strategy, load_space
+from .trajectory import RunSummary, cell, check_meta, emit_trajectory, summary_items
 
 logger = logging.getLogger(__name__)
-
-TRAJECTORY_FORMAT = "stratlearn-trajectory v1"
 
 
 @dataclass(frozen=True)
@@ -183,14 +166,15 @@ def execute(config: RunConfig) -> tuple[RunResult, RunSummary]:
     meta = {"seed": str(config.seed), "space": config.space_path, "clock": clock}
     if config.out:  # before the first solve, not after the whole run
         _check_out(config.out)
-        _check_meta(meta)
+        check_meta(meta)
     result = run(
         backend, policy, space=space, forest_config=forest_config, seed=config.seed,
         time_limit=config.time_limit, clock=clock,
     )
-    if not config.out:
-        return result, summarize(result.trajectory, result.outcome)
-    return result, emit_trajectory(result.trajectory, config.out, outcome=result.outcome, meta=meta)
+    summary = summarize(result.trajectory, result.outcome)
+    if config.out:
+        emit_trajectory(result.trajectory, config.out, summary=summary, meta=meta)
+    return result, summary
 
 
 def _check_out(path: str) -> None:
@@ -199,52 +183,6 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path}: is a directory")
     if not Path(path).parent.is_dir():
         raise ValueError(f"--out {path}: directory {Path(path).parent} does not exist")
-
-
-def _check_meta(meta: dict[str, str]) -> None:
-    """Refuse a key or value that one ``#meta`` line cannot carry: a tab splits its cell, a line break the line."""
-    for key, value in meta.items():
-        if not LINE_BREAKS.isdisjoint(key + value) or "\t" in key + value:
-            raise ValueError(f"meta {key!r}={value!r} holds a tab or a line break")
-
-
-def _cell(value) -> str:
-    """One cell of a trajectory or grid file: a strategy joined with ';', None as '-', a float by repr, else str."""
-    if isinstance(value, tuple):
-        return ";".join(value)
-    return "-" if value is None else (str(value) if not isinstance(value, float) else repr(value))
-
-
-def _summary_items(summary: RunSummary) -> list[tuple[str, object]]:
-    """``RunSummary``'s fields in order but ``solved_times``, which a trajectory writes as ``solved`` lines."""
-    return [(f.name, getattr(summary, f.name)) for f in dataclasses.fields(summary) if f.name != "solved_times"]
-
-
-def emit_trajectory(
-    trajectory: Trajectory,
-    path: str | Path,
-    *,
-    outcome: Outcome,
-    meta: dict[str, str],
-) -> RunSummary:
-    """Write the event log plus a summary under one ``#meta`` line of ``meta``; returns the summary.
-
-    Each event is one row of ``TrajectoryEvent``'s fields in order.  The
-    summary carries epoch count, learning time, the cumulative time at
-    which each index was solved, and the largest solved index.
-    """
-    summary = summarize(trajectory, outcome)
-    names = [f.name for f in dataclasses.fields(TrajectoryEvent)]
-    _check_meta(meta)
-    lines = [f"#{TRAJECTORY_FORMAT}", "#meta\t" + "\t".join(f"{k}={v}" for k, v in sorted(meta.items()))]
-    lines.append("#fields\t" + "\t".join(names))
-    for event in trajectory:
-        lines.append("\t".join(_cell(getattr(event, name)) for name in names))
-    for index, cumulative in summary.solved_times:
-        lines.append(f"solved\t{index}\t{cumulative!r}")
-    lines.append("summary" + "".join(f"\t{name}={_cell(value)}" for name, value in _summary_items(summary)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return summary
 
 
 @dataclass
@@ -260,7 +198,7 @@ class GridResult:
         """Heat-map-ready rows: a depth header, then one row per budget."""
         lines = ["budget\\depth\t" + "\t".join(str(d) for d in self.depths)]
         for budget, row in zip(self.budgets, self.largest_solved):
-            lines.append(f"{budget:g}\t" + "\t".join(_cell(v) for v in row))
+            lines.append(f"{budget:g}\t" + "\t".join(cell(v) for v in row))
         return lines
 
 
@@ -326,7 +264,7 @@ def main(argv=None) -> int:
     config = parse_args(argv)
     result, summary = execute(config)
     print(" ".join(f"{name}={value:.6g}" if isinstance(value, float) else f"{name}={value}"
-                   for name, value in _summary_items(summary)))
+                   for name, value in summary_items(summary)))
     if config.out:
         print(f"trajectory written to {config.out}")
     return 0

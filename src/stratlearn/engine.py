@@ -17,18 +17,12 @@ under a metric budget of a fixed ``ABORT_MULTIPLIER`` (10) times that
 baseline; a run that exhausts it enters the dataset at cost 10, whatever the
 backend answered, so the oracle still learns that the region is bad.  Only
 its ``CostRecord.aborted`` marks the abort; the trajectory does not.
-
-A run's ``Trajectory`` is its only clock.  The virtual clock, ``run()``'s
-default, charges a backend call its effort metric and compute nothing, so runs
-replay bit-identically; the wall clock, the CLI's default, charges each event
-the seconds since the previous one ended.  Budget and time limit use its unit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,6 +32,7 @@ from .backends import SolverError, Verdict
 from .forest import DataPoint, Dataset, Grid, RandomForest, fit_adaptive, fit_forest, predict
 from .sampler import SamplerConfig, run_chain
 from .space import Strategy, StrategySpace, default_strategy, encode_features
+from .trajectory import RunSummary, Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -108,72 +103,6 @@ class ForestConfig:
             raise ValueError(f"init_depth {self.init_depth} exceeds depth_cap {self.depth_cap}")
         if self.fixed_depth is not None and (self.init_depth is not None or self.depth_cap is not None):
             raise ValueError("fixed_depth is exclusive with init_depth and depth_cap")
-
-
-@dataclass(frozen=True)
-class TrajectoryEvent:
-    phase: str  # solve | collect | train | strategize
-    index: int
-    strategy: tuple[str, ...]
-    verdict: str | None
-    raw_metric: float | None
-    cost: float | None
-    virtual_time: float
-    cumulative_time: float
-
-
-class Trajectory:
-    """Ordered event log of one run, its only clock, and its ``learning_time`` (non-solve events, in order).
-
-    An event takes its effort ``charge`` on the virtual clock, and on the wall
-    clock the seconds since the previous event or construction: the events partition the wall time.
-    """
-
-    def __init__(self, clock: str = "virtual") -> None:
-        if clock not in ("virtual", "wall"):
-            raise ValueError(f"unknown clock mode {clock!r}")
-        self.clock = clock
-        self.events: list[TrajectoryEvent] = []
-        self.cumulative_time = 0.0
-        self.learning_time = 0.0
-        self._ended = time.perf_counter()  # the wall clock's reading at the end of the last event
-
-    def record(
-        self,
-        phase: str,
-        index: int,
-        strategy: Strategy,
-        *,
-        verdict: str | None = None,
-        raw_metric: float | None = None,
-        cost: float | None = None,
-        charge: float = 0.0,
-    ) -> TrajectoryEvent:
-        if self.clock == "virtual":
-            duration = charge
-        else:
-            now = time.perf_counter()
-            duration, self._ended = now - self._ended, now
-        if duration < 0:
-            raise ValueError("event times must be nonnegative")
-        self.cumulative_time += duration
-        if phase != "solve":
-            self.learning_time += duration
-        event = TrajectoryEvent(
-            phase, index, strategy.assignments, verdict, raw_metric, cost,
-            duration, self.cumulative_time,
-        )
-        self.events.append(event)
-        return event
-
-    def phase_events(self, phase: str) -> list[TrajectoryEvent]:
-        return [e for e in self.events if e.phase == phase]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
 
 @dataclass
@@ -272,9 +201,8 @@ def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float
     virtual clock; any other costs its metric over the baseline and is charged its metric.  The verdict
     is otherwise discarded: the baseline's run already settled the problem's status.  A ``SolverError``
     is raised again as its own type, naming the problem and strategy; any other exception passes as it is.
+    The baseline must be positive; ``learning_epoch``, the one caller, refuses any other before its chain.
     """
-    if not baseline_metric > 0:
-        raise ValueError(f"baseline must be positive, got {baseline_metric!r}")
     budget = ABORT_MULTIPLIER * baseline_metric
     try:
         outcome = backend.solve(index, strategy, budget=budget)
@@ -445,17 +373,6 @@ class RunResult:
     trajectory: Trajectory
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    outcome: str
-    largest_solved_index: int | None
-    epochs: int
-    learning_time: float
-    solving_time: float
-    cumulative_time: float
-    solved_times: tuple[tuple[int, float], ...]
-
-
 def summarize(trajectory: Trajectory, outcome: Outcome) -> RunSummary:
     solves = trajectory.phase_events("solve")
     return RunSummary(
@@ -463,7 +380,7 @@ def summarize(trajectory: Trajectory, outcome: Outcome) -> RunSummary:
         largest_solved_index=max((e.index for e in solves), default=None),
         epochs=len(trajectory.phase_events("train")),
         learning_time=trajectory.learning_time,
-        solving_time=sum(e.virtual_time for e in solves),
+        solving_time=sum((e.virtual_time for e in solves), 0.0),
         cumulative_time=trajectory.cumulative_time,
         solved_times=tuple((e.index, e.cumulative_time) for e in solves),
     )

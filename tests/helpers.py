@@ -145,7 +145,7 @@ def run_cases(draw) -> RunCase:
 
 
 class FakeTime:
-    """Stands in for ``stratlearn.engine.time``; its ``perf_counter`` moves only by ``advance``."""
+    """Stands in for ``stratlearn.trajectory.time``; its ``perf_counter`` moves only by ``advance``."""
 
     def __init__(self):
         self.now = 1000.0

@@ -29,13 +29,13 @@ from stratlearn.cli import (
     GridResult,
     RunConfig,
     ablation_grid,
-    emit_trajectory,
     execute,
     main,
     parse_args,
 )
-from stratlearn.engine import EpochPolicy, Outcome, Trajectory, run, summarize
+from stratlearn.engine import EpochPolicy, Outcome, run, summarize
 from stratlearn.space import Strategy, builtin_space, default_strategy, serialize_space
+from stratlearn.trajectory import Trajectory, emit_trajectory
 
 
 PROBLEM_SOURCE = "a run reads its problems from --landscape alone, or from --manifest with --adapter"
@@ -166,11 +166,15 @@ class TestParseArgs:
 class TestEmitTrajectory:
     def test_empty_trajectory(self, tmp_path):
         path = tmp_path / "empty.tsv"
-        summary = emit_trajectory(Trajectory(), path, outcome=Outcome.TIME_LIMIT, meta={"seed": "0"})
+        trajectory = Trajectory()
+        summary = summarize(trajectory, Outcome.TIME_LIMIT)
+        emit_trajectory(trajectory, path, summary=summary, meta={"seed": "0"})
         assert summary.largest_solved_index is None
         assert summary.epochs == 0
+        # Every time is a float, the empty sum of solve times too, so a reader needs no int case.
+        assert type(summary.solving_time) is float
         text = path.read_text(encoding="utf-8")
-        assert "largest_solved_index=-" in text
+        assert "largest_solved_index=-" in text and "\tsolving_time=0.0\t" in text.splitlines()[-1]
         assert text.startswith("#stratlearn-trajectory v1\n#meta\tseed=0\n")
 
     def test_cumulative_times_are_prefix_sums(self, tmp_path):
@@ -180,7 +184,8 @@ class TestEmitTrajectory:
             trajectory.record("solve", index, strategy, verdict="UNSAT",
                               raw_metric=metric, charge=metric)
         path = tmp_path / "t.tsv"
-        summary = emit_trajectory(trajectory, path, outcome=Outcome.FAILURE, meta={"seed": "0"})
+        summary = summarize(trajectory, Outcome.FAILURE)
+        emit_trajectory(trajectory, path, summary=summary, meta={"seed": "0"})
         assert summary.solved_times == ((1, 5.0), (2, 12.5), (3, 15.0))
         lines = path.read_text(encoding="utf-8").splitlines()
         solves = [l for l in lines if l.startswith("solve\t")]
@@ -203,7 +208,8 @@ class TestEmitTrajectory:
         # A tab would split a cell with no '=' off the #meta line, and a line break would end that line.
         for meta in ({"space": f"sp{char}ace.csv"}, {f"sp{char}ace": "space.csv"}):
             with pytest.raises(ValueError, match="^meta 'sp"):
-                emit_trajectory(Trajectory(), tmp_path / "t.tsv", outcome=Outcome.FAILURE, meta=meta)
+                emit_trajectory(Trajectory(), tmp_path / "t.tsv", summary=summarize(Trajectory(), Outcome.FAILURE),
+                                meta=meta)
         assert not (tmp_path / "t.tsv").exists()
         folder = tmp_path / f"sp{char}ace"
         folder.mkdir()
@@ -267,6 +273,22 @@ class TestExecute:
                                          "--virtual-clock", "--out", str(out)]))
         assert summary.epochs == 0 and type(summary.learning_time) is float
         assert "\tlearning_time=0.0\t" in out.read_text(encoding="utf-8").splitlines()[-1]
+
+    def test_execute_writes_through_the_cli_name_the_summary_it_returns(self, landscape_files, tmp_path, monkeypatch):
+        # A wrapper set on cli.emit_trajectory sees each write, the path second, and the summary execute returns.
+        space_path, land_path = landscape_files
+        writes = []
+
+        def record(*args, **kwargs):
+            writes.append((args, kwargs))
+            return emit_trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "emit_trajectory", record)
+        out = tmp_path / "run.tsv"
+        _, summary = execute(parse_args(["--space", space_path, "--landscape", land_path, "--no-learn",
+                                         "--virtual-clock", "--out", str(out)]))
+        [(args, kwargs)] = writes
+        assert args[1] == str(out) and kwargs["summary"] is summary and out.exists()
 
     def test_main_prints_summary(self, landscape_files, capsys):
         space_path, land_path = landscape_files

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from stratlearn.engine import (
     EpochPolicy,
     ForestConfig,
     Outcome,
-    Trajectory,
     apply_solve,
     initial_state,
     learning_epoch,
@@ -51,6 +51,7 @@ from stratlearn.engine import (
 from stratlearn.forest import DataPoint, Dataset, Grid, RandomForest, fit_forest, predict
 from stratlearn.sampler import SamplerConfig, run_chain
 from stratlearn.space import Strategy, builtin_space, default_strategy, encode_features
+from stratlearn.trajectory import Trajectory, TrajectoryEvent
 
 SPACE2 = binary_space(2)
 SMALL_SPACE = builtin_space("kissat_small")
@@ -227,10 +228,15 @@ class TestLearningEpoch:
         assert len(state.dataset) == 25
 
     def test_requires_baseline(self):
-        state = fresh_state(6)
+        # None, zero or negative: refused before any backend call, with no event recorded.
         policy = EpochPolicy(samples_per_epoch=2, learning_budget=1e9)
-        with pytest.raises(ValueError, match="baseline"):
-            learning_epoch(state, landscape_backend(), policy, trajectory=Trajectory())
+        for baseline in (None, 0.0, -1.0):
+            state, calls, trajectory = fresh_state(6), [], Trajectory()
+            state.baseline = baseline
+            backend = SimpleNamespace(num_problems=6, solve=lambda *args, **kwargs: calls.append(args))
+            with pytest.raises(ValueError, match="baseline"):
+                learning_epoch(state, backend, policy, trajectory=trajectory)
+            assert calls == [] and len(trajectory) == 0, baseline
 
     def test_backend_failure_keeps_measured_points(self):
         class FlakyBackend:
@@ -472,7 +478,7 @@ class TestStrategize:
             assert (state.strategy is before) == kept == (state.strategy == before)
             picked = state.strategy.assignments
             assert trajectory.events == [
-                engine.TrajectoryEvent("strategize", 2, picked, None, None, costs[picked], 0.0, 0.0)
+                TrajectoryEvent("strategize", 2, picked, None, None, costs[picked], 0.0, 0.0)
             ]
 
     def test_indices_above_every_threshold_share_one_table(self, monkeypatch):

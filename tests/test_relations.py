@@ -25,7 +25,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import FakeTime, run_cases
-from stratlearn import engine
 from stratlearn.backends import SyntheticBackend, Verdict
 from stratlearn.engine import Outcome
 
@@ -116,7 +115,7 @@ def test_wall_clock_equals_virtual(case):
     virtual = case.run(landscape=landscape)
     clock = FakeTime()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "time", clock)
+        patch.setattr("stratlearn.trajectory.time", clock)
         wall = case.run(backend=lambda landscape: ClockedBackend(landscape, clock), clock="wall", landscape=landscape)
     assert wall.outcome is virtual.outcome
     assert [dataclasses.astuple(e) for e in wall.trajectory] == [dataclasses.astuple(e) for e in virtual.trajectory]

@@ -7,11 +7,16 @@ count (``num_problems`` or ``n``) against the index; either would be the
 choice growing back.  Likewise ``engine.should_learn`` alone admits an
 epoch, so ``run`` may name neither the learning budget nor the epoch's
 sample count that its estimate reads.  And a run's ``Trajectory`` is its
-only clock, so no function outside its methods compares the clock mode
-against ``"virtual"`` or ``"wall"``; such a comparison would be a second
-clock picking a unit.  Nor does any function in the package but its methods
-name the ``time`` module: a reading taken elsewhere would be a second clock
-timing a phase, and the compute before it would be charged to no event.
+only clock, so no function in any module of the package but its methods
+compares the clock mode against ``"virtual"`` or ``"wall"``; such a
+comparison would be a second clock picking a unit.  Nor does any function in
+the package but its methods name the ``time`` module: a reading taken
+elsewhere would be a second clock timing a phase, and the compute before it
+would be charged to no event.  The trajectory file's format has one home
+too: no module but ``trajectory.py`` holds a string constant, an f-string's
+parts included, that opens one of its lines (``#meta``, ``#fields``,
+``solved<TAB>``) or names its version (``stratlearn-trajectory``); one
+elsewhere would be a second writer or reader of the file.
 Finally no module in the package calls a ``Generator`` method: NumPy keeps
 no stream of a ``Generator`` method stable across releases, so every draw
 is decoded from a bit generator's raw output, and a run stays a function
@@ -32,6 +37,7 @@ ENGINE = PACKAGE / "engine.py"
 PROBLEM_COUNTS = {"num_problems", "n"}
 ADMISSION_INPUTS = {"learning_budget", "samples_per_epoch"}
 CLOCK_MODES = {"virtual", "wall"}
+FORMAT_PREFIXES = ("#meta", "#fields", "solved\t", "stratlearn-trajectory")
 GENERATOR_METHODS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
 
 
@@ -52,10 +58,6 @@ def named(node: ast.AST) -> set[str]:
     return found
 
 
-def engine_functions() -> dict[str, ast.FunctionDef]:
-    return module_functions(ast.parse(ENGINE.read_text(encoding="utf-8")))
-
-
 def module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
     """Every function in a module by qualified name: module functions and class methods."""
     found = {}
@@ -67,6 +69,17 @@ def module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
                 if isinstance(method, ast.FunctionDef):
                     found[f"{node.name}.{method.name}"] = method
     return found
+
+
+def package_modules() -> dict[str, ast.Module]:
+    """Every module of the package, parsed, by file stem."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def package_functions() -> dict[str, ast.FunctionDef]:
+    """Every function in the package by ``module.qualified_name``."""
+    return {f"{stem}.{name}": function
+            for stem, tree in package_modules().items() for name, function in module_functions(tree).items()}
 
 
 def time_module_names(tree: ast.Module) -> set[str]:
@@ -83,13 +96,12 @@ def time_module_names(tree: ast.Module) -> set[str]:
 def clock_reads() -> dict[str, list[int]]:
     """Line numbers, by ``module.qualified_name``, where a package function names the ``time`` module."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem, tree in package_modules().items():
         clock = time_module_names(tree)
         for name, function in module_functions(tree).items():
             if lines := sorted({node.lineno for node in ast.walk(function)
                                 if isinstance(node, ast.Name) and node.id in clock}):
-                found[f"{path.stem}.{name}"] = lines
+                found[f"{stem}.{name}"] = lines
     return found
 
 
@@ -156,26 +168,48 @@ def test_the_scan_sees_the_admission():
 
 def test_only_the_trajectory_compares_clock_modes():
     compared = {
-        name: lines for name, function in engine_functions().items()
-        if not name.startswith("Trajectory.") and (lines := clock_mode_comparisons(function))
+        name: lines for name, function in package_functions().items()
+        if not name.startswith("trajectory.Trajectory.") and (lines := clock_mode_comparisons(function))
     }
     assert compared == {}
 
 
 def test_the_scan_sees_the_clock():
     # Guards the guard: the trajectory picks each event's unit, so the scan must flag it there.
-    functions = engine_functions()
-    assert clock_mode_comparisons(functions["Trajectory.record"])
-    assert clock_mode_comparisons(functions["Trajectory.__init__"])
+    functions = package_functions()
+    assert clock_mode_comparisons(functions["trajectory.Trajectory.record"])
+    assert clock_mode_comparisons(functions["trajectory.Trajectory.__init__"])
 
 
 def test_only_the_trajectory_reads_the_time_module():
-    assert {name: lines for name, lines in clock_reads().items() if not name.startswith("engine.Trajectory.")} == {}
+    assert {name: lines for name, lines in clock_reads().items()
+            if not name.startswith("trajectory.Trajectory.")} == {}
 
 
 def test_the_scan_sees_the_clock_read():
     # Guards the guard: the trajectory times each event, so the scan must flag its record method.
-    assert "engine.Trajectory.record" in clock_reads()
+    assert "trajectory.Trajectory.record" in clock_reads()
+
+
+def format_constants(tree: ast.Module) -> dict[str, list[int]]:
+    """Line numbers, by prefix, of a module's string constants (f-string parts too) that open a ``FORMAT_PREFIXES``."""
+    found: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for prefix in FORMAT_PREFIXES:
+                if node.value.startswith(prefix):
+                    found.setdefault(prefix, []).append(node.lineno)
+    return found
+
+
+def test_only_the_trajectory_module_holds_the_file_format():
+    assert {stem: found for stem, tree in package_modules().items()
+            if stem != "trajectory" and (found := format_constants(tree))} == {}
+
+
+def test_the_scan_sees_the_file_format():
+    # Guards the guard: the writer builds each of those lines from a constant, so the scan must find every prefix.
+    assert set(format_constants(package_modules()["trajectory"])) == set(FORMAT_PREFIXES)
 
 
 def generator_calls(path: Path) -> list[int]:
@@ -203,14 +237,13 @@ CATCH_ALLS = {"Exception", "BaseException"}
 def catch_alls() -> dict[str, list[int]]:
     """Line numbers, by ``module.qualified_name``, of handlers in package functions that catch every exception."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, function in module_functions(ast.parse(path.read_text(encoding="utf-8"))).items():
-            if lines := sorted({
-                node.lineno for node in ast.walk(function)
-                if isinstance(node, ast.ExceptHandler)
-                and (node.type is None or named(node.type) & CATCH_ALLS)
-            }):
-                found[f"{path.stem}.{name}"] = lines
+    for name, function in package_functions().items():
+        if lines := sorted({
+            node.lineno for node in ast.walk(function)
+            if isinstance(node, ast.ExceptHandler)
+            and (node.type is None or named(node.type) & CATCH_ALLS)
+        }):
+            found[name] = lines
     return found
 
 

@@ -1,6 +1,6 @@
 """The wall clock, made deterministic: a fake ``perf_counter`` that only known work advances.
 
-``stratlearn.engine.time`` is replaced by a fake whose reading moves only
+``stratlearn.trajectory.time`` is replaced by a fake whose reading moves only
 when a backend call, a fit, a prediction or a chain step advances it by a
 fixed number of seconds.  Each event's time is then known exactly: every
 duration below is a binary fraction, so the float sums are exact too.
@@ -11,8 +11,9 @@ import pytest
 from helpers import FakeTime, convergence_landscape
 from stratlearn import cli, engine
 from stratlearn.backends import SyntheticBackend, save_landscape
-from stratlearn.engine import EpochPolicy, ForestConfig, Outcome, Trajectory, run, summarize
+from stratlearn.engine import EpochPolicy, ForestConfig, Outcome, run, summarize
 from stratlearn.space import builtin_space, serialize_space
+from stratlearn.trajectory import Trajectory
 
 SPACE = builtin_space("kissat_small")
 CALL_S = 1.0  # every backend call, main solve or collection run
@@ -24,7 +25,7 @@ STEP_S = 2.0**-6
 @pytest.fixture
 def fake_time(monkeypatch):
     fake = FakeTime()
-    monkeypatch.setattr(engine, "time", fake)
+    monkeypatch.setattr("stratlearn.trajectory.time", fake)
     return fake
 
 
