@@ -38,12 +38,14 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Backend verdict plus the raw effort metric (conflicts or synthetic units)."""
+    """Backend verdict plus the raw effort metric (conflicts or synthetic units), stored as a float whatever
+    number the backend gives, so every time a run records is a float."""
 
     verdict: Verdict
     metric: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "metric", float(self.metric))
         if self.metric < 0 or not math.isfinite(self.metric):
             raise ValueError(f"metric must be finite and nonnegative, got {self.metric!r}")
 

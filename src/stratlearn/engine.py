@@ -110,9 +110,9 @@ class EngineState:
     """Mutable run configuration: index, strategy, dataset, oracle and its predictions by rank, a float64
     array of every rank's from the oracle's first strategize on, or a dict of those met if over
     ``TABLE_CAP`` strategies (see rule_strategize); ``{}`` before that strategize.  ``floor`` is the
-    array's minimum, kept only when every entry is finite: no candidate can be strictly cheaper, so a
-    strategize whose in-force strategy predicts it skips its chain, and any other's chain ends at its
-    first record there.  A refit resets both."""
+    array's minimum, or ``-inf`` without an array: no candidate can be strictly cheaper, so a strategize
+    whose in-force strategy predicts it skips its chain, and any other's chain ends at its first record
+    there.  A refit resets both."""
 
     space: StrategySpace
     num_problems: int
@@ -121,7 +121,7 @@ class EngineState:
     index: int = 1
     oracle: RandomForest | None = None
     predictions: dict[int, float] | np.ndarray = field(default_factory=dict)
-    floor: float | None = None
+    floor: float = -math.inf
     epochs: int = 0
     baseline: float | None = None  # metric of run()'s latest solve: an epoch's unit of cost
     terminal: Outcome | None = None
@@ -208,7 +208,7 @@ def collect_cost(backend, index: int, strategy: Strategy, baseline_metric: float
         outcome = backend.solve(index, strategy, budget=budget)
     except SolverError as exc:
         raise type(exc)(f"collect on problem {index}, strategy {';'.join(strategy.assignments)}: {exc}") from exc
-    metric = float(outcome.metric)
+    metric = outcome.metric
     aborted = outcome.verdict is Verdict.ABORTED or metric > budget
     if aborted:
         logger.info("collect run on problem %d aborted (metric %.6g, budget %.6g); cost capped at %.6g",
@@ -284,7 +284,7 @@ def learning_epoch(
             state.dataset, forest_config.trees, forest_config.init_depth,
             forest_config.score_threshold, forest_config.depth_cap, forest_seed,
         )
-    state.oracle, state.predictions, state.floor = oracle, {}, None
+    state.oracle, state.predictions, state.floor = oracle, {}, -math.inf
     state.epochs += 1
     trajectory.record("train", index, state.strategy, cost=oracle.training_score)
     logger.debug(
@@ -310,12 +310,10 @@ def rule_strategize(
     constant oracle never moves the strategy, and a pick of the current strategy
     keeps ``state.strategy`` as it is.  Only a candidate strictly below the
     best so far can win, so none can after one at the table's minimum
-    (``state.floor``, kept only for an all-finite table): the chain is skipped
-    when the current strategy predicts it, and otherwise ends at its first
-    record there (``run_chain``'s ``stop``).  A table with a non-finite entry,
-    or a lazy dict, has no known minimum, so its chain walks every step, and
-    one that meets a non-finite entry raises ``ValueError``.  The chain draws
-    from ``seed``'s strategize stream at ``beta``.
+    (``state.floor``): the chain is skipped when the current strategy predicts
+    it, and otherwise ends at its first record there (``run_chain``'s
+    ``stop``).  A lazy dict has no known minimum, so its chain walks every
+    step.  The chain draws from ``seed``'s strategize stream at ``beta``.
 
     Guard: a trained oracle whose index thresholds all lie strictly below the
     index (its ``index_bound``, computed once per oracle), else
@@ -338,8 +336,7 @@ def rule_strategize(
 
     if isinstance(memo, dict) and math.prod(space.sizes) <= TABLE_CAP:
         memo = state.predictions = predict(oracle, Grid(space.sizes, index))
-        if np.isfinite(memo).all():
-            state.floor = memo.min().item()
+        state.floor = memo.min().item()
     if isinstance(memo, np.ndarray):
         predicted_cost = memo.item
     else:
@@ -350,12 +347,10 @@ def rule_strategize(
 
     in_force = best = space.rank(space.codes(state.strategy))
     best_cost = predicted_cost(best)
-    floor = state.floor
-    if policy.strategize_samples > 1 and (floor is None or best_cost > floor):
+    if policy.strategize_samples > 1 and best_cost > state.floor:
         chain = run_chain(
             space, predicted_cost, state.strategy, policy.strategize_samples - 1,
-            seed=_substream_seed(seed, _STRATEGIZE_STREAM, index), beta=beta,
-            stop=-math.inf if floor is None else floor,
+            seed=_substream_seed(seed, _STRATEGIZE_STREAM, index), beta=beta, stop=state.floor,
         )
         for record in chain:
             if record.cost < best_cost:

@@ -50,7 +50,8 @@ from .sampler import _integers
 
 _TREE_STREAM = 7  # label for per-tree seed substreams
 _MIN_SPLIT = 2
-_COST_BOUND = math.sqrt(np.finfo(np.float64).max)  # 2 * n * max|cost| below it: no sum of squares overflows
+# 2 * n * max|cost| below it: no sum of squares overflows, so every SSE, leaf value and prediction is finite.
+_COST_BOUND = math.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -219,12 +220,10 @@ class _ForestGrower:
         # A cut leaves rows on both sides.  One at a code absent from the leaf repeats the
         # cut at the code below exactly, so the first minimum lies between present codes.
         sse[(n_left == 0) | (n_right == 0)] = np.inf
-        # Each feature's first minimum over cuts, NaN if any cut's SSE is NaN; then the first
-        # feature at the lowest of them, where a NaN never wins.
+        # Each feature's first minimum over cuts; then the first feature at the lowest of them.
         low = np.minimum.reduceat(sse, self.starts, axis=1)
         at_low = np.where(sse == low[:, self.owner], self.position, self.owner.shape[0])
         first = np.minimum.reduceat(at_low, self.starts, axis=1)
-        low[np.isnan(low)] = np.inf
         feature, found = np.argmin(low, axis=1), low.min(axis=1) < np.inf
 
         # Leaves without a legal cut stop growing; with none left, every tree is fully grown.

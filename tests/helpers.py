@@ -19,7 +19,7 @@ from stratlearn.backends import (
     Verdict,
     geometric_schedule,
 )
-from stratlearn.engine import EpochPolicy, ForestConfig, run
+from stratlearn.engine import TABLE_CAP, EpochPolicy, ForestConfig, run
 from stratlearn.forest import _TREE_STREAM, DataPoint, Dataset, RandomForest
 from stratlearn.sampler import SamplerConfig, acceptance_probability
 from stratlearn.space import ParameterDomain, Strategy, StrategySpace
@@ -87,14 +87,22 @@ def reference_run_chain(space, cost_fn, start, n_samples, *, seed, beta=1.0) -> 
     return records
 
 
+def ordinal_space(sizes) -> StrategySpace:
+    """Parameter ``p{i}`` of values ``0`` (its default) to ``sizes[i] - 1``."""
+    return space_from([(f"p{i}", "0", tuple(map(str, range(1, k)))) for i, k in enumerate(sizes)])
+
+
 # 1-4 parameters of 2-4 values each; binary_space(1) has a single neighbor, so its
 # chains draw integers(1), which must consume no word.
 chain_spaces = st.one_of(
-    st.just(binary_space(1)),
-    st.lists(st.integers(2, 4), min_size=1, max_size=4).map(
-        lambda sizes: space_from([(f"p{i}", "0", tuple(map(str, range(1, k)))) for i, k in enumerate(sizes)])
-    ),
+    st.just(binary_space(1)), st.lists(st.integers(2, 4), min_size=1, max_size=4).map(ordinal_space)
 )
+
+# About one run in five draws 4^9 strategies, over TABLE_CAP: its strategize predicts one strategy at a
+# time, as its chain meets it, with no floor.  A larger share costs the reference's fits more time.
+WIDE_SPACE = ordinal_space((4,) * 9)
+assert math.prod(WIDE_SPACE.sizes) > TABLE_CAP
+run_spaces = st.integers(0, 4).flatmap(lambda i: st.just(WIDE_SPACE) if i == 4 else chain_spaces)
 
 
 @dataclass(frozen=True)
@@ -118,12 +126,12 @@ class RunCase:
 
 @st.composite
 def run_cases(draw) -> RunCase:
-    """2-12 problems on a ``chain_spaces`` space, SAT first at any index or none, every option of a run drawn.
+    """2-12 problems on a ``run_spaces`` space, SAT first at any index or none, every option of a run drawn.
 
     A weight reaches 12, so a strategy can cost over ``ABORT_MULTIPLIER`` times
     the in-force one and a collection call abort: about 4% of drawn runs have one.
     """
-    space = draw(chain_spaces)
+    space = draw(run_spaces)
     n = draw(st.integers(2, 12))
     sat, verdicts = draw(st.none() | st.integers(1, n)), [Verdict.UNSAT] * n
     if sat is not None:  # any verdicts may follow the first SAT

@@ -20,11 +20,12 @@ from helpers import (
     STUB,
     ablation_landscape,
     backend_for,
+    binary_space,
     codepoint,
     convergence_landscape,
 )
 from stratlearn import cli
-from stratlearn.backends import SyntheticBackend, save_landscape
+from stratlearn.backends import SolveOutcome, SyntheticBackend, Verdict, save_landscape
 from stratlearn.cli import (
     GridResult,
     RunConfig,
@@ -190,6 +191,21 @@ class TestEmitTrajectory:
         lines = path.read_text(encoding="utf-8").splitlines()
         solves = [l for l in lines if l.startswith("solve\t")]
         assert solves[1].endswith("7.5\t12.5")
+
+    def test_an_integer_metric_is_written_as_a_float(self, tmp_path):
+        # A backend may give any number; the solve and collect rows alike hold floats, as a reader expects.
+        backend = SimpleNamespace(
+            num_problems=3, solve=lambda index, strategy, budget=None: SolveOutcome(Verdict.UNSAT, 7 * index)
+        )
+        policy = EpochPolicy(samples_per_epoch=5, learning_budget=1e9, strategize_samples=5)
+        result = run(backend, policy, space=binary_space(2))
+        assert {event.phase for event in result.trajectory} == {"solve", "collect", "train", "strategize"}
+        for event in result.trajectory:
+            assert type(event.virtual_time) is type(event.cumulative_time) is float, event
+            assert event.raw_metric is None or type(event.raw_metric) is float, event
+        path = tmp_path / "t.tsv"
+        emit_trajectory(result.trajectory, path, summary=summarize(result.trajectory, result.outcome), meta={})
+        assert "solve\t1\t1;1\tUNSAT\t7.0\t-\t7.0\t7.0\n" in path.read_text(encoding="utf-8")
 
     def test_replay_writes_identical_bytes(self, landscape_files, tmp_path):
         space_path, land_path = landscape_files

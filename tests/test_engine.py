@@ -448,7 +448,7 @@ class TestStrategize:
         policy = EpochPolicy(strategize_samples=50)
         oracles = [self.index_split_oracle(SPACE2) for _ in range(2)]
         for oracle in oracles:  # a refit: a new oracle, and its own guard
-            state.oracle, state.predictions, state.floor = oracle, {}, None
+            state.oracle, state.predictions, state.floor = oracle, {}, -math.inf
             for state.index in (3, 1, 5, 2, 4):
                 if state.index <= 2:
                     with pytest.raises(RuntimeError, match=strategize_refused(state.index)):
@@ -520,7 +520,7 @@ class TestStrategize:
         state.baseline = backend.solve(2, state.strategy).metric
         assert state.floor == 100.0
         learning_epoch(state, backend, policy, trajectory=Trajectory())
-        assert (state.predictions, state.floor) == ({}, None)
+        assert (state.predictions, state.floor) == ({}, -math.inf)
         trajectory = Trajectory()
         rule_strategize(state, policy, trajectory=trajectory)
         refit = {
@@ -729,19 +729,6 @@ class TestSkippedChain:
                 assert [(decode(space, r.rank), r.cost, r.accepted) for r in records] == full[:cut]
                 assert len(evaluated) == 1 + cut  # the start, then one proposal per record: none after it
 
-    def test_a_table_with_an_inf_entry_still_walks(self, monkeypatch):
-        # The in-force strategy, rank 0, holds the finite minimum; rank 1, its one neighbor, predicts inf.
-        space = binary_space(1)
-        state = fresh_state(3, space)
-        state.oracle, state.index = hand_forest(2, (0, 0.5, 0.25, math.inf)), 2
-        chains = self.counted_chains(monkeypatch)
-        trajectory = Trajectory()
-        with pytest.raises(ValueError, match="^strategy 0: non-finite cost inf$"):
-            rule_strategize(state, EpochPolicy(strategize_samples=2), trajectory=trajectory)
-        assert state.predictions.tolist() == [0.25, math.inf] and state.floor is None
-        assert len(chains) == 1
-        assert state.strategy == default_strategy(space) and len(trajectory) == 0
-
     def test_a_space_above_the_cap_still_walks(self, monkeypatch):
         space = binary_space(5)
         state = fresh_state(4, space)
@@ -750,23 +737,22 @@ class TestSkippedChain:
         chains = self.counted_chains(monkeypatch)
         for state.index in (2, 3):
             rule_strategize(state, EpochPolicy(strategize_samples=40), trajectory=Trajectory())
-        assert len(chains) == 2 and state.floor is None
+        assert len(chains) == 2 and state.floor == -math.inf
         assert isinstance(state.predictions, dict) and len(state.predictions) > 1
         assert state.strategy == default_strategy(space)
 
-    @pytest.mark.parametrize("cap", [engine.TABLE_CAP, 15], ids=["inf-entry", "lazy"])
-    def test_without_a_floor_every_step_is_walked(self, cap, monkeypatch):
+    def test_without_a_floor_every_step_is_walked(self, monkeypatch):
         # Every strategy predicts 1.0 but the one four moves from the start, which predicts inf: three
-        # steps never propose it.  With no floor, all three are walked, though the start is at the
-        # finite minimum.  A cap of 15 keeps the 16 strategies' predictions in a lazy dict.
+        # steps never propose it.  A cap of 15 keeps the 16 strategies' predictions in a lazy dict, which
+        # has no floor, so all three are walked, though the start is at the minimum.
         space = binary_space(4)
         state = fresh_state(3, space)
         state.oracle = hand_forest(5, (0, 0.5, 1.0, (1, 0.5, 1.0, (2, 0.5, 1.0, (3, 0.5, 1.0, math.inf)))))
         state.index, before = 2, state.strategy
-        monkeypatch.setattr(engine, "TABLE_CAP", cap)
+        monkeypatch.setattr(engine, "TABLE_CAP", 15)
         chains = self.counted_chains(monkeypatch)
         rule_strategize(state, EpochPolicy(strategize_samples=4), trajectory=Trajectory())
-        assert state.floor is None and isinstance(state.predictions, dict) == (cap == 15)
+        assert state.floor == -math.inf and isinstance(state.predictions, dict)
         [(records, evaluated, keywords)] = chains
         assert keywords == {"seed": engine._substream_seed(0, engine._STRATEGIZE_STREAM, 2), "beta": 1.0,
                             "stop": -math.inf}

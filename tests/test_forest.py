@@ -236,6 +236,7 @@ class TestLevelWiseGrowth:
     def test_costs_just_under_the_overflow_bound_grow_the_scaled_trees(self):
         # Scaling every cost by a power of two scales every sum exactly, so the trees must be
         # those of the scaled-down costs; the suite turns any overflow warning into an error.
+        # Below the bound, every prediction is finite too: strategize's table floor relies on it.
         rng = np.random.default_rng(49)
         for case in range(20):
             n = int(rng.integers(1, 40))
@@ -247,6 +248,7 @@ class TestLevelWiseGrowth:
             for name in ("feature", "threshold", "left"):
                 np.testing.assert_array_equal(getattr(forest, name), getattr(small, name))
             np.testing.assert_array_equal(forest.value * 2.0**-500, small.value)
+            assert np.isfinite(predict(forest, X)).all()
 
     def test_every_split_is_a_best_legal_cut_in_exact_arithmetic(self):
         """Independent of summation order: each split is a legal cut whose exact SSE is
